@@ -87,7 +87,6 @@ from .spectral import (
     DEFAULT_TOLERANCE,
     NonnegativeMatrix,
     SpectralResult,
-    scale_check,
     spectral_radius,
 )
 
@@ -162,7 +161,6 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "NonnegativeMatrix",
     "SpectralResult",
-    "scale_check",
     "spectral_radius",
     "__version__",
 ]

@@ -14,6 +14,12 @@ are supported and must agree:
 A singleton component without a self-loop contributes no cycles and its
 energy is 0 by convention; the empty automaton's energy is 0 as well
 (ln 0 = 0 convention).
+
+e^V leaves the double range once V passes about +709 (overflow) or -708
+(subnormal, then 0).  A component whose largest weight falls outside
+e^(+-700) is solved with its costs shifted by its largest cost and the
+shift added back, since E(V + c) = E(V) + c; every other component is
+solved as built.
 """
 
 from __future__ import annotations
@@ -82,12 +88,12 @@ def _check_component(a: CostAutomaton) -> None:
         )
 
 
-def gurevich_matrix_bipartite(a: CostAutomaton) -> NonnegativeMatrix:
+def gurevich_matrix_bipartite(a: CostAutomaton, shift: float = 0.0) -> NonnegativeMatrix:
     """Bipartite Gurevich matrix of one strongly connected component.
 
     Nodes: the component's states plus one node per transition.  Nonzero
-    entries: state p -> node (p,a,q) carries e^{V(p,a,q)}; node (p,a,q) ->
-    state q carries 1.
+    entries: state p -> node (p,a,q) carries e^{V(p,a,q) - shift}; node
+    (p,a,q) -> state q carries 1.
     """
     _check_component(a)
     states = sorted(a.states)
@@ -98,19 +104,19 @@ def gurevich_matrix_bipartite(a: CostAutomaton) -> NonnegativeMatrix:
     index = {name: i for i, name in enumerate(labels)}
     for k, t in enumerate(trans):
         node = len(states) + k
-        entries[index[t.source], node] = _exp(t.cost)
+        entries[index[t.source], node] = _exp(t.cost - shift)
         entries[node, index[t.target]] = 1.0
     return NonnegativeMatrix(dim=dim, entries=entries, labels=tuple(labels))
 
 
-def gurevich_matrix_compact(a: CostAutomaton) -> NonnegativeMatrix:
-    """m x m Gurevich matrix: entry (i, j) = sum over symbols of e^{V(p_i,a,p_j)}."""
+def gurevich_matrix_compact(a: CostAutomaton, shift: float = 0.0) -> NonnegativeMatrix:
+    """m x m Gurevich matrix: entry (i, j) = sum over symbols of e^{V(p_i,a,p_j) - shift}."""
     _check_component(a)
     states = sorted(a.states)
     index = {s: i for i, s in enumerate(states)}
     entries = np.zeros((len(states), len(states)))
     for t in a.transitions:
-        entries[index[t.source], index[t.target]] += _exp(t.cost)
+        entries[index[t.source], index[t.target]] += _exp(t.cost - shift)
     return NonnegativeMatrix(dim=len(states), entries=entries, labels=tuple(states))
 
 
@@ -125,6 +131,10 @@ def component_energy(
     return energy
 
 
+# weights outside this range send a component to the shifted build
+_WEIGHT_RANGE = (math.exp(-700.0), math.exp(700.0))
+
+
 def _component_energy_solved(
     a: CostAutomaton,
     form: str,
@@ -134,21 +144,31 @@ def _component_energy_solved(
     if len(a.states) == 1 and not a.transitions:
         return 0.0, None
     if form == "bipartite":
-        matrix = gurevich_matrix_bipartite(a)
-        factor = 2.0
+        build, factor = gurevich_matrix_bipartite, 2.0
     elif form == "compact":
-        matrix = gurevich_matrix_compact(a)
-        factor = 1.0
+        build, factor = gurevich_matrix_compact, 1.0
     else:
         raise ValueError(f"unknown form {form!r}")
+    shift = 0.0
+    try:
+        matrix = build(a)
+        # both forms keep every weight e^V in the rows of the states
+        lowest, highest = _WEIGHT_RANGE
+        in_range = lowest <= matrix.entries[: len(a.states)].max() <= highest
+    except Overflow:
+        in_range = False
+    if not in_range:
+        shift = max(t.cost for t in a.transitions)
+        matrix = build(a, shift=shift)
     result = spectral_radius(matrix, tolerance, max_iterations)
     if not result.converged:
         raise NotConverged(
-            f"power iteration stalled at residual {result.residual:.3e} "
-            f"after {result.iterations} iterations (component of {len(a.states)} states)",
+            f"{result.method} iteration stopped at residual {result.residual:.3e} "
+            f"after {result.iterations} iterations (component of {len(a.states)} states, "
+            f"{form} matrix of dimension {matrix.dim})",
             result=result,
         )
-    return factor * math.log(result.radius), result
+    return factor * math.log(result.radius) + shift, result
 
 
 def free_energy(

@@ -20,10 +20,11 @@ class EmptyAutomaton(GurevichError):
 
 
 class NotConverged(GurevichError):
-    """Power iteration ran out of iterations above tolerance.
+    """The Perron solver used up its iterations (power sweeps plus Noda
+    steps) before the Collatz-Wielandt interval met the tolerance.
 
-    Carries the partial SpectralResult in ``result`` so callers can
-    inspect the residual.
+    The message names the solver method, the residual and the component's
+    size; ``result`` carries the partial SpectralResult.
     """
 
     def __init__(self, message, result=None):

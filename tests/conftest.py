@@ -150,6 +150,29 @@ DNA_M1_ENERGY = 0.5 * math.log(
 )
 
 
+# A cycle 0 -> 1 -> ... -> n-1 -> 0 with one chord 0 -> 2 has cycles of
+# lengths n and n - 1 only, so its zero-cost Perron root r solves
+# r^-n + r^-(n-1) = 1; with every cost c the energy is c + ln r.  Its power
+# iteration mixes slowly: the second eigenvalue is about r e^(2 pi i / n).
+def chord_log_root(n: int) -> float:
+    """ln r for chord_cycle(n), bisected on exp(-n x) + exp(-(n-1) x) = 1."""
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if math.exp(-n * mid) + math.exp(-(n - 1) * mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def chord_cycle(n: int, cost: float) -> CostAutomaton:
+    states = [str(i) for i in range(n)]
+    transitions = [(str(i), "a", str((i + 1) % n), cost) for i in range(n)]
+    return aut(["a", "b"], states, "0", states, transitions + [("0", "b", "2", cost)])
+
+
 @pytest.fixture
 def single_cycle() -> CostAutomaton:
     """One deterministic cycle: all weight concentrated on one orbit."""

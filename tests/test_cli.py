@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gurevich
 from gurevich import (
     automaton_to_document,
     dump_json,
@@ -355,3 +359,17 @@ class TestEnvironmentAndUsage:
         assert main(["energy", path]) == 2
         _, err = lines_of(capsys)
         assert "MAX_ITERS must be positive" in err
+
+
+class TestColdStart:
+    def test_cli_import_leaves_scipy_out(self):
+        # numpy is the only runtime dependency; scipy would add its import
+        # time to every command
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gurevich.__file__)))
+        code = "import sys, gurevich.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "[]"

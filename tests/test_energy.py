@@ -16,7 +16,14 @@ from gurevich import (
     run_partition_series,
 )
 
-from conftest import DNA_M1_ENERGY, all_accepting, aut, random_strongly_connected
+from conftest import (
+    DNA_M1_ENERGY,
+    all_accepting,
+    aut,
+    chord_cycle,
+    chord_log_root,
+    random_strongly_connected,
+)
 
 
 @pytest.fixture
@@ -194,3 +201,35 @@ class TestInvariants:
             [(mapping[t.source], t.symbol, mapping[t.target], t.cost) for t in a.transitions],
         )
         assert abs(free_energy(renamed).energy - free_energy(a).energy) <= 1e-10
+
+
+class TestExtremeCosts:
+    @pytest.mark.parametrize("c", [0.0, -10.0, -20.0, -30.0, -40.0])
+    def test_low_energy_chord_cycle(self, c):
+        # a certificate on radius + 1 rather than the radius stalled at
+        # c = -10 and -20, accepted -29.5948 at c = -30 and reached ln 0 at -40
+        rep = free_energy(chord_cycle(10, c))
+        assert abs(rep.energy - (c + chord_log_root(10))) <= 1e-9
+
+    @pytest.mark.parametrize("form", ["compact", "bipartite"])
+    @pytest.mark.parametrize("c", [800.0, -800.0, 705.0, -705.0])
+    def test_costs_past_the_double_range(self, c, form):
+        rep = free_energy(chord_cycle(12, c), form=form)
+        assert abs(rep.energy - (c + chord_log_root(12))) <= 1e-9
+
+    def test_shift_only_out_of_range(self):
+        # the solver sees e^(V - shift): the shifted component's radius is r
+        # itself, an in-range one's is e^E
+        r = math.exp(chord_log_root(12))
+        shifted = free_energy(chord_cycle(12, -800.0))
+        assert abs(shifted.solver[0].radius - r) <= 1e-9 * r
+        for c in (-600.0, 0.0, 600.0):
+            plain = free_energy(chord_cycle(12, c))
+            radius = plain.solver[0].radius
+            assert abs(radius - math.exp(plain.energy)) <= 1e-9 * radius
+
+    def test_cost_shift_beyond_the_range(self, dna_m1):
+        base = free_energy(dna_m1).energy
+        for c in (-1000.0, 1000.0):
+            shifted = free_energy(map_costs(dna_m1, lambda t: t.cost + c)).energy
+            assert abs(shifted - (base + c)) <= 1e-9 * abs(c)

@@ -1,10 +1,20 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
-from gurevich import NonnegativeMatrix, scale_check, spectral_radius
+from gurevich import (
+    NonnegativeMatrix,
+    automaton_to_document,
+    free_energy,
+    save_document,
+    spectral_radius,
+)
+from gurevich.cli import main
+
+from conftest import chord_cycle, chord_log_root
 
 
 def mat(entries, labels=None):
@@ -12,6 +22,12 @@ def mat(entries, labels=None):
     if labels is None:
         labels = [f"n{i}" for i in range(arr.shape[0])]
     return NonnegativeMatrix.create(arr, labels)
+
+
+def scale_check(m, c):
+    """Radii of m and of c*m, for the scaling-linearity property tests."""
+    scaled = NonnegativeMatrix(dim=m.dim, entries=m.entries * c, labels=m.labels)
+    return spectral_radius(m), spectral_radius(scaled)
 
 
 def random_positive(seed, dim=None):
@@ -159,3 +175,90 @@ class TestInvariants:
         assert not r.converged
         assert r.radius >= 0.0
         assert r.iterations == 100
+
+
+def chord_matrix(n):
+    """Zero-cost compact matrix of conftest's chord_cycle(n)."""
+    entries = np.zeros((n, n))
+    for i in range(n):
+        entries[i, (i + 1) % n] = 1.0
+    entries[0, 2] += 1.0
+    return mat(entries)
+
+
+class TestSolverSwitch:
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_chord_cycle_certified_within_2000_iterations(self, n):
+        # power sweeps alone need about 1.8e5 sweeps at n = 200
+        r = spectral_radius(chord_matrix(n), 1e-12, 2000)
+        exact = math.exp(chord_log_root(n))
+        assert r.converged
+        assert r.method == "noda"
+        assert abs(r.radius - exact) / exact <= 1e-10
+
+    @pytest.mark.parametrize("dim", [8, 50, 400])
+    def test_well_mixed_stays_on_power_sweeps(self, dim):
+        for seed in range(4):
+            r = spectral_radius(random_positive(seed, dim), 1e-12, 10**6)
+            assert r.converged
+            assert r.method == "power"
+
+    def test_singular_shift_falls_back_to_power(self):
+        # the upper bound is exactly the radius, so the first Noda system is
+        # singular; power sweeps finish once the 0.5-coordinate underflows
+        r = spectral_radius(mat([[0.5, 0.0], [0.0, 2.0]]), 1e-10, 5000)
+        assert r.converged
+        assert r.method == "power"
+        assert r.radius == 2.0
+
+    @pytest.mark.parametrize("failure", ["negative", "nan", "linalg-error"])
+    def test_failed_solve_falls_back_to_power(self, monkeypatch, failure):
+        calls = []
+
+        def solve(b, v):
+            calls.append(b.shape)
+            if failure == "linalg-error":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return -v if failure == "negative" else np.full_like(v, np.nan)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        r = spectral_radius(chord_matrix(12), 1e-12, 10**6)
+        exact = math.exp(chord_log_root(12))
+        assert calls == [(12, 12)]  # one attempt, then power sweeps only
+        assert r.converged
+        assert r.method == "power"
+        assert abs(r.radius - exact) / exact <= 1e-10
+
+    def test_certificate_relative_to_the_radius(self):
+        # tiny radius: a certificate on radius + 1 would accept this far too early
+        m = chord_matrix(10)
+        small = NonnegativeMatrix.create(m.entries * 1e-30, m.labels)
+        r = spectral_radius(small, 1e-12, 2000)
+        exact = 1e-30 * math.exp(chord_log_root(10))
+        assert r.converged
+        assert abs(r.radius - exact) / exact <= 1e-10
+
+
+class TestSlowComponentForms:
+    def test_compact_and_bipartite_agree_on_slow_chord(self):
+        # the bipartite matrix is periodic (period 2) as well as slow-mixing
+        a = chord_cycle(150, -0.7)
+        compact = free_energy(a, form="compact")
+        bipartite = free_energy(a, form="bipartite")
+        assert abs(compact.energy - bipartite.energy) <= 1e-9
+        assert abs(compact.energy - (-0.7 + chord_log_root(150))) <= 1e-9
+
+
+class TestExtremeCostsThroughCli:
+    @pytest.mark.parametrize("cost", [-800.0, 800.0])
+    def test_chord_energy_outside_the_double_range(self, tmp_path, capsys, cost):
+        path = str(tmp_path / "chord.json")
+        save_document(path, automaton_to_document(chord_cycle(60, cost)))
+        assert main(["energy", path, "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        doc = json.loads(out)
+        assert abs(doc["energy"] - (cost + chord_log_root(60))) <= 1e-9
+        assert main(["energy", path]) == 0
+        out, _ = capsys.readouterr()
+        assert out == f"energy {cost + chord_log_root(60):.6f}\n"
