@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import StateCapExceeded
 
 __all__ = [
@@ -177,33 +179,59 @@ def validate(a: CostAutomaton) -> list[str]:
     return violations
 
 
-def _reachable(a: CostAutomaton) -> set[str]:
-    if a.initial is None:
-        return set()
-    seen = {a.initial}
-    stack = [a.initial]
-    while stack:
-        q = stack.pop()
-        for t in a.by_source.get(q, ()):
-            if t.target not in seen:
-                seen.add(t.target)
-                stack.append(t.target)
-    return seen
-
-
-def _coreachable(a: CostAutomaton) -> set[str]:
-    rev: dict[str, list[str]] = {s: [] for s in a.states}
+def edge_arrays(a: CostAutomaton) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """States in sorted name order plus the transitions' (src, dst, cost)
+    arrays over that indexing, in transition order, from one pass."""
+    names = sorted(a.states)
+    index = {name: i for i, name in enumerate(names)}
+    src: list[int] = []
+    dst: list[int] = []
+    cost: list[float] = []
     for t in a.transitions:
-        rev[t.target].append(t.source)
-    seen = set(a.accepting)
-    stack = list(a.accepting)
+        src.append(index[t.source])
+        dst.append(index[t.target])
+        cost.append(t.cost)
+    return (
+        names,
+        np.array(src, dtype=np.intp),
+        np.array(dst, dtype=np.intp),
+        np.array(cost, dtype=float),
+    )
+
+
+def adjacency(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[list[int], list[int]]:
+    """Row pointers and targets of the int graph on n nodes, every row
+    sorted by target index."""
+    order = np.lexsort((dst, src))
+    indptr = np.searchsorted(src[order], np.arange(n + 1))
+    return indptr.tolist(), dst[order].tolist()
+
+
+def _reach(indptr: list[int], targets: list[int], starts: Iterable[int]) -> bytearray:
+    seen = bytearray(len(indptr) - 1)
+    stack = []
+    for s in starts:
+        if not seen[s]:
+            seen[s] = 1
+            stack.append(s)
     while stack:
         q = stack.pop()
-        for p in rev[q]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
+        for t in targets[indptr[q] : indptr[q + 1]]:
+            if not seen[t]:
+                seen[t] = 1
+                stack.append(t)
     return seen
+
+
+def live_states(a: CostAutomaton, names: list[str], src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Mask over ``names`` (with ``src`` and ``dst``, as edge_arrays gives
+    them) of the states reachable from a's initial state and co-reachable
+    to an accepting state."""
+    index = {name: i for i, name in enumerate(names)}
+    n = len(names)
+    forward = _reach(*adjacency(n, src, dst), [index[a.initial]] if a.initial in index else [])
+    backward = _reach(*adjacency(n, dst, src), [index[q] for q in a.accepting])
+    return (np.frombuffer(forward, dtype=np.uint8) & np.frombuffer(backward, dtype=np.uint8)) > 0
 
 
 def trim(a: CostAutomaton) -> CostAutomaton:
@@ -214,14 +242,16 @@ def trim(a: CostAutomaton) -> CostAutomaton:
     """
     if a.is_empty:
         return EMPTY
-    keep = _reachable(a) & _coreachable(a)
+    names, src, dst, _ = edge_arrays(a)
+    live = live_states(a, names, src, dst)
+    if live.all():
+        return a
+    keep = frozenset(names[i] for i in np.flatnonzero(live).tolist())
     if not keep:
         return EMPTY
-    if keep == set(a.states):
-        return a
     return CostAutomaton(
         alphabet=a.alphabet,
-        states=frozenset(keep),
+        states=keep,
         initial=a.initial,
         accepting=a.accepting & keep,
         transitions=tuple(t for t in a.transitions if t.source in keep and t.target in keep),
@@ -237,8 +267,65 @@ class SccPartition:
     is_singleton_without_loop: tuple[bool, ...]
 
 
+def tarjan(indptr: list[int], targets: list[int]) -> list[list[int]]:
+    """Maximal strongly connected components of an int graph (iterative
+    Tarjan), ordered by the discovery index of each component's root.
+
+    The DFS starts from nodes in index order and follows each row in the
+    order given, so sorted rows make the output deterministic.
+    """
+    n = len(indptr) - 1
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    counter = 0
+    found: list[tuple[int, list[int]]] = []  # (root discovery index, members)
+    for start in range(n):
+        if index[start] >= 0:
+            continue
+        index[start] = low[start] = counter
+        counter += 1
+        stack.append(start)
+        on_stack[start] = True
+        work = [(start, indptr[start])]  # frames of (node, next row position)
+        while work:
+            node, pos = work[-1]
+            end = indptr[node + 1]
+            while pos < end:
+                nxt = targets[pos]
+                pos += 1
+                if index[nxt] < 0:
+                    work[-1] = (node, pos)
+                    work.append((nxt, indptr[nxt]))
+                    index[nxt] = low[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    on_stack[nxt] = True
+                    break
+                if on_stack[nxt] and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    members = []
+                    while True:
+                        q = stack.pop()
+                        on_stack[q] = False
+                        members.append(q)
+                        if q == node:
+                            break
+                    found.append((index[node], members))
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+    found.sort(key=lambda item: item[0])
+    return [members for _, members in found]
+
+
 def scc(a: CostAutomaton) -> SccPartition:
-    """Maximal strongly connected components (iterative Tarjan).
+    """Maximal strongly connected components of the named automaton.
 
     Deterministic: the DFS visits states in sorted name order, and the
     component list is ordered by the discovery index of each component's
@@ -246,62 +333,9 @@ def scc(a: CostAutomaton) -> SccPartition:
     """
     if a.is_empty:
         return SccPartition((), {}, ())
-
-    adj: dict[str, tuple[str, ...]] = {s: () for s in a.states}
-    tmp: dict[str, set[str]] = {s: set() for s in a.states}
-    for t in a.transitions:
-        tmp[t.source].add(t.target)
-    for s, targets in tmp.items():
-        adj[s] = tuple(sorted(targets))
-
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = 0
-    raw_components: list[tuple[int, frozenset[str]]] = []  # (root discovery index, states)
-
-    for start in sorted(a.states):
-        if start in index:
-            continue
-        # iterative DFS: frames of (node, iterator position)
-        work = [(start, 0)]
-        while work:
-            node, pos = work.pop()
-            if pos == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            targets = adj[node]
-            advanced = False
-            while pos < len(targets):
-                nxt = targets[pos]
-                pos += 1
-                if nxt not in index:
-                    work.append((node, pos))
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    q = stack.pop()
-                    on_stack.discard(q)
-                    comp.append(q)
-                    if q == node:
-                        break
-                raw_components.append((index[node], frozenset(comp)))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-
-    raw_components.sort(key=lambda item: item[0])
-    components = tuple(states for _, states in raw_components)
+    names, src, dst, _ = edge_arrays(a)
+    comps = tarjan(*adjacency(len(names), src, dst))
+    components = tuple(frozenset(names[i] for i in members) for members in comps)
     component_of = {q: i for i, comp in enumerate(components) for q in comp}
     self_loops = {t.source for t in a.transitions if t.source == t.target}
     flags = tuple(len(comp) == 1 and next(iter(comp)) not in self_loops for comp in components)

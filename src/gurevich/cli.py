@@ -1,10 +1,12 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 input/validation/usage, 3 numerical trouble
-(non-convergence, overflow), 4 resource cap hit.  Text output renders
-numbers with 6 decimals; --json renders full reports with 17 significant
-digits.  Solver defaults can be overridden by the TOLERANCE and MAX_ITERS
-environment variables, read once at startup.
+(non-convergence, overflow), 4 resource cap hit or memory exhausted (the
+message then names the subcommand and the sizes of the automata it
+loaded).  Text output renders numbers with 6 decimals; --json renders
+full reports with 17 significant digits.  Solver defaults can be
+overridden by the TOLERANCE and MAX_ITERS environment variables, read once
+at startup.
 """
 
 from __future__ import annotations
@@ -94,8 +96,23 @@ def _emit(doc: dict) -> None:
     print(dump_json(doc))
 
 
+def _load(args, path: str) -> CostAutomaton:
+    """load_automaton, noting the input on ``args`` for error messages."""
+    a = load_automaton(path)
+    args.inputs.append((path, a))
+    return a
+
+
+def _out_of_memory(args) -> str:
+    inputs = ", ".join(
+        f"{path} ({len(a.states)} states, {len(a.transitions)} transitions)"
+        for path, a in args.inputs
+    )
+    return f"out of memory in {args.command}" + (f" on {inputs}" if inputs else "")
+
+
 def cmd_energy(args, solver: _Solver) -> int:
-    a = load_automaton(args.path)
+    a = _load(args, args.path)
     if args.branching_costs:
         a = nondet_mod.branching_costs(a)
     tolerance = args.tolerance if args.tolerance is not None else solver.tolerance
@@ -134,7 +151,7 @@ def _print_nondet(r: nondet_mod.NondetReport, as_json: bool) -> None:
 
 
 def cmd_nondet(args, solver: _Solver) -> int:
-    a = load_automaton(args.path)
+    a = _load(args, args.path)
     if not args.exact:
         report = nondet_mod.lambda_plus(a, solver.tolerance, solver.max_iterations)
         _print_nondet(report, args.json)
@@ -157,8 +174,8 @@ def cmd_nondet(args, solver: _Solver) -> int:
 
 
 def cmd_similarity(args, solver: _Solver) -> int:
-    a1 = load_automaton(args.path1)
-    a2 = load_automaton(args.path2)
+    a1 = _load(args, args.path1)
+    a2 = _load(args, args.path2)
     report = similarity(a1, a2, solver.tolerance, solver.max_iterations)
     if args.json:
         _emit(
@@ -184,7 +201,7 @@ def cmd_similarity(args, solver: _Solver) -> int:
 
 
 def cmd_implement(args, solver: _Solver) -> int:
-    dfa = load_automaton(args.dfa_path)
+    dfa = _load(args, args.dfa_path)
     u = load_pair_cost(args.paircost_path, alphabet=dfa.alphabet)
     try:
         machine = implement_construction(dfa, u)
@@ -197,7 +214,7 @@ def cmd_implement(args, solver: _Solver) -> int:
 
 
 def cmd_oracle(args, solver: _Solver) -> int:
-    a = load_automaton(args.path)
+    a = _load(args, args.path)
     if args.kind == "words":
         u = (
             load_pair_cost(args.pair_costs, alphabet=a.alphabet)
@@ -338,6 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    args.inputs = []
     try:
         return args.func(args, solver)
     except (DocumentError, NotDeterministic, ValueError) as e:
@@ -348,6 +366,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
     except (StateCapExceeded, BlockAlphabetTooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print(f"error: {_out_of_memory(args)}", file=sys.stderr)
         return EXIT_CAP
 
 

@@ -1,8 +1,9 @@
 """Free energy of cost automata.
 
 E(M_V) is ln of the Perron-Frobenius eigenvalue of the Gurevich matrix,
-computed per strongly connected component and maximized.  Two matrix forms
-are supported and must agree:
+computed per strongly connected component and maximized over the
+components that carry a cycle.  Two matrix forms are supported and must
+agree:
 
 * bipartite: one node per state and one per transition; a state row feeds
   e^{V(p,a,q)} into the transition node and the transition node feeds 1
@@ -11,9 +12,18 @@ are supported and must agree:
 * compact: one node per state; entry (i, j) sums e^{V} over all symbols
   carrying state i to state j.  The component energy is ln(radius).
 
-A singleton component without a self-loop contributes no cycles and its
-energy is 0 by convention; the empty automaton's energy is 0 as well
-(ln 0 = 0 convention).
+A singleton component without a self-loop carries no cycle; it is listed
+with energy 0 by convention but takes no part in the max.  An automaton
+with no cycle at all (a finite language), and the empty automaton, have
+energy 0 (ln 0 = 0 convention).
+
+Inside ``free_energy`` states are ints in sorted-name order: trimming, the
+SCC split and the grouping of each component's edges all run on int
+arrays, and names reappear only in the report.  A component's matrix is a
+dense array up to ``_DENSE_DIM`` nodes and a scipy CSR matrix above it, so
+memory grows with transitions, not states^2; scipy is imported only when a
+component needs it.  The public builders ``gurevich_matrix_compact`` and
+``gurevich_matrix_bipartite`` always return dense labelled matrices.
 
 e^V leaves the double range once V passes about +709 (overflow) or -708
 (subnormal, then 0).  A component whose largest weight falls outside
@@ -48,6 +58,17 @@ __all__ = [
     "free_energy",
 ]
 
+# components with more matrix nodes than this are solved on CSR matrices;
+# on one core the whole solve (build, sweeps, Noda steps) is faster dense up
+# to this size and faster on CSR from about 192 nodes up
+_DENSE_DIM = 160
+
+# weights outside this range send a component to the shifted build
+_WEIGHT_RANGE = (math.exp(-700.0), math.exp(700.0))
+
+# steps of the automaton per matrix step, by form
+_STEPS = {"compact": 1.0, "bipartite": 2.0}
+
 
 @dataclass(frozen=True)
 class EnergyReport:
@@ -56,9 +77,10 @@ class EnergyReport:
     per_component entries are (component state set, component energy) in
     Tarjan discovery order; solver holds the SpectralResult for each
     component (None for loop-free singletons, which need no solve).
-    max_component is the index of the component attaining the energy, ties
-    broken toward the earliest component; None for the empty automaton.
-    trim_changed records whether the defensive clean-up removed anything.
+    max_component is the index of the cyclic component attaining the
+    energy, ties broken toward the earliest; 0 when no component is
+    cyclic, None for the empty automaton.  trim_changed records whether
+    the defensive clean-up removed anything.
     """
 
     energy: float
@@ -67,13 +89,6 @@ class EnergyReport:
     form_used: str
     max_component: int | None = None
     trim_changed: bool = False
-
-
-def _exp(cost: float) -> float:
-    try:
-        return math.exp(cost)
-    except OverflowError:
-        raise Overflow(f"e^{cost} exceeds the double range; rescale costs") from None
 
 
 def _check_component(a: CostAutomaton) -> None:
@@ -88,6 +103,55 @@ def _check_component(a: CostAutomaton) -> None:
         )
 
 
+def _check_form(form: str) -> None:
+    if form not in _STEPS:
+        raise ValueError(f"unknown form {form!r}")
+
+
+def _transfer_matrix(
+    size: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    weights: np.ndarray,
+    form: str,
+    dense: bool = False,
+):
+    """Gurevich matrix of one component from its local edge arrays: a
+    dense array when ``dense`` or at most ``_DENSE_DIM`` nodes, else CSR."""
+    if form == "bipartite":
+        nodes = np.arange(size, size + len(weights))
+        rows = np.concatenate((src, nodes))
+        cols = np.concatenate((nodes, dst))
+        values = np.concatenate((weights, np.ones(len(weights))))
+        dim = size + len(weights)
+    else:
+        rows, cols, values, dim = src, dst, weights, size
+    if dense or dim <= _DENSE_DIM:
+        flat = np.bincount(rows * dim + cols, weights=values, minlength=dim * dim)
+        return flat.reshape(dim, dim)
+    from scipy.sparse import csr_matrix
+
+    return csr_matrix((values, (rows, cols)), shape=(dim, dim))
+
+
+def _public_matrix(a: CostAutomaton, form: str, shift: float) -> NonnegativeMatrix:
+    _check_component(a)
+    names, src, dst, cost = automata.edge_arrays(a)
+    trans = a.transitions
+    if form == "bipartite":
+        order = sorted(range(len(trans)), key=trans.__getitem__)
+        trans = [trans[i] for i in order]
+        src, dst, cost = src[order], dst[order], cost[order]
+    with np.errstate(over="ignore"):
+        weights = np.exp(cost - shift)
+    if not np.isfinite(weights).all():
+        raise Overflow(f"e^{cost.max() - shift} exceeds the double range; rescale costs")
+    entries = _transfer_matrix(len(names), src, dst, weights, form, dense=True)
+    if form == "bipartite":
+        names += [f"{t.source}-{t.symbol}->{t.target}" for t in trans]
+    return NonnegativeMatrix(dim=len(names), entries=entries, labels=tuple(names))
+
+
 def gurevich_matrix_bipartite(a: CostAutomaton, shift: float = 0.0) -> NonnegativeMatrix:
     """Bipartite Gurevich matrix of one strongly connected component.
 
@@ -95,29 +159,12 @@ def gurevich_matrix_bipartite(a: CostAutomaton, shift: float = 0.0) -> Nonnegati
     entries: state p -> node (p,a,q) carries e^{V(p,a,q) - shift}; node
     (p,a,q) -> state q carries 1.
     """
-    _check_component(a)
-    states = sorted(a.states)
-    trans = sorted(a.transitions)
-    labels = list(states) + [f"{t.source}-{t.symbol}->{t.target}" for t in trans]
-    dim = len(labels)
-    entries = np.zeros((dim, dim))
-    index = {name: i for i, name in enumerate(labels)}
-    for k, t in enumerate(trans):
-        node = len(states) + k
-        entries[index[t.source], node] = _exp(t.cost - shift)
-        entries[node, index[t.target]] = 1.0
-    return NonnegativeMatrix(dim=dim, entries=entries, labels=tuple(labels))
+    return _public_matrix(a, "bipartite", shift)
 
 
 def gurevich_matrix_compact(a: CostAutomaton, shift: float = 0.0) -> NonnegativeMatrix:
     """m x m Gurevich matrix: entry (i, j) = sum over symbols of e^{V(p_i,a,p_j) - shift}."""
-    _check_component(a)
-    states = sorted(a.states)
-    index = {s: i for i, s in enumerate(states)}
-    entries = np.zeros((len(states), len(states)))
-    for t in a.transitions:
-        entries[index[t.source], index[t.target]] += _exp(t.cost - shift)
-    return NonnegativeMatrix(dim=len(states), entries=entries, labels=tuple(states))
+    return _public_matrix(a, "compact", shift)
 
 
 def component_energy(
@@ -127,48 +174,43 @@ def component_energy(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> float:
     """Energy of one SCC; loop-free singletons are 0 by convention."""
-    energy, _ = _component_energy_solved(a, form, tolerance, max_iterations)
+    if len(a.states) == 1 and not a.transitions:
+        return 0.0
+    _check_form(form)
+    _check_component(a)
+    names, src, dst, cost = automata.edge_arrays(a)
+    energy, _ = _solve_component(len(names), src, dst, cost, form, tolerance, max_iterations)
     return energy
 
 
-# weights outside this range send a component to the shifted build
-_WEIGHT_RANGE = (math.exp(-700.0), math.exp(700.0))
-
-
-def _component_energy_solved(
-    a: CostAutomaton,
+def _solve_component(
+    size: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    cost: np.ndarray,
     form: str,
     tolerance: float,
     max_iterations: int,
-) -> tuple[float, SpectralResult | None]:
-    if len(a.states) == 1 and not a.transitions:
-        return 0.0, None
-    if form == "bipartite":
-        build, factor = gurevich_matrix_bipartite, 2.0
-    elif form == "compact":
-        build, factor = gurevich_matrix_compact, 1.0
-    else:
-        raise ValueError(f"unknown form {form!r}")
+) -> tuple[float, SpectralResult]:
+    """Energy of one cyclic component given by its local edge arrays."""
+    with np.errstate(over="ignore"):
+        weights = np.exp(cost)
     shift = 0.0
-    try:
-        matrix = build(a)
-        # both forms keep every weight e^V in the rows of the states
-        lowest, highest = _WEIGHT_RANGE
-        in_range = lowest <= matrix.entries[: len(a.states)].max() <= highest
-    except Overflow:
-        in_range = False
-    if not in_range:
-        shift = max(t.cost for t in a.transitions)
-        matrix = build(a, shift=shift)
+    lowest, highest = _WEIGHT_RANGE
+    if not lowest <= weights.max() <= highest:
+        shift = float(cost.max())
+        weights = np.exp(cost - shift)
+    entries = _transfer_matrix(size, src, dst, weights, form)
+    matrix = NonnegativeMatrix(dim=entries.shape[0], entries=entries)
     result = spectral_radius(matrix, tolerance, max_iterations)
     if not result.converged:
         raise NotConverged(
             f"{result.method} iteration stopped at residual {result.residual:.3e} "
-            f"after {result.iterations} iterations (component of {len(a.states)} states, "
+            f"after {result.iterations} iterations (component of {size} states, "
             f"{form} matrix of dimension {matrix.dim})",
             result=result,
         )
-    return factor * math.log(result.radius) + shift, result
+    return _STEPS[form] * math.log(result.radius) + shift, result
 
 
 def free_energy(
@@ -177,35 +219,59 @@ def free_energy(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> EnergyReport:
-    """E(M_V): max of per-SCC energies over the cleaned-up automaton.
+    """E(M_V): max of the cyclic components' energies over the cleaned-up
+    automaton, 0 when no component is cyclic.
 
     Trims defensively (the report records whether that changed anything);
     initial and accepting states play no further role, matching the
     transition-structure-only definition of the energy.
     """
-    trimmed = automata.trim(a)
-    trim_changed = trimmed.states != a.states or len(trimmed.transitions) != len(a.transitions)
-    if trimmed.is_empty:
-        return EnergyReport(
-            energy=0.0,
-            per_component=(),
-            solver=(),
-            form_used=form,
-            max_component=None,
-            trim_changed=trim_changed,
-        )
-    parts = automata.scc(trimmed)
+    _check_form(form)
+    if a.is_empty:
+        return EnergyReport(energy=0.0, per_component=(), solver=(), form_used=form)
+    names, src, dst, cost = automata.edge_arrays(a)
+    live = automata.live_states(a, names, src, dst)
+    if not live.any():
+        return EnergyReport(0.0, (), (), form, None, trim_changed=True)
+    trim_changed = not live.all()
+    if trim_changed:
+        kept = np.flatnonzero(live)
+        renumber = np.full(len(names), -1, dtype=np.intp)
+        renumber[kept] = np.arange(len(kept))
+        inside = live[src] & live[dst]
+        src, dst, cost = renumber[src[inside]], renumber[dst[inside]], cost[inside]
+        names = [names[i] for i in kept.tolist()]
+    n = len(names)
+
+    comps = automata.tarjan(*automata.adjacency(n, src, dst))
+    comp_of = np.empty(n, dtype=np.intp)
+    local = np.empty(n, dtype=np.intp)  # position within the component, in name order
+    for c, members in enumerate(comps):
+        members.sort()
+        comp_of[members] = c
+        local[members] = np.arange(len(members))
+    # the edges inside components, grouped by component
+    inside = np.flatnonzero(comp_of[src] == comp_of[dst])
+    order = inside[np.argsort(comp_of[src[inside]], kind="stable")]
+    bounds = np.searchsorted(comp_of[src[order]], np.arange(len(comps) + 1)).tolist()
+    local_src, local_dst, comp_cost = local[src[order]], local[dst[order]], cost[order]
+
     per_component: list[tuple[frozenset[str], float]] = []
     solver: list[SpectralResult | None] = []
-    for comp in parts.components:
-        sub = automata.induced(trimmed, comp)
-        energy, result = _component_energy_solved(sub, form, tolerance, max_iterations)
-        per_component.append((comp, energy))
+    for c, members in enumerate(comps):
+        lo, hi = bounds[c], bounds[c + 1]
+        energy, result = 0.0, None  # a loop-free singleton has no edge inside
+        if hi > lo:
+            energy, result = _solve_component(
+                len(members), local_src[lo:hi], local_dst[lo:hi], comp_cost[lo:hi],
+                form, tolerance, max_iterations,
+            )
+        per_component.append((frozenset(names[i] for i in members), energy))
         solver.append(result)
-    best = 0
-    for i, (_, e) in enumerate(per_component):
-        if e > per_component[best][1]:
-            best = i
+    # max keeps the earliest of equal energies; with no cyclic component
+    # this is component 0, whose energy is the conventional 0
+    cyclic = [c for c, result in enumerate(solver) if result is not None]
+    best = max(cyclic, key=lambda c: per_component[c][1], default=0)
     return EnergyReport(
         energy=per_component[best][1],
         per_component=tuple(per_component),

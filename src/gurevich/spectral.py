@@ -19,17 +19,22 @@ Two kinds of step move v towards the Perron vector:
   15 (1976) proves the convergence quadratic).  For hi above the radius,
   (hi I - A)^-1 is nonnegative with a positive diagonal, so y is strictly
   positive, and since (Ay)_i / y_i = hi - v_i / y_i the next upper bound
-  lies strictly below hi.  A step costs a dense LU solve.
+  lies strictly below hi.  A step costs one LU solve: numpy's dense
+  solve for an ndarray, scipy's sparse ``splu`` for a CSR matrix.
 
 Power sweeps come first.  Once a window of them has passed, the solver
 measures how fast the interval's width contracts and predicts how many
 sweeps remain; when that exceeds the matrix dimension (the mat-vecs of a
-few LU solves) it switches to Noda steps.  Well-mixed matrices certify in a
-few dozen sweeps and never switch; slow-mixing ones (long cycles with few
-chords) switch and certify in a handful of solves.  A solve that fails
+few dense LU solves) it switches to Noda steps.  Well-mixed matrices
+certify in a few dozen sweeps and never switch; slow-mixing ones (long
+cycles with few chords) switch and certify in a handful of solves.  A solve that fails
 (singular system, non-finite or non-positive y), or a Noda step that does
 not lower the upper bound because rounding has taken over, hands the rest
 of the run back to power sweeps.
+
+The matrix may be a dense ndarray or a scipy CSR matrix; both sweep with
+``a @ v``.  This module never imports scipy itself: a CSR matrix can only
+arrive once its caller has loaded scipy.
 """
 
 from __future__ import annotations
@@ -57,11 +62,16 @@ _RATE_WINDOW = 16
 
 @dataclass(frozen=True)
 class NonnegativeMatrix:
-    """Dense nonnegative square matrix with node labels for its indices."""
+    """Nonnegative square matrix with node labels for its indices.
+
+    entries is a dense ndarray or a scipy CSR matrix; ``create`` builds and
+    validates the dense kind.  labels is empty for the unlabelled
+    component matrices that the energy layer builds internally.
+    """
 
     dim: int
     entries: np.ndarray
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] = ()
 
     @staticmethod
     def create(entries, labels) -> "NonnegativeMatrix":
@@ -117,14 +127,23 @@ def _stalled(widths: deque, hi: float, tolerance: float, dim: int) -> bool:
     return sweeps > dim
 
 
-def _noda_step(a: np.ndarray, shift: float, v: np.ndarray) -> np.ndarray | None:
+def _noda_step(a, shift: float, v: np.ndarray) -> np.ndarray | None:
     """y / sum(y) for (shift I - a) y = v, or None when the solve fails."""
-    b = -a
-    b.flat[:: a.shape[0] + 1] += shift
-    try:
-        y = np.linalg.solve(b, v)
-    except np.linalg.LinAlgError:
-        return None
+    if isinstance(a, np.ndarray):
+        b = -a
+        b.flat[:: a.shape[0] + 1] += shift
+        try:
+            y = np.linalg.solve(b, v)
+        except np.linalg.LinAlgError:
+            return None
+    else:
+        from scipy.sparse import identity
+        from scipy.sparse.linalg import splu
+
+        try:
+            y = splu((shift * identity(a.shape[0], format="csr") - a).tocsc()).solve(v)
+        except (RuntimeError, MemoryError):  # exactly singular factor, or no room
+            return None
     total = y.sum()
     if not (math.isfinite(total) and y.min() > 0.0):
         return None

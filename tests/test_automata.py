@@ -16,6 +16,37 @@ from gurevich import (
 from conftest import DNA_PRODUCT_EDGES, aut, enum_accepting_runs, random_automaton
 
 
+def name_tarjan(a):
+    """Recursive Tarjan on state names: roots tried in sorted order, each
+    state's successors in sorted order, components ordered by the discovery
+    index of their root."""
+    succ = {s: sorted({t.target for t in a.transitions if t.source == s}) for s in a.states}
+    index, low, stack, found = {}, {}, [], []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for w in succ[v]:
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = set()
+            while True:
+                w = stack.pop()
+                comp.add(w)
+                if w == v:
+                    break
+            found.append((index[v], frozenset(comp)))
+
+    for s in sorted(a.states):
+        if s not in index:
+            visit(s)
+    return tuple(comp for _, comp in sorted(found, key=lambda item: item[0]))
+
+
 def words_up_to(alphabet, n):
     for k in range(n + 1):
         yield from itertools.product(sorted(alphabet), repeat=k)
@@ -141,6 +172,13 @@ class TestScc:
                 for x in comp:
                     for y in comp:
                         assert y in reach[x] and x in reach[y]
+
+    def test_discovery_order_matches_name_tarjan(self, branchy_nfa, dna_m1, dna_m2, ab_cycle_machine):
+        fixtures = [branchy_nfa, dna_m1, dna_m2, ab_cycle_machine] + [
+            random_automaton(seed, max_states=12, costs="mixed") for seed in range(40)
+        ]
+        for a in fixtures:
+            assert scc(a).components == name_tarjan(a)
 
     def test_condensation_acyclic(self):
         for seed in range(20):

@@ -361,12 +361,48 @@ class TestEnvironmentAndUsage:
         assert "MAX_ITERS must be positive" in err
 
 
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command", ["energy", "similarity"])
+    def test_memory_error_is_resource_error(self, tmp_path, capsys, monkeypatch, ab_cycle_machine, command):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("gurevich.cli.free_energy", exhausted)
+        monkeypatch.setattr("gurevich.cli.similarity", exhausted)
+        path = write_automaton(tmp_path, "m.json", ab_cycle_machine)
+        paths = [path] if command == "energy" else [path, path]
+        assert main([command] + paths) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: out of memory in {command} on {path} (3 states, 3 transitions)")
+        assert err.count("3 states, 3 transitions") == len(paths)
+
+
 class TestColdStart:
     def test_cli_import_leaves_scipy_out(self):
-        # numpy is the only runtime dependency; scipy would add its import
-        # time to every command
+        # scipy is imported only for components above the dense dimension;
+        # at import time it would add its import time to every command
         src = os.path.dirname(os.path.dirname(os.path.abspath(gurevich.__file__)))
         code = "import sys, gurevich.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_small_energy_leaves_scipy_out(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gurevich.__file__)))
+        code = (
+            "import sys\n"
+            "from gurevich import CostAutomaton, free_energy\n"
+            "names = [str(i) for i in range(10)]\n"
+            "edges = [(names[i], 'a', names[(i + 1) % 10], 0.5) for i in range(10)]\n"
+            "a = CostAutomaton.create(['a'], names, '0', names, edges + [('0', 'a', '2', 0.0)])\n"
+            "assert free_energy(a).solver[0].converged\n"
+            "assert free_energy(a, form='bipartite').solver[0].converged\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": src},

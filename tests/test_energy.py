@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,9 +13,14 @@ from gurevich import (
     free_energy,
     gurevich_matrix_bipartite,
     gurevich_matrix_compact,
+    induced,
     map_costs,
     run_partition_series,
+    scc,
+    spectral_radius,
+    trim,
 )
+from gurevich import energy as energy_mod
 
 from conftest import (
     DNA_M1_ENERGY,
@@ -22,6 +28,7 @@ from conftest import (
     aut,
     chord_cycle,
     chord_log_root,
+    random_automaton,
     random_strongly_connected,
 )
 
@@ -233,3 +240,103 @@ class TestExtremeCosts:
         for c in (-1000.0, 1000.0):
             shifted = free_energy(map_costs(dna_m1, lambda t: t.cost + c)).energy
             assert abs(shifted - (base + c)) <= 1e-9 * abs(c)
+
+
+class TestCyclicComponentsOnly:
+    @pytest.mark.parametrize("form", ["compact", "bipartite"])
+    def test_loop_free_entry_does_not_win(self, form):
+        # s -a-> p, p -b-> p at cost -1: the one cycle sets the energy, not
+        # the conventional 0 of the loop-free entry state
+        a = aut(["a", "b"], ["s", "p"], "s", ["p"], [("s", "a", "p", 0.0), ("p", "b", "p", -1.0)])
+        rep = free_energy(a, form=form)
+        assert abs(rep.energy + 1.0) <= 1e-9
+        assert rep.per_component[rep.max_component][0] == frozenset({"p"})
+        series = run_partition_series(a, "runs_accepting", 300)
+        sums = dict(series.values)
+        assert abs(math.log(sums[300] / sums[299]) - rep.energy) <= 1e-9
+        estimate, _ = estimate_limit(series, 10)
+        assert abs(estimate - rep.energy) <= 5e-3
+
+    @pytest.mark.parametrize("form", ["compact", "bipartite"])
+    def test_finite_language_is_zero(self, form):
+        a = aut(["a", "b"], ["s", "p", "q"], "s", ["q"],
+                [("s", "a", "p", -2.0), ("p", "b", "q", -3.0), ("s", "b", "q", 4.0)])
+        rep = free_energy(a, form=form)
+        assert rep.energy == 0.0
+        assert rep.solver == (None, None, None)
+        assert rep.max_component == 0
+
+
+def straddling_automaton(seed: int, offset: float) -> CostAutomaton:
+    """A loop-free entry state, then three strongly connected blocks of
+    20-60, 140-180 and 200-300 states in shuffled order, each linked to the
+    next by one edge.  Costs are offset + U(-1, 1), so the compact matrices
+    of the blocks fall on both sides of the dense dimension."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(20, 60), rng.randint(140, 180), rng.randint(200, 300)]
+    rng.shuffle(sizes)
+    transitions = {}
+    firsts, base = [], 0
+    for size in sizes:
+        block = [f"b{base + i}" for i in range(size)]
+        for i in range(size):
+            transitions[(block[i], "a", block[(i + 1) % size])] = None
+        for _ in range(2 * size):
+            transitions[(rng.choice(block), rng.choice("abc"), rng.choice(block))] = None
+        if firsts:
+            transitions[(f"b{base - 1}", "c", block[0])] = None
+        firsts.append(block[0])
+        base += size
+    transitions[("in", "a", firsts[0])] = None
+    states = ["in"] + [f"b{i}" for i in range(base)]
+    return aut(["a", "b", "c"], states, "in", states,
+               [(p, x, q, offset + rng.uniform(-1.0, 1.0)) for (p, x, q) in transitions])
+
+
+class TestSparsePathAgreement:
+    @pytest.mark.parametrize("form", ["compact", "bipartite"])
+    @pytest.mark.parametrize("offset", [0.0, 800.0, -800.0])
+    def test_matches_public_dense_builders(self, monkeypatch, form, offset):
+        kinds = []
+
+        def spy(m, *args):
+            kinds.append(isinstance(m.entries, np.ndarray))
+            return spectral_radius(m, *args)
+
+        monkeypatch.setattr(energy_mod, "spectral_radius", spy)
+        build, steps = {
+            "compact": (gurevich_matrix_compact, 1.0),
+            "bipartite": (gurevich_matrix_bipartite, 2.0),
+        }[form]
+        for seed in range(2):
+            a = straddling_automaton(seed, offset)
+            rep = free_energy(a, form=form, tolerance=1e-13)
+            assert len(rep.per_component) == 4
+            for (states, energy), result in zip(rep.per_component, rep.solver):
+                if result is None:
+                    assert states == frozenset({"in"}) and energy == 0.0
+                    continue
+                sub = induced(a, states)
+                shift = 0.0 if offset == 0.0 else max(t.cost for t in sub.transitions)
+                want = spectral_radius(build(sub, shift=shift), 1e-13)
+                want_energy = steps * math.log(want.radius) + shift
+                assert abs(energy - want_energy) <= 1e-12 * max(1.0, abs(want_energy))
+        # the blocks were solved on both kinds of matrix
+        assert kinds.count(True) and kinds.count(False)
+
+    def test_component_order_matches_scc(
+        self, branchy_nfa, dna_m1, dna_m2, ab_cycle_machine, single_cycle
+    ):
+        fixtures = [branchy_nfa, dna_m1, dna_m2, ab_cycle_machine, single_cycle] + [
+            random_automaton(seed, max_states=10, costs="mixed") for seed in range(30)
+        ]
+        for a in fixtures:
+            parts = scc(trim(a))
+            cyclic = [i for i, flag in enumerate(parts.is_singleton_without_loop) if not flag]
+            for form in ("compact", "bipartite"):
+                rep = free_energy(a, form=form)
+                assert tuple(states for states, _ in rep.per_component) == parts.components
+                assert [r is None for r in rep.solver] == list(parts.is_singleton_without_loop)
+                energies = [rep.per_component[i][1] for i in cyclic]
+                best = cyclic[energies.index(max(energies))] if cyclic else 0
+                assert rep.max_component == best

@@ -1,20 +1,23 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gurevich import (
+    CostAutomaton,
     NonnegativeMatrix,
     automaton_to_document,
     free_energy,
     save_document,
     spectral_radius,
 )
+from gurevich import energy as energy_mod
 from gurevich.cli import main
 
-from conftest import chord_cycle, chord_log_root
+from conftest import aut, chord_cycle, chord_log_root
 
 
 def mat(entries, labels=None):
@@ -262,3 +265,108 @@ class TestExtremeCostsThroughCli:
         assert main(["energy", path]) == 0
         out, _ = capsys.readouterr()
         assert out == f"energy {cost + chord_log_root(60):.6f}\n"
+
+
+def ring_automaton(n, seed):
+    """The ring with edges i -> i+1 and i -> i+2 (mod n), weights U(0.5, 1.5):
+    a diffusive component on which Noda steps start far from the root."""
+    rng = random.Random(seed)
+    states = [str(i) for i in range(n)]
+    transitions = [
+        (states[i], sym, states[(i + step) % n], math.log(rng.uniform(0.5, 1.5)))
+        for i in range(n)
+        for sym, step in (("a", 1), ("b", 2))
+    ]
+    return aut(["a", "b"], states, "0", states, transitions)
+
+
+def brackets_the_radius(a, radius, margin):
+    """Whether rho(a) lies in radius * (1 -+ margin): for irreducible a,
+    (s I - a)^-1 1 is positive exactly when s is above rho(a)."""
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import spsolve
+
+    def positive(s):
+        y = spsolve((s * identity(a.shape[0], format="csr") - a).tocsc(), np.ones(a.shape[0]))
+        return bool(np.all(y > 0.0))
+
+    return positive(radius * (1.0 + margin)) and not positive(radius * (1.0 - margin))
+
+
+class TestSparseSolver:
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """The matrices free_energy hands to the solver, with their results."""
+        calls = []
+
+        def spy(m, *args):
+            result = spectral_radius(m, *args)
+            calls.append((m, result))
+            return result
+
+        monkeypatch.setattr(energy_mod, "spectral_radius", spy)
+        return calls
+
+    def test_chord_cycle_certified_on_csr(self, solved):
+        rep = free_energy(chord_cycle(1000, 0.0))
+        (m, result), = solved
+        assert not isinstance(m.entries, np.ndarray)  # a scipy CSR matrix
+        assert result.converged and result.method == "noda"
+        assert abs(rep.energy - chord_log_root(1000)) <= 1e-10
+
+    def test_diffusive_ring_certified_on_csr(self, solved):
+        rep = free_energy(ring_automaton(1500, 7))
+        (m, result), = solved
+        assert not isinstance(m.entries, np.ndarray)
+        assert result.converged and result.method == "noda"
+        assert result.iterations <= 100
+        assert brackets_the_radius(m.entries, math.exp(rep.energy), 1e-10)
+
+    @pytest.mark.parametrize("failure", ["singular", "memory", "negative", "nan"])
+    def test_failed_sparse_solve_falls_back_to_power(self, monkeypatch, failure):
+        import scipy.sparse.linalg
+        from scipy.sparse import csr_matrix
+
+        calls = []
+
+        class Factor:
+            def solve(self, v):
+                return -v if failure == "negative" else np.full_like(v, np.nan)
+
+        def splu(b):
+            calls.append(b.shape)
+            if failure == "singular":
+                raise RuntimeError("Factor is exactly singular")
+            if failure == "memory":
+                raise MemoryError
+            return Factor()
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+        m = chord_matrix(12)
+        r = spectral_radius(NonnegativeMatrix(dim=12, entries=csr_matrix(m.entries)), 1e-12, 10**6)
+        exact = math.exp(chord_log_root(12))
+        assert calls == [(12, 12)]  # one attempt, then power sweeps only
+        assert r.converged
+        assert r.method == "power"
+        assert abs(r.radius - exact) / exact <= 1e-10
+
+    def test_memory_grows_with_transitions(self):
+        # one dense matrix of this automaton would take 20000^2 * 8 B = 3.2 GB
+        rng = random.Random(11)
+        n = 20000
+        states = [f"q{i}" for i in range(n)]
+        transitions = {
+            (states[i], rng.choice("ab"), states[rng.randrange(n)]) for i in range(n) for _ in range(8)
+        }
+        a = CostAutomaton.create(
+            ["a", "b"], states, states[0], states,
+            [(p, x, q, rng.uniform(-1.0, 1.0)) for p, x, q in sorted(transitions)],
+        )
+        tracemalloc.start()
+        try:
+            rep = free_energy(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.solver[rep.max_component].converged
+        assert peak < 100 * 2**20
