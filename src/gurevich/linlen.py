@@ -39,7 +39,7 @@ from .automata import CostAutomaton, Transition
 from .energy import EnergyReport, free_energy
 from .errors import BlockAlphabetTooLarge, DocumentError, NotDeterministic, StateCapExceeded
 from .langcost import PairCostFunction, word_cost
-from .oracle import PartitionSeries
+from .oracle import PartitionSeries, _series
 from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 
 __all__ = [
@@ -93,21 +93,25 @@ class LinearSet:
 
 
 def linear_set_member(d: LinearSet, v: Sequence[int]) -> bool:
-    """Exact membership by bounded search over the period coefficients."""
+    """Exact membership by bounded search over the period coefficients;
+    the last period's coefficient is settled by one division."""
     vec = tuple(int(x) for x in v)
     if len(vec) != d.k:
         raise ValueError(f"vector arity {len(vec)}, linear set arity {d.k}")
     residual = tuple(a - b for a, b in zip(vec, d.offset))
     if any(x < 0 for x in residual):
         return False
+    last = len(d.periods) - 1
 
     def solve(idx: int, rem: tuple[int, ...]) -> bool:
         if all(x == 0 for x in rem):
             return True
-        if idx == len(d.periods):
+        if idx > last:
             return False
         p = d.periods[idx]
         bound = min(rem[c] // p[c] for c in range(d.k) if p[c] > 0)
+        if idx == last:
+            return all(r == bound * x for r, x in zip(rem, p))
         for s in range(bound + 1):
             if solve(idx + 1, tuple(r - s * x for r, x in zip(rem, p))):
                 return True
@@ -373,12 +377,19 @@ def linlen_word_oracle(
 ) -> PartitionSeries:
     """Independent ground truth: split enumeration, no translation.
 
-    Enumerates the words of the base language up to max_n, searches each
-    for one valid split (every part in its r_i, the length vector in D),
-    and accumulates e^{(U)(w)} per length for the words that have one.  A
-    word with several valid splits still counts once.  Practical only on
-    small instances (narrow base language, short max_n); ``word_cap``
-    bounds the enumeration to fail loudly instead of spinning.
+    Walks the words of the base language up to max_n depth first and
+    accumulates e^{(U)(w)} per length for the accepted words that have one
+    valid split (every part in its r_i, the length vector in D); a word
+    with several valid splits still counts once.  The splits are carried
+    down the walk as live configurations (part index, part DFA state,
+    start of the current part, lengths of the finished parts): each symbol
+    advances every configuration and drops the dead ones, and a part whose
+    state accepts may close there, opening the next part.  A word has a
+    split when a last-part configuration accepts and its length vector is
+    in D.  The cost is carried as prefix cost + U(last, symbol), so no word
+    is rescanned.  Practical only on small instances (narrow base
+    language, short max_n); ``word_cap`` bounds the enumerated prefixes to
+    fail loudly instead of spinning.
     """
     problems = validate_spec(spec)
     if problems:
@@ -390,44 +401,45 @@ def linlen_word_oracle(
 
     sums = [0.0] * (max_n + 1)
     if base.is_empty or any(p.is_empty for p in parts):
-        return _oracle_series(sums, max_n)
+        return _series("words", sums[1:])
 
-    def has_split(w: tuple[str, ...]) -> bool:
-        n = len(w)
+    steps = [{(t.source, t.symbol): t.target for t in p.transitions} for p in parts]
+    children = {s: [(t.target, t.symbol) for t in sorted(ts)] for s, ts in base.by_source.items()}
 
-        def search(part_idx: int, pos: int, lens: tuple[int, ...]) -> bool:
-            if part_idx == k:
-                return pos == n and linear_set_member(spec.lengths, lens)
-            p = parts[part_idx]
-            state: str | None = p.initial
-            end = pos
-            while True:
-                if state is not None and state in p.accepting:
-                    if search(part_idx + 1, end, lens + (end - pos,)):
-                        return True
-                if end == n or state is None:
-                    return False
-                state = p.dfa_step(state, w[end])
-                end += 1
+    # a configuration: (part index, part state, start of the part, finished lengths)
+    def close(configs: list[tuple], pos: int) -> list[tuple]:
+        """``configs`` plus every part opened by closing an accepting one at pos."""
+        for part, state, start, lens in configs:  # also visits the appended ones
+            if part + 1 < k and state in parts[part].accepting:
+                configs.append((part + 1, parts[part + 1].initial, pos, lens + (pos - start,)))
+        return configs
 
-        return search(0, 0, ())
+    def has_split(configs: list[tuple], n: int) -> bool:
+        return any(
+            part == k - 1
+            and state in parts[part].accepting
+            and linear_set_member(spec.lengths, lens + (n - start,))
+            for part, state, start, lens in configs
+        )
 
     enumerated = 0
-    stack: list[tuple[str, tuple[str, ...]]] = [(base.initial, ())]
+    root = close([(0, parts[0].initial, 0, ())], 0)
+    # (base state, prefix length, last symbol, prefix cost, configurations)
+    stack: list[tuple[str, int, str, float, list[tuple]]] = [(base.initial, 0, "", 0.0, root)]
     while stack:
-        state, word = stack.pop()
+        state, n, last, cost, configs = stack.pop()
         enumerated += 1
         if enumerated > word_cap:
             raise ValueError(f"oracle enumeration passed {word_cap} prefixes; instance too large")
-        if state in base.accepting and word and has_split(word):
-            sums[len(word)] += math.exp(word_cost(u, word))
-        if len(word) < max_n:
-            for t in sorted(base.by_source.get(state, ())):
-                stack.append((t.target, word + (t.symbol,)))
-    return _oracle_series(sums, max_n)
-
-
-def _oracle_series(sums: list[float], max_n: int) -> PartitionSeries:
-    values = tuple((n, sums[n]) for n in range(1, max_n + 1))
-    rates = tuple((n, math.log(s) / n if s > 0.0 else 0.0) for n, s in values)
-    return PartitionSeries(kind="words", values=values, rates=rates)
+        if n and state in base.accepting and has_split(configs, n):
+            sums[n] += math.exp(cost)
+        if n < max_n:
+            for target, sym in children[state]:
+                stepped = []
+                for part, part_state, start, lens in configs:
+                    nxt = steps[part].get((part_state, sym))
+                    if nxt is not None:
+                        stepped.append((part, nxt, start, lens))
+                step_cost = cost + u.cost(last, sym) if n else 0.0
+                stack.append((target, n + 1, sym, step_cost, close(stepped, n + 1)))
+    return _series("words", sums[1:])

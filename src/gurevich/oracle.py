@@ -3,8 +3,16 @@
 Every spectral energy in the toolkit is validated against these dynamic
 programs.  S_n is the sum of e^{total cost} over the counted objects of
 length n (runs or words); its logarithmic growth rate is the free energy.
-Sums use transfer-matrix sweeps, never path enumeration; enumeration exists
+Sums are forward sweeps, never path enumeration; enumeration exists
 only inside the test suite at micro scale.
+
+Both sums run on one sweep over edge arrays: int ``src``/``dst`` arrays
+and one weight array, with the weights from a single vectorised ``np.exp``,
+stepped by ``np.bincount``.  Run sums sweep the automaton's transitions;
+word sums sweep a graph over (state, last symbol) pairs with one edge per
+pair and outgoing transition.  No transfer matrix is ever formed, so memory
+grows with the edges, not with the square of the states, and neither sum
+shares code with the spectral path.
 
 Counting (f, g for the nondeterminism rate) is done in exact arbitrary
 precision integers since those feed a log-difference slope.
@@ -59,19 +67,69 @@ def _check_max_n(max_n: int, cap: int) -> None:
         raise ValueError(f"max_n {max_n} exceeds the cap {cap}")
 
 
-def _guard_overflow(s: float, n: int, kind: str) -> None:
-    if math.isinf(s) or math.isnan(s):
-        raise Overflow(
-            f"{kind} partition sum left the double range at n={n}; rescale costs",
-            n=n,
-        )
+def _weights(cost: np.ndarray) -> np.ndarray:
+    """e^cost in one vectorised call; Overflow names the first cost past the range."""
+    with np.errstate(over="ignore"):
+        weights = np.exp(cost)
+    if not np.isfinite(weights).all():
+        bad = float(cost[~np.isfinite(weights)][0])
+        raise Overflow(f"e^{bad} exceeds the double range; rescale costs")
+    return weights
 
 
-def _exp(cost: float) -> float:
-    try:
-        return math.exp(cost)
-    except OverflowError:
-        raise Overflow(f"e^{cost} exceeds the double range; rescale costs") from None
+def _sweep(
+    kind: str,
+    src: np.ndarray,
+    dst: np.ndarray,
+    weights: np.ndarray,
+    v: np.ndarray,
+    accept: np.ndarray,
+    max_n: int,
+    rescale: bool,
+) -> PartitionSeries:
+    """S_n = (v A^n) . accept for n = 1..max_n, where A has an entry
+    weights[e] at (src[e], dst[e]) for every edge e (parallel edges add).
+
+    Each step is one ``np.bincount`` over the edges.  With ``rescale`` the
+    state vector is divided by its peak once it nears the double range and
+    the scale is carried in log form, so the rates stay exact past the
+    range (values past it read inf); without it a sum that leaves the range
+    raises Overflow.  Either way a non-finite state vector raises Overflow.
+    """
+    rescale_at = 1e250  # far under DBL_MAX, far over any desk-scale exact sum
+    log_scale = 0.0
+    values: list[tuple[int, float]] = []
+    rates: list[tuple[int, float]] = []
+    flow = np.empty(len(weights))
+    with np.errstate(over="ignore", invalid="ignore"):  # the guards report it
+        for n in range(1, max_n + 1):
+            np.take(v, src, out=flow, mode="clip")  # indices are in range; "raise" would buffer
+            flow *= weights
+            v = np.bincount(dst, weights=flow, minlength=len(v))
+            s = float(v @ accept)
+            if math.isinf(s) or math.isnan(s):
+                raise Overflow(
+                    f"{kind} partition sum left the double range at n={n}; rescale costs",
+                    n=n,
+                )
+            if not np.isfinite(v).all():
+                raise Overflow(f"{kind} DP state overflowed at n={n}; rescale costs", n=n)
+            if s > 0.0:
+                log_s = math.log(s) + log_scale
+                rates.append((n, log_s / n))
+                if log_scale == 0.0:
+                    values.append((n, s))
+                else:
+                    values.append((n, math.exp(log_s) if log_s <= 709.0 else math.inf))
+            else:
+                rates.append((n, 0.0))
+                values.append((n, 0.0))
+            if rescale:
+                peak = float(v.max())
+                if peak > rescale_at:
+                    v = v / peak
+                    log_scale += math.log(peak)
+    return PartitionSeries(kind=kind, values=tuple(values), rates=tuple(rates))
 
 
 def run_partition_series(
@@ -80,45 +138,31 @@ def run_partition_series(
     max_n: int,
     cap: int = DEFAULT_MAX_N_CAP,
 ) -> PartitionSeries:
-    """Run sums by forward DP with the compact transfer matrix.
+    """Run sums by a forward sweep over the transitions.
 
     runs_all sums over runs from every state to every state (the Z(n) of
     the variational principle); runs_accepting sums over initialized runs
     ending in an accepting state (W(n)).  A run of length n reads n
-    transitions.
+    transitions.  Sums past the double range raise Overflow.
     """
     if kind not in ("runs_all", "runs_accepting"):
         raise ValueError(f"unknown kind {kind!r}")
     _check_max_n(max_n, cap)
-    if a.is_empty:
+    if not a.transitions:  # empty, or no run of length >= 1
         return _series(kind, [0.0] * max_n)
 
-    states = sorted(a.states)
-    index = {s: i for i, s in enumerate(states)}
-    m = np.zeros((len(states), len(states)))
-    for t in a.transitions:
-        m[index[t.source], index[t.target]] += _exp(t.cost)
-
+    names, src, dst, cost = automata.edge_arrays(a)
+    weights = _weights(cost)
     if kind == "runs_all":
-        v = np.ones(len(states))
-        weights = np.ones(len(states))
+        v = np.ones(len(names))
+        accept = np.ones(len(names))
     else:
-        v = np.zeros(len(states))
+        index = {s: i for i, s in enumerate(names)}
+        v = np.zeros(len(names))
         v[index[a.initial]] = 1.0
-        weights = np.zeros(len(states))
-        for q in a.accepting:
-            weights[index[q]] = 1.0
-
-    sums: list[float] = []
-    with np.errstate(over="ignore"):  # the guard below reports overflow itself
-        for n in range(1, max_n + 1):
-            v = v @ m
-            s = float(v @ weights)
-            _guard_overflow(s, n, kind)
-            if not np.all(np.isfinite(v)):
-                raise Overflow(f"run DP state overflowed at n={n}; rescale costs", n=n)
-            sums.append(s)
-    return _series(kind, sums)
+        accept = np.zeros(len(names))
+        accept[[index[q] for q in a.accepting]] = 1.0
+    return _sweep(kind, src, dst, weights, v, accept, max_n, rescale=False)
 
 
 def word_partition_series(
@@ -130,63 +174,76 @@ def word_partition_series(
     """Word sums S_n = sum over accepted length-n words of e^{(U)(w)}.
 
     Requires a deterministic automaton so the one-run-per-word DP over
-    (state, last symbol) pairs equals the word sum.  Words of length 1
-    carry cost 0.
+    (state, last symbol) pairs equals the word sum: pair (p, a) leads to
+    (q, b) for every transition p -b-> q, with weight e^{U(a, b)}.  Words
+    of length 1 carry cost 0: the sweep starts at a pair (initial, nothing
+    read) whose edges all weigh 1.
 
     The sweep carries an explicit scale factor once the state vector nears
     the double range, so the RATE entries stay exact arbitrarily far out
     (values past the range are reported as inf); below the threshold the
-    values are the plain double-precision sums, bit for bit.  Overflow is
-    still raised when a single step leaves the range, i.e. for outsized
-    individual pair costs.
+    values are the plain double-precision sums.  Overflow is still raised
+    when a single step leaves the range, i.e. for outsized individual pair
+    costs.
     """
     _check_max_n(max_n, cap)
     if not dfa.deterministic:
         raise NotDeterministic("word partition sums need a deterministic automaton")
     dfa = automata.trim(dfa)
-    if dfa.is_empty:
+    if not dfa.transitions:  # empty, or trimmed to a lone state: no word of length >= 1
         return _series("words", [0.0] * max_n)
 
-    pairs = sorted({(t.target, t.symbol) for t in dfa.transitions})
-    if not pairs:  # trimmed to a lone state: no word of length >= 1
-        return _series("words", [0.0] * max_n)
-    index = {p: i for i, p in enumerate(pairs)}
-    step = np.zeros((len(pairs), len(pairs)))
-    for (state, last), i in index.items():
-        for t in dfa.by_source.get(state, ()):
-            step[i, index[(t.target, t.symbol)]] += _exp(pair_cost.cost(last, t.symbol))
-    accept_weight = np.array([1.0 if state in dfa.accepting else 0.0 for (state, _) in pairs])
+    names, src, dst, _ = automata.edge_arrays(dfa)
+    symbols = sorted({t.symbol for t in dfa.transitions})
+    sym_index = {s: i for i, s in enumerate(symbols)}
+    sym = np.array([sym_index[t.symbol] for t in dfa.transitions], dtype=np.intp)
+    none = len(symbols)  # the start pair's "last symbol": nothing read yet
+    width = none + 1
 
-    v = np.zeros(len(pairs))
-    for t in dfa.by_source.get(dfa.initial, ()):
-        v[index[(t.target, t.symbol)]] += 1.0
+    # nodes: the pairs (state, last symbol) that transitions enter, plus the
+    # start pair (initial, none), which no transition enters
+    start_key = names.index(dfa.initial) * width + none
+    pair_keys, pair_of = np.unique(np.append(dst * width + sym, start_key), return_inverse=True)
+    pair_of = pair_of[:-1]  # per transition: the pair it enters
+    pair_state, pair_sym = np.divmod(pair_keys, width)
 
-    rescale_at = 1e250  # far under DBL_MAX, far over any desk-scale exact sum
-    log_scale = 0.0
-    values: list[tuple[int, float]] = []
-    rates: list[tuple[int, float]] = []
-    for n in range(1, max_n + 1):
-        if n > 1:
-            v = v @ step
-        s = float(v @ accept_weight)
-        _guard_overflow(s, n, "words")
-        if not np.all(np.isfinite(v)):
-            raise Overflow(f"word DP state overflowed at n={n}; rescale costs", n=n)
-        if s > 0.0:
-            log_s = math.log(s) + log_scale
-            rates.append((n, log_s / n))
-            if log_scale == 0.0:
-                values.append((n, s))
-            else:
-                values.append((n, math.exp(log_s) if log_s <= 709.0 else math.inf))
-        else:
-            rates.append((n, 0.0))
-            values.append((n, 0.0))
-        peak = float(np.max(v))
-        if peak > rescale_at:
-            v = v / peak
-            log_scale += math.log(peak)
-    return PartitionSeries(kind="words", values=tuple(values), rates=tuple(rates))
+    # edges: pair (p, a) times every transition out of p.  ``order`` groups
+    # the transitions by source, p's from indptr[p] on; the edges of one
+    # pair are consecutive from ``first``, and edge e takes the transition
+    # order[indptr[p] + e - first]
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(len(names) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=len(names)), out=indptr[1:])
+    fanout = indptr[pair_state + 1] - indptr[pair_state]
+    first = np.cumsum(fanout) - fanout
+    edge_src = np.repeat(np.arange(len(pair_keys)), fanout)
+    trans = np.arange(len(edge_src))
+    trans += (indptr[pair_state] - first)[edge_src]
+    trans = order[trans]
+
+    # weights e^{U(a, b)}, costed once per symbol pair (a, b) that occurs
+    # (0 after the start pair), then gathered onto the edges
+    last_next = pair_sym[edge_src] * width
+    last_next += sym[trans]
+    edge_dst = pair_of[trans]
+    del trans  # edge-sized temporaries go before the sweep allocates its buffer
+    seen = np.zeros(width * width, dtype=bool)
+    seen[last_next] = True
+    needed = np.flatnonzero(seen)
+    table = np.zeros(width * width)
+    table[needed] = [
+        0.0 if c // width == none else pair_cost.cost(symbols[c // width], symbols[c % width])
+        for c in needed
+    ]
+    table[needed] = _weights(table[needed])
+    edge_weights = table[last_next]
+    del last_next
+
+    accepting = np.array([name in dfa.accepting for name in names])
+    accept = accepting[pair_state].astype(float)
+    v = np.zeros(len(pair_keys))
+    v[np.searchsorted(pair_keys, start_key)] = 1.0
+    return _sweep("words", edge_src, edge_dst, edge_weights, v, accept, max_n, rescale=True)
 
 
 def count_series(

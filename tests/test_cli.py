@@ -409,3 +409,23 @@ class TestColdStart:
             capture_output=True, text=True, timeout=120, check=True,
         )
         assert out.stdout.strip() == "[]"
+
+    def test_small_oracle_leaves_scipy_out(self, tmp_path):
+        path = str(tmp_path / "cycle.json")
+        save_document(path, automaton_to_document(
+            aut(["a", "b"], ["p", "q"], "p", ["p"], [("p", "a", "q", 0.5), ("q", "b", "p", -0.25)])
+        ))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gurevich.__file__)))
+        code = (
+            "import sys\n"
+            "from gurevich.cli import main\n"
+            "for kind in ('runs', 'accepting-runs', 'words'):\n"
+            f"    assert main(['oracle', {path!r}, '--kind', kind, '--max-n', '20']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip().splitlines()[-1] == "[]"

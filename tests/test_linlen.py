@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -15,7 +17,9 @@ from gurevich import (
     linlen_union_energy,
     linlen_word_oracle,
     run_partition_series,
+    trim,
     validate_spec,
+    word_cost,
 )
 
 from conftest import aut
@@ -80,6 +84,28 @@ class TestLinearSetMember:
         d = LinearSet.create((1,), [(2,), (3,)])
         members = {n for n in range(1, 12) if linear_set_member(d, (n,))}
         assert members == {1, 3, 4, 5, 6, 7, 8, 9, 10, 11}  # 1 + 2s + 3t
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_enumeration(self, seed):
+        rng = random.Random(seed)
+        k = rng.randint(1, 3)
+        periods: set[tuple[int, ...]] = set()
+        for _ in range(rng.randint(1, 3)):
+            p = tuple(rng.randint(0, 3) for _ in range(k))
+            if any(p):
+                periods.add(p)
+        d = LinearSet.create([rng.randint(1, 3) for _ in range(k)], sorted(periods))
+        box = 9
+        # every period has a coordinate >= 1, so coefficients above box leave it
+        members = set()
+        for coeffs in itertools.product(range(box + 1), repeat=len(d.periods)):
+            v = tuple(
+                o + sum(c * p[i] for c, p in zip(coeffs, d.periods)) for i, o in enumerate(d.offset)
+            )
+            if max(v) <= box:
+                members.add(v)
+        for v in itertools.product(range(box + 1), repeat=k):
+            assert linear_set_member(d, v) == (v in members), (d, v)
 
     def test_arity_mismatch(self):
         d = LinearSet.create((1, 2, 3), [(1, 2, 3)])
@@ -262,3 +288,124 @@ class TestAgainstOracle:
         spec = sigma_star_spec(u)
         direct = language_energy(spec.base, u).energy
         assert abs(linlen_energy(spec).energy - direct) <= 1e-6
+
+
+def split_search_oracle(spec, max_n):
+    """Reference for linlen_word_oracle: the same depth-first walk of the
+    base language, but every accepted word is searched afresh for a split
+    and costed with word_cost.  Returns S_1..S_max_n."""
+    base = trim(spec.base)
+    parts = [trim(p) for p in spec.parts]
+    k = spec.lengths.k
+    sums = [0.0] * (max_n + 1)
+    if base.is_empty or any(p.is_empty for p in parts):
+        return sums[1:]
+
+    def has_split(w):
+        n = len(w)
+
+        def search(part_idx, pos, lens):
+            if part_idx == k:
+                return pos == n and linear_set_member(spec.lengths, lens)
+            p = parts[part_idx]
+            state = p.initial
+            end = pos
+            while True:
+                if state is not None and state in p.accepting:
+                    if search(part_idx + 1, end, lens + (end - pos,)):
+                        return True
+                if end == n or state is None:
+                    return False
+                state = p.dfa_step(state, w[end])
+                end += 1
+
+        return search(0, 0, ())
+
+    stack = [(base.initial, ())]
+    while stack:
+        state, word = stack.pop()
+        if state in base.accepting and word and has_split(word):
+            sums[len(word)] += math.exp(word_cost(spec.pair_cost, word))
+        if len(word) < max_n:
+            for t in sorted(base.by_source.get(state, ())):
+                stack.append((t.target, word + (t.symbol,)))
+    return sums[1:]
+
+
+# dyadic costs: every prefix sum is exact, however the reference adds them
+MIXED_U = PairCostFunction.create(
+    {("a", "a"): 0.5, ("a", "b"): -0.25, ("b", "a"): 0.75, ("b", "b"): -0.125,
+     ("a", "c"): 0.375, ("c", "a"): -0.5}
+)
+
+
+def even_b_spec(lengths):
+    even_b = aut(["a", "b"], ["e", "o"], "e", ["e"], [("e", "b", "o"), ("o", "b", "e")])
+    return LinearLengthSpec(
+        base=a_b_a_base(), parts=(a_star(), even_b, a_star()), lengths=lengths, pair_cost=MIXED_U,
+    )
+
+
+def even_last_part_spec():
+    """Last part (aa)*: its run must end in an accepting state."""
+    even_a = aut(["a", "b"], ["e", "o"], "e", ["e"], [("e", "a", "o"), ("o", "a", "e")])
+    return LinearLengthSpec(
+        base=a_b_a_base(), parts=(a_star(), b_star(), even_a),
+        lengths=LinearSet.create((1, 1, 1), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        pair_cost=MIXED_U,
+    )
+
+
+def two_part_sigma_spec():
+    """Words over {a, b} cut into two pieces of lengths 1 + 2s and 1 + 3t."""
+    sigma = sigma_star_spec(MIXED_U).base
+    return LinearLengthSpec(
+        base=sigma, parts=(sigma, sigma),
+        lengths=LinearSet.create((1, 1), [(2, 0), (0, 3)]), pair_cost=MIXED_U,
+    )
+
+
+def empty_part_spec():
+    """Parts a*, b*, a*: each accepts at its initial state, so each part can
+    close empty; D has three periods."""
+    return LinearLengthSpec(
+        base=a_b_a_base(), parts=(a_star(), b_star(), a_star()),
+        lengths=LinearSet.create((1, 1, 1), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        pair_cost=MIXED_U,
+    )
+
+
+def unread_symbol_spec():
+    """Base (a|b|c)*; parts a* and b* never read c, so no word with c splits."""
+    abc = aut(["a", "b", "c"], ["A"], "A", ["A"], [("A", x, "A") for x in "abc"])
+    a_only = aut(["a", "b", "c"], ["A"], "A", ["A"], [("A", "a", "A")])
+    b_only = aut(["a", "b", "c"], ["B"], "B", ["B"], [("B", "b", "B")])
+    return LinearLengthSpec(
+        base=abc, parts=(a_only, b_only),
+        lengths=LinearSet.create((1, 1), [(1, 0), (0, 1)]), pair_cost=MIXED_U,
+    )
+
+
+class TestOracleAgainstSplitSearch:
+    @pytest.mark.parametrize(
+        "spec,horizon",
+        [
+            (abba_spec(ZERO_U), 30),
+            (abba_spec(DIAG_U), 30),
+            (abba_spec(MIXED_U), 24),
+            (even_b_spec(LinearSet.create((1, 1, 1))), 20),
+            (even_b_spec(LinearSet.create((1, 2, 1), [(1, 0, 0), (0, 2, 1)])), 24),
+            (even_last_part_spec(), 20),
+            (sigma_star_spec(MIXED_U), 11),
+            (two_part_sigma_spec(), 11),
+            (empty_part_spec(), 20),
+            (unread_symbol_spec(), 8),
+        ],
+        ids=["abba-zero", "abba-diagonal", "abba-mixed", "even-b", "even-b-periods",
+             "even-last-part", "k1-full", "two-periods", "empty-parts", "unread-symbol"],
+    )
+    def test_values_bit_for_bit(self, spec, horizon):
+        values = [v for _, v in linlen_word_oracle(spec, horizon).values]
+        reference = split_search_oracle(spec, horizon)
+        assert values == reference
+        assert any(reference) or spec.lengths.periods == ()

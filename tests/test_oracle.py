@@ -1,18 +1,24 @@
 import math
+import random
+import tracemalloc
 
 import pytest
 
 from gurevich import (
+    CostAutomaton,
     Overflow,
     PairCostFunction,
+    automaton_to_document,
     count_series,
     determinize,
     estimate_limit,
     free_energy,
     log_int,
     run_partition_series,
+    save_document,
     word_partition_series,
 )
+from gurevich.cli import main
 
 from conftest import (
     BRANCHY_LAMBDA_EXACT,
@@ -211,6 +217,48 @@ class TestAgainstEnumeration:
                 assert s == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
 
+def pair_dp_word_sums(dfa, u, max_n):
+    """Word sums by a dict DP over (state, last symbol), one Python loop
+    per step: the form the edge sweep replaces."""
+    frontier: dict[tuple[str, str], float] = {}
+    for t in dfa.by_source.get(dfa.initial, ()):
+        frontier[(t.target, t.symbol)] = frontier.get((t.target, t.symbol), 0.0) + 1.0
+    sums = []
+    for n in range(1, max_n + 1):
+        if n > 1:
+            nxt: dict[tuple[str, str], float] = {}
+            for (state, last), w in frontier.items():
+                for t in dfa.by_source.get(state, ()):
+                    key = (t.target, t.symbol)
+                    nxt[key] = nxt.get(key, 0.0) + w * math.exp(u.cost(last, t.symbol))
+            frontier = nxt
+        sums.append(sum(w for (state, _), w in frontier.items() if state in dfa.accepting))
+    return sums
+
+
+class TestAgainstLoopDp:
+    # the sweep adds in another order than the loops, so values agree to a
+    # relative 1e-12: about 60 steps of at most a few dozen roundings each
+    @pytest.mark.parametrize("seed", range(6))
+    def test_run_sums_long_horizon(self, seed):
+        a = random_automaton(100 + seed, max_states=30, costs="mixed")
+        for kind in ("runs_all", "runs_accepting"):
+            values = dict(run_partition_series(a, kind, 60).values)
+            for n in (1, 2, 17, 60):
+                assert values[n] == pytest.approx(enum_run_sum(a, n, kind), rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_word_sums_long_horizon(self, seed):
+        rng = random.Random(seed)
+        dfa = determinize(random_automaton(200 + seed, max_states=12, costs="zero"))
+        u = PairCostFunction.create(
+            {(x, y): rng.uniform(-1.0, 0.5) for x in sorted(dfa.alphabet) for y in sorted(dfa.alphabet)}
+        )
+        values = [s for _, s in word_partition_series(dfa, u, 60).values]
+        for s, ref in zip(values, pair_dp_word_sums(dfa, u, 60)):
+            assert s == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+
 class TestWordEnergyStructure:
     def test_union_is_max_of_parts(self):
         # L = a(a|b)* union b b*: branches disjoint on the first letter, so
@@ -260,3 +308,58 @@ class TestLogInt:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             log_int(0)
+
+
+def sparse_dfa(n: int, n_sym: int, seed: int) -> CostAutomaton:
+    """n states, one transition per symbol and state to a random target, at
+    cost -ln(n_sym), so every state's outgoing weights sum to 1; every
+    other state accepts."""
+    rng = random.Random(seed)
+    states = [f"q{i}" for i in range(n)]
+    symbols = [f"x{j}" for j in range(n_sym)]
+    cost = -math.log(n_sym)
+    return CostAutomaton.create(
+        symbols, states, states[0], states[::2],
+        [(p, x, states[rng.randrange(n)], cost) for p in states for x in symbols],
+    )
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestMemoryGrowsWithTransitions:
+    # one dense matrix over these 20,000 states would take 3.2 GB, and one
+    # over their (state, last symbol) pairs far more
+    @pytest.fixture(scope="class")
+    def big(self):
+        return sparse_dfa(20_000, 8, seed=11)
+
+    def test_run_series(self, big):
+        series, peak = traced_peak(lambda: run_partition_series(big, "runs_all", 20))
+        # every state's outgoing weights sum to 1: S_n counts the states
+        for _, s in series.values:
+            assert s == pytest.approx(20_000, rel=1e-9)
+        assert peak < 50 * 2**20
+
+    def test_word_series(self, big):
+        u = PairCostFunction.create(
+            {(f"x{i}", f"x{j}"): -math.log(8) + 0.05 * (i - j) for i in range(8) for j in range(8)}
+        )
+        series, peak = traced_peak(lambda: word_partition_series(big, u, 20))
+        first = sum(1 for t in big.by_source[big.initial] if t.target in big.accepting)
+        assert series.values[0] == (1, float(first))
+        assert all(0.0 < s < math.inf for _, s in series.values[1:])
+        assert peak < 50 * 2**20
+
+    def test_cli_oracle(self, big, tmp_path, capsys):
+        path = str(tmp_path / "big.json")
+        save_document(path, automaton_to_document(big))
+        assert main(["oracle", path, "--kind", "words", "--max-n", "12"]) == 0
+        assert capsys.readouterr().out.startswith("estimate ")
