@@ -15,7 +15,6 @@ from .automata import (
     Transition,
     accepts,
     determinize,
-    induced,
     map_costs,
     product,
     scc,
@@ -44,13 +43,13 @@ from .energy import (
 from .errors import (
     BlockAlphabetTooLarge,
     DocumentError,
-    EmptyAutomaton,
     GurevichError,
     NotConverged,
     NotDeterministic,
     NotStronglyConnected,
     Overflow,
     StateCapExceeded,
+    Underflow,
     UnknownSymbol,
 )
 from .langcost import (
@@ -99,7 +98,6 @@ __all__ = [
     "Transition",
     "accepts",
     "determinize",
-    "induced",
     "map_costs",
     "product",
     "scc",
@@ -111,11 +109,11 @@ __all__ = [
     "gurevich_matrix_bipartite",
     "gurevich_matrix_compact",
     "GurevichError",
-    "EmptyAutomaton",
     "NotConverged",
     "NotDeterministic",
     "NotStronglyConnected",
     "Overflow",
+    "Underflow",
     "StateCapExceeded",
     "BlockAlphabetTooLarge",
     "UnknownSymbol",

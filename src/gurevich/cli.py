@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 input/validation/usage, 3 numerical trouble
-(non-convergence, overflow), 4 resource cap hit or memory exhausted (the
+(non-convergence, overflow, underflow), 4 resource cap hit or memory exhausted (the
 message then names the subcommand and the sizes of the automata it
 loaded).  Text output renders numbers with 6 decimals; --json renders
 full reports with 17 significant digits.  Solver defaults can be
@@ -36,6 +36,7 @@ from .errors import (
     NotDeterministic,
     Overflow,
     StateCapExceeded,
+    Underflow,
 )
 from .langcost import PairCostFunction, implement_construction
 from .similarity import similarity
@@ -105,7 +106,7 @@ def _load(args, path: str) -> CostAutomaton:
 
 def _out_of_memory(args) -> str:
     inputs = ", ".join(
-        f"{path} ({len(a.states)} states, {len(a.transitions)} transitions)"
+        f"{path} ({len(a.state_names)} states, {len(a.src)} transitions)"
         for path, a in args.inputs
     )
     return f"out of memory in {args.command}" + (f" on {inputs}" if inputs else "")
@@ -209,7 +210,7 @@ def cmd_implement(args, solver: _Solver) -> int:
         print("error: input must be deterministic", file=sys.stderr)
         return EXIT_INPUT
     save_document(args.out_path, automaton_to_document(machine))
-    print(f"states {len(machine.states)} transitions {len(machine.transitions)}")
+    print(f"states {len(machine.state_names)} transitions {len(machine.src)}")
     return EXIT_OK
 
 
@@ -361,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DocumentError, NotDeterministic, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (NotConverged, Overflow) as e:
+    except (NotConverged, Overflow, Underflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (StateCapExceeded, BlockAlphabetTooLarge) as e:

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
-from .automata import CostAutomaton, Transition, validate
+import numpy as np
+
+from .automata import CostAutomaton, validate
 from .errors import DocumentError
 from .langcost import PairCostFunction
 from .linlen import LinearLengthSpec, LinearSet
@@ -39,48 +42,50 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-class _Encoder(json.JSONEncoder):
-    """float_repr with 17 significant digits for schema-stable output."""
-
-    def iterencode(self, o: Any, _one_shot: bool = False):
-        return _iter_encode(o)
-
-
-def _iter_encode(o: Any):
+def _encode(o: Any, emit) -> None:
     if isinstance(o, float):
-        yield _fmt_float(o)
+        emit(_fmt_float(o))
     elif isinstance(o, bool):
-        yield "true" if o else "false"
+        emit("true" if o else "false")
     elif o is None:
-        yield "null"
-    elif isinstance(o, (int, str)):
-        yield json.dumps(o)
+        emit("null")
+    elif isinstance(o, str):
+        emit(_quote(o))
+    elif isinstance(o, int):
+        emit(int.__repr__(o))
     elif isinstance(o, dict):
-        yield "{"
-        first = True
+        emit("{")
+        comma = ""
         for key, value in o.items():
-            if not first:
-                yield ", "
-            first = False
-            yield json.dumps(str(key))
-            yield ": "
-            yield from _iter_encode(value)
-        yield "}"
+            emit(comma)
+            emit(_quote(str(key)))
+            emit(": ")
+            if type(value) is str:  # the common leaves, without a call
+                emit(_quote(value))
+            elif type(value) is float:
+                emit(_fmt_float(value))
+            else:
+                _encode(value, emit)
+            comma = ", "
+        emit("}")
     elif isinstance(o, (list, tuple)):
-        yield "["
-        first = True
+        emit("[")
+        comma = ""
         for value in o:
-            if not first:
-                yield ", "
-            first = False
-            yield from _iter_encode(value)
-        yield "]"
+            emit(comma)
+            _encode(value, emit)
+            comma = ", "
+        emit("]")
     else:
         raise DocumentError(f"cannot serialize {type(o).__name__}")
 
 
 def dump_json(obj: Any) -> str:
-    return "".join(_iter_encode(obj))
+    """Canonical JSON text: ``", "``/``": "`` separators, ASCII-escaped
+    strings as ``json.dumps`` writes them, and floats by ``_fmt_float``."""
+    parts: list[str] = []
+    _encode(obj, parts.append)
+    return "".join(parts)
 
 
 def _require(doc: dict, key: str, kind: type, where: str) -> Any:
@@ -96,33 +101,65 @@ def _require(doc: dict, key: str, kind: type, where: str) -> Any:
     return value
 
 
+def _transition_row(t: Any, where: str, i: int) -> tuple[str, str, str, float]:
+    """One transition row by the general checks, for the rows that the
+    plain-row test in automaton_from_document does not pass; raises
+    DocumentError naming the first offending field."""
+    if not isinstance(t, dict):
+        raise DocumentError(f"{where}: transition {i} must be an object")
+    at = f"{where} transition {i}"
+    src, sym, dst = (_require(t, key, str, at) for key in ("from", "symbol", "to"))
+    cost = t.get("cost", 0.0)
+    try:
+        if isinstance(cost, bool):
+            raise TypeError
+        cost = float(cost)
+    except (TypeError, ValueError):
+        raise DocumentError(f"{at}: field 'cost' must be a number") from None
+    return src, sym, dst, cost
+
+
 def automaton_from_document(doc: Any, where: str = "automaton") -> CostAutomaton:
-    """Parse and validate; raises DocumentError naming the first offender."""
+    """Parse and validate; raises DocumentError naming the first offender.
+
+    One pass over the transition rows fills four columns (names for
+    from/symbol/to, numbers for cost); the automaton interns the names."""
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected a JSON object")
     alphabet = _require(doc, "alphabet", list, where)
     states = _require(doc, "states", list, where)
     accepting = _require(doc, "accepting", list, where)
-    raw_transitions = _require(doc, "transitions", list, where)
+    rows = _require(doc, "transitions", list, where)
+    for key, names in (("alphabet", alphabet), ("states", states), ("accepting", accepting)):
+        if not all(isinstance(name, str) for name in names):
+            raise DocumentError(f"{where}: field {key!r} must be a list of strings")
     initial = doc.get("initial")
     if initial is not None and not isinstance(initial, str):
         raise DocumentError(f"{where}: field 'initial' must be a string")
     if states and initial is None:
         raise DocumentError(f"{where}: missing field 'initial'")
 
-    transitions = []
-    for i, t in enumerate(raw_transitions):
-        if not isinstance(t, dict):
-            raise DocumentError(f"{where}: transition {i} must be an object")
-        src = _require(t, "from", str, f"{where} transition {i}")
-        sym = _require(t, "symbol", str, f"{where} transition {i}")
-        dst = _require(t, "to", str, f"{where} transition {i}")
-        cost = float(t.get("cost", 0.0)) if not isinstance(t.get("cost", 0.0), bool) else None
-        if cost is None:
-            raise DocumentError(f"{where} transition {i}: field 'cost' must be a number")
-        transitions.append(Transition(src, sym, dst, cost))
+    src: list[str] = []
+    sym: list[str] = []
+    dst: list[str] = []
+    cost: list[float] = []
+    for i, t in enumerate(rows):
+        if type(t) is dict:
+            s, y, d, c = t.get("from"), t.get("symbol"), t.get("to"), t.get("cost", 0.0)
+            plain = type(s) is str and type(y) is str and type(d) is str
+            if plain and (type(c) is float or type(c) is int):
+                src.append(s)
+                sym.append(y)
+                dst.append(d)
+                cost.append(c)
+                continue
+        s, y, d, c = _transition_row(t, where, i)
+        src.append(s)
+        sym.append(y)
+        dst.append(d)
+        cost.append(c)
 
-    a = CostAutomaton.create(alphabet, states, initial, accepting, transitions)
+    a = CostAutomaton.from_columns(alphabet, states, initial, accepting, src, sym, dst, cost)
     problems = validate(a)
     if problems:
         raise DocumentError(f"{where}: " + "; ".join(problems))
@@ -130,14 +167,19 @@ def automaton_from_document(doc: Any, where: str = "automaton") -> CostAutomaton
 
 
 def automaton_to_document(a: CostAutomaton) -> dict:
+    """Canonical document: names sorted, transitions by (from, symbol, to, cost)."""
+    order = np.lexsort((a.cost, a.dst, a.sym, a.src))
+    names, symbols = a.state_names, a.symbols
     return {
         "alphabet": sorted(a.alphabet),
         "states": sorted(a.states),
         "initial": a.initial,
         "accepting": sorted(a.accepting),
         "transitions": [
-            {"from": t.source, "symbol": t.symbol, "to": t.target, "cost": t.cost}
-            for t in sorted(a.transitions)
+            {"from": names[s], "symbol": symbols[y], "to": names[d], "cost": c}
+            for s, y, d, c in zip(
+                a.src[order].tolist(), a.sym[order].tolist(), a.dst[order].tolist(), a.cost[order].tolist()
+            )
         ],
     }
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import automata
 from .automata import CostAutomaton
-from .errors import NotConverged, NotStronglyConnected, Overflow
+from .errors import NotConverged, NotStronglyConnected, Overflow, Underflow
 from .spectral import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
@@ -94,7 +94,7 @@ class EnergyReport:
 def _check_component(a: CostAutomaton) -> None:
     if a.is_empty:
         raise NotStronglyConnected("component is empty")
-    if not a.transitions:
+    if not a.src.size:
         raise NotStronglyConnected("component has no transitions")
     parts = automata.scc(a)
     if len(parts.components) != 1:
@@ -136,19 +136,20 @@ def _transfer_matrix(
 
 def _public_matrix(a: CostAutomaton, form: str, shift: float) -> NonnegativeMatrix:
     _check_component(a)
-    names, src, dst, cost = automata.edge_arrays(a)
-    trans = a.transitions
-    if form == "bipartite":
-        order = sorted(range(len(trans)), key=trans.__getitem__)
-        trans = [trans[i] for i in order]
-        src, dst, cost = src[order], dst[order], cost[order]
+    names, src, dst, cost = list(a.state_names), a.src, a.dst, a.cost
+    if form == "bipartite":  # transition nodes in (source, symbol, target) order
+        order = np.lexsort((cost, dst, a.sym, src))
+        src, sym, dst, cost = src[order], a.sym[order], dst[order], cost[order]
     with np.errstate(over="ignore"):
         weights = np.exp(cost - shift)
     if not np.isfinite(weights).all():
         raise Overflow(f"e^{cost.max() - shift} exceeds the double range; rescale costs")
     entries = _transfer_matrix(len(names), src, dst, weights, form, dense=True)
     if form == "bipartite":
-        names += [f"{t.source}-{t.symbol}->{t.target}" for t in trans]
+        names += [
+            f"{names[p]}-{a.symbols[y]}->{names[q]}"
+            for p, y, q in zip(src.tolist(), sym.tolist(), dst.tolist())
+        ]
     return NonnegativeMatrix(dim=len(names), entries=entries, labels=tuple(names))
 
 
@@ -174,12 +175,13 @@ def component_energy(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> float:
     """Energy of one SCC; loop-free singletons are 0 by convention."""
-    if len(a.states) == 1 and not a.transitions:
+    if len(a.states) == 1 and not a.src.size:
         return 0.0
     _check_form(form)
     _check_component(a)
-    names, src, dst, cost = automata.edge_arrays(a)
-    energy, _ = _solve_component(len(names), src, dst, cost, form, tolerance, max_iterations)
+    energy, _ = _solve_component(
+        len(a.state_names), a.src, a.dst, a.cost, form, tolerance, max_iterations
+    )
     return energy
 
 
@@ -210,6 +212,12 @@ def _solve_component(
             f"{form} matrix of dimension {matrix.dim})",
             result=result,
         )
+    if not 0.0 < result.radius < math.inf:
+        raise Underflow(
+            f"free energy: certified radius {result.radius!r} of a component of "
+            f"{size} states is not a positive double; its costs span "
+            f"{float(cost.min())!r} to {float(cost.max())!r}, too wide for one shift"
+        )
     return _STEPS[form] * math.log(result.radius) + shift, result
 
 
@@ -229,18 +237,13 @@ def free_energy(
     _check_form(form)
     if a.is_empty:
         return EnergyReport(energy=0.0, per_component=(), solver=(), form_used=form)
-    names, src, dst, cost = automata.edge_arrays(a)
-    live = automata.live_states(a, names, src, dst)
+    live = automata.live_states(a)
     if not live.any():
         return EnergyReport(0.0, (), (), form, None, trim_changed=True)
     trim_changed = not live.all()
     if trim_changed:
-        kept = np.flatnonzero(live)
-        renumber = np.full(len(names), -1, dtype=np.intp)
-        renumber[kept] = np.arange(len(kept))
-        inside = live[src] & live[dst]
-        src, dst, cost = renumber[src[inside]], renumber[dst[inside]], cost[inside]
-        names = [names[i] for i in kept.tolist()]
+        a = automata.keep_states(a, live)
+    names, src, dst, cost = a.state_names, a.src, a.dst, a.cost
     n = len(names)
 
     comps = automata.tarjan(*automata.adjacency(n, src, dst))

@@ -10,15 +10,6 @@ class GurevichError(Exception):
     """Base class for all toolkit errors."""
 
 
-class EmptyAutomaton(GurevichError):
-    """An operation met the distinguished zero-state automaton.
-
-    The library itself never raises this: trim and product return the
-    zero-state value and every energy downstream of it is 0.  The class
-    exists for callers that want to refuse the empty value explicitly.
-    """
-
-
 class NotConverged(GurevichError):
     """The Perron solver used up its iterations (power sweeps plus Noda
     steps) before the Collatz-Wielandt interval met the tolerance.
@@ -46,6 +37,13 @@ class Overflow(GurevichError):
     def __init__(self, message, n=None):
         super().__init__(message)
         self.n = n
+
+
+class Underflow(GurevichError):
+    """A component's certified Perron radius is not a positive double: its
+    weights left the double range even after the shift by its largest cost,
+    so its energy cannot be formed.  The message names the component's size
+    and cost range."""
 
 
 class StateCapExceeded(GurevichError):

@@ -18,8 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from . import automata, energy
-from .automata import CostAutomaton, Transition
+from .automata import CostAutomaton
 from .energy import EnergyReport
 from .errors import NotDeterministic, UnknownSymbol
 from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
@@ -124,32 +126,38 @@ def implement_construction(dfa: CostAutomaton, u: PairCostFunction) -> CostAutom
     if dfa.is_empty:
         return automata.EMPTY
 
-    def node(t: Transition) -> str:
-        return f"({t.source},{t.symbol},{t.target})"
-
-    start = dfa.initial
-    names = {node(t) for t in dfa.transitions}
-    if start in names or len(names) != len(dfa.transitions):
+    names, symbols, start = dfa.state_names, dfa.symbols, dfa.initial
+    node = [
+        f"({names[p]},{symbols[y]},{names[q]})"
+        for p, y, q in zip(dfa.src.tolist(), dfa.sym.tolist(), dfa.dst.tolist())
+    ]
+    if start in node or len(set(node)) != len(node):
         raise ValueError("state name collision in implement_construction")
 
-    transitions: list[Transition] = []
-    for t in dfa.by_source.get(start, ()):
-        transitions.append(Transition(start, t.symbol, node(t), 0.0))
-    for t1 in dfa.transitions:
-        for t2 in dfa.by_source.get(t1.target, ()):
-            transitions.append(
-                Transition(node(t1), t2.symbol, node(t2), u.cost(t1.symbol, t2.symbol))
-            )
+    # entry edges: start -> (start, a, q) at cost 0; then (p, a, q) -> (q, b, r)
+    # for every transition q -b-> r, charging U(a, b); both in input order
+    order, indptr = automata.by_source_rows(len(names), dfa.src)
+    entry = order[indptr[dfa.index_of(start)] : indptr[dfa.index_of(start) + 1]].tolist()
+    fanout = indptr[dfa.dst + 1] - indptr[dfa.dst]
+    first = np.repeat(np.arange(len(node)), fanout)
+    then = order[automata.spans(indptr[dfa.dst], fanout)]
+    k = len(symbols)
+    pairs = (dfa.sym[first] * k + dfa.sym[then]).tolist()
+    pair_cost = {c: u.cost(symbols[c // k], symbols[c % k]) for c in sorted(set(pairs))}
 
-    accepting = {node(t) for t in dfa.transitions if t.target in dfa.accepting}
+    accepting = [node[e] for e in np.flatnonzero(dfa.accepting_mask[dfa.dst]).tolist()]
     if start in dfa.accepting:
-        accepting.add(start)
-    result = CostAutomaton(
-        alphabet=dfa.alphabet,
-        states=frozenset(names) | {start},
-        initial=start,
-        accepting=frozenset(accepting),
-        transitions=tuple(transitions),
+        accepting.append(start)
+    first, then = first.tolist(), then.tolist()
+    result = CostAutomaton.from_columns(
+        dfa.alphabet,
+        node + [start],
+        start,
+        accepting,
+        [start] * len(entry) + [node[e] for e in first],
+        [symbols[y] for y in dfa.sym[entry + then].tolist()],
+        [node[e] for e in entry + then],
+        [0.0] * len(entry) + [pair_cost[c] for c in pairs],
     )
     return automata.trim(result)
 

@@ -334,12 +334,12 @@ def block_automaton(
                 emit_block(key, block, core_key, junction_cost(mem, block))
 
     symbols = {t.symbol for t in transitions}
-    result = CostAutomaton(
-        alphabet=frozenset(symbols) if symbols else frozenset(sigma),
-        states=frozenset(names[key] for key in enqueued),
-        initial="start",
-        accepting=frozenset(accepting),
-        transitions=tuple(dict.fromkeys(transitions)),
+    result = CostAutomaton.create(
+        symbols or sigma,
+        (names[key] for key in enqueued),
+        "start",
+        accepting,
+        dict.fromkeys(transitions),
     )
     return automata.trim(result)
 

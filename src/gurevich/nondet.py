@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import automata, energy
 from .automata import CostAutomaton
 from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
@@ -43,15 +45,15 @@ def branching_costs(a: CostAutomaton) -> CostAutomaton:
 
     Deterministic (p, a) pairs get cost 0 since k = 1.
     """
-    counts: dict[tuple[str, str], int] = {}
-    for t in a.transitions:
-        key = (t.source, t.symbol)
-        counts[key] = counts.get(key, 0) + 1
-    return automata.map_costs(a, lambda t: math.log(counts[(t.source, t.symbol)]))
+    _, pair, counts = np.unique(
+        a.src * len(a.symbols) + a.sym, return_inverse=True, return_counts=True
+    )
+    logs = np.array([math.log(k) for k in counts.tolist()])
+    return a.with_costs(logs[pair])
 
 
 def _zeroed(a: CostAutomaton) -> CostAutomaton:
-    return automata.map_costs(a, lambda t: 0.0)
+    return a.with_costs(np.zeros(a.cost.size))
 
 
 def lambda_plus(
@@ -91,7 +93,7 @@ def lambda_exact(
         energy_v=base.energy_v,
         energy_zero=base.energy_zero,
         lambda_exact=max(raw, 0.0),
-        dfa_states=len(det.states),
+        dfa_states=len(det.state_names),
         lambda_plus_raw=base.lambda_plus_raw,
         lambda_exact_raw=raw,
     )

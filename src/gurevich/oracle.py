@@ -148,21 +148,19 @@ def run_partition_series(
     if kind not in ("runs_all", "runs_accepting"):
         raise ValueError(f"unknown kind {kind!r}")
     _check_max_n(max_n, cap)
-    if not a.transitions:  # empty, or no run of length >= 1
+    if not a.src.size:  # empty, or no run of length >= 1
         return _series(kind, [0.0] * max_n)
 
-    names, src, dst, cost = automata.edge_arrays(a)
-    weights = _weights(cost)
+    weights = _weights(a.cost)
+    n = len(a.state_names)
     if kind == "runs_all":
-        v = np.ones(len(names))
-        accept = np.ones(len(names))
+        v = np.ones(n)
+        accept = np.ones(n)
     else:
-        index = {s: i for i, s in enumerate(names)}
-        v = np.zeros(len(names))
-        v[index[a.initial]] = 1.0
-        accept = np.zeros(len(names))
-        accept[[index[q] for q in a.accepting]] = 1.0
-    return _sweep(kind, src, dst, weights, v, accept, max_n, rescale=False)
+        v = np.zeros(n)
+        v[a.index_of(a.initial)] = 1.0
+        accept = a.accepting_mask.astype(float)
+    return _sweep(kind, a.src, a.dst, weights, v, accept, max_n, rescale=False)
 
 
 def word_partition_series(
@@ -190,36 +188,25 @@ def word_partition_series(
     if not dfa.deterministic:
         raise NotDeterministic("word partition sums need a deterministic automaton")
     dfa = automata.trim(dfa)
-    if not dfa.transitions:  # empty, or trimmed to a lone state: no word of length >= 1
+    if not dfa.src.size:  # empty, or trimmed to a lone state: no word of length >= 1
         return _series("words", [0.0] * max_n)
 
-    names, src, dst, _ = automata.edge_arrays(dfa)
-    symbols = sorted({t.symbol for t in dfa.transitions})
-    sym_index = {s: i for i, s in enumerate(symbols)}
-    sym = np.array([sym_index[t.symbol] for t in dfa.transitions], dtype=np.intp)
+    n, src, sym, dst, symbols = len(dfa.state_names), dfa.src, dfa.sym, dfa.dst, dfa.symbols
     none = len(symbols)  # the start pair's "last symbol": nothing read yet
     width = none + 1
 
     # nodes: the pairs (state, last symbol) that transitions enter, plus the
     # start pair (initial, none), which no transition enters
-    start_key = names.index(dfa.initial) * width + none
+    start_key = dfa.index_of(dfa.initial) * width + none
     pair_keys, pair_of = np.unique(np.append(dst * width + sym, start_key), return_inverse=True)
     pair_of = pair_of[:-1]  # per transition: the pair it enters
     pair_state, pair_sym = np.divmod(pair_keys, width)
 
-    # edges: pair (p, a) times every transition out of p.  ``order`` groups
-    # the transitions by source, p's from indptr[p] on; the edges of one
-    # pair are consecutive from ``first``, and edge e takes the transition
-    # order[indptr[p] + e - first]
-    order = np.argsort(src, kind="stable")
-    indptr = np.zeros(len(names) + 1, dtype=np.intp)
-    np.cumsum(np.bincount(src, minlength=len(names)), out=indptr[1:])
+    # edges: pair (p, a) times every transition out of p, in input order
+    order, indptr = automata.by_source_rows(n, src)
     fanout = indptr[pair_state + 1] - indptr[pair_state]
-    first = np.cumsum(fanout) - fanout
     edge_src = np.repeat(np.arange(len(pair_keys)), fanout)
-    trans = np.arange(len(edge_src))
-    trans += (indptr[pair_state] - first)[edge_src]
-    trans = order[trans]
+    trans = order[automata.spans(indptr[pair_state], fanout)]
 
     # weights e^{U(a, b)}, costed once per symbol pair (a, b) that occurs
     # (0 after the start pair), then gathered onto the edges
@@ -239,8 +226,7 @@ def word_partition_series(
     edge_weights = table[last_next]
     del last_next
 
-    accepting = np.array([name in dfa.accepting for name in names])
-    accept = accepting[pair_state].astype(float)
+    accept = dfa.accepting_mask[pair_state].astype(float)
     v = np.zeros(len(pair_keys))
     v[np.searchsorted(pair_keys, start_key)] = 1.0
     return _sweep("words", edge_src, edge_dst, edge_weights, v, accept, max_n, rescale=True)

@@ -50,6 +50,6 @@ def similarity(
         delta=delta,
         energy_1=energy_1,
         energy_2=energy_2,
-        product_states=len(prod.states),
+        product_states=len(prod.state_names),
         normalized=normalized,
     )

@@ -7,6 +7,8 @@ from gurevich import (
     CostAutomaton,
     accepts,
     determinize,
+    free_energy,
+    lambda_exact,
     product,
     scc,
     trim,
@@ -242,6 +244,36 @@ class TestDeterminize:
             for w in words_up_to(a.alphabet, 6):
                 assert accepts(a, w) == accepts(d, w)
 
+    def test_corpus_outputs_are_deterministic(self):
+        # the corpora that the oracle, langcost and acceptance tests determinize
+        for seed in range(40):
+            for a in (
+                random_automaton(seed, max_states=4, costs="zero"),
+                random_automaton(200 + seed, max_states=12, costs="zero"),
+            ):
+                d = determinize(a)
+                assert d.deterministic
+                assert validate(d) == []
+
+    def test_subset_names_do_not_collide(self):
+        # the subset {p, q} and the singleton {"p,q"} would both be "{p,q}"
+        def nfa(r):
+            return aut(
+                ["a", "b"], ["p", "q", r], "p", ["p", "q", r],
+                [("p", "a", "p"), ("p", "a", "q"), ("q", "b", r), (r, "a", "p")],
+            )
+
+        d = determinize(nfa("p,q"))
+        assert d.deterministic
+        assert len(d.states) == 3 == len(determinize(nfa("r")).states)
+        assert "{p,q}" in d.states  # separator-free members keep the plain name
+        for w in words_up_to(["a", "b"], 7):
+            assert accepts(d, w) == accepts(nfa("p,q"), w)
+        rep = lambda_exact(nfa("p,q"))
+        assert rep.dfa_states == 3
+        # every word has exactly one run, so runs and words grow alike
+        assert rep.lambda_exact_raw == pytest.approx(0.0, abs=1e-9)
+
 
 class TestProduct:
     def test_dna_pair_edge_for_edge(self, dna_m1, dna_m2):
@@ -281,6 +313,19 @@ class TestProduct:
             shared = a1.alphabet | a2.alphabet
             for w in words_up_to(shared, 6):
                 assert accepts(p, w) == (accepts(a1, w) and accepts(a2, w))
+
+    def test_pair_names_do_not_collide(self):
+        # the pairs (x|y, z) and (x, y|z) would both be "x|y|z"
+        def pair(left, right):
+            a1 = aut(["a"], ["x", left], "x", ["x", left], [("x", "a", left, 1.0), (left, "a", "x", 2.0)])
+            a2 = aut(["a"], ["z", right], right, ["z", right], [(right, "a", "z", 0.5), ("z", "a", right, 0.25)])
+            return product(a1, a2)
+
+        p = pair("x|y", "y|z")
+        assert validate(p) == []
+        assert len(p.states) == 2 == len(pair("w", "v").states)
+        assert free_energy(p).energy == pytest.approx(free_energy(pair("w", "v")).energy, abs=1e-12)
+        assert free_energy(p).energy == pytest.approx((1.5 + 2.25) / 2, abs=1e-12)
 
     def test_cost_additivity(self, dna_m1, dna_m2):
         p = product(dna_m1, dna_m2)

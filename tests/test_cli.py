@@ -136,6 +136,21 @@ class TestEnergyCommand:
         _, err = lines_of(capsys)
         assert "cannot read" in err
 
+    def test_underflowing_component_is_numerical_error(self, tmp_path, capsys):
+        # costs alternate +700/-800 round a 6-ring; after the shift by 700
+        # the -800 edges weigh e^-1500 = 0, and the zero-cost chord closes
+        # no cycle, so the certified radius is 0 and ln 0 has no value
+        names = [f"s{i}" for i in range(6)]
+        edges = [(names[i], "a", names[(i + 1) % 6], 700.0 if i % 2 == 0 else -800.0) for i in range(6)]
+        ring = aut(["a", "b"], names, "s0", names, edges + [("s0", "b", "s1", 0.0)])
+        path = write_automaton(tmp_path, "ring.json", ring)
+        assert main(["energy", path]) == 3
+        out, err = lines_of(capsys)
+        assert out == []
+        assert err.startswith("error: free energy:")
+        assert "component of 6 states" in err
+        assert "-800.0 to 700.0" in err
+
 
 class TestNondetCommand:
     def test_plain_estimate(self, tmp_path, capsys, branchy_nfa):

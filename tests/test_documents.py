@@ -1,19 +1,30 @@
 import json
 import math
+import random
+import tracemalloc
 
 import pytest
 
 from gurevich import (
     DocumentError,
+    PairCostFunction,
+    Transition,
     automaton_from_document,
     automaton_to_document,
+    determinize,
     dump_json,
+    free_energy,
+    lambda_exact,
     linlen_spec_from_document,
     load_automaton,
     pair_cost_from_document,
     pair_cost_to_document,
+    run_partition_series,
     save_document,
+    similarity,
+    word_partition_series,
 )
+from gurevich.cli import main
 
 
 def branchy_doc():
@@ -197,3 +208,106 @@ class TestFiles:
     def test_non_finite_cost_refused(self):
         with pytest.raises(DocumentError, match="non-finite"):
             dump_json({"cost": math.inf})
+
+
+class TestEscapedNames:
+    # a quote, a backslash and two non-ASCII names: JSON escapes all four
+    NAMES = ['q"1', "q\\2", "q\u00e93", "q\u26034"]
+
+    def canonical(self):
+        n = self.NAMES
+        return automaton_to_document(automaton_from_document({
+            "alphabet": ["a", "\u00df"],
+            "states": n,
+            "initial": n[0],
+            "accepting": n[1:],
+            "transitions": [
+                {"from": n[i], "symbol": "a", "to": n[(i + 1) % 4], "cost": 0.25 * i} for i in range(4)
+            ] + [{"from": n[2], "symbol": "\u00df", "to": n[0], "cost": -0.5}],
+        }))
+
+    def test_save_load_round_trip_is_byte_identical(self, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_document(str(first), self.canonical())
+        save_document(str(second), automaton_to_document(load_automaton(str(first))))
+        assert first.read_bytes() == second.read_bytes()
+        assert first.read_bytes().isascii()
+        assert json.loads(first.read_text(encoding="utf-8"))["states"] == sorted(self.NAMES)
+
+    def test_energy_json_escapes_names(self, tmp_path, capsys):
+        path = str(tmp_path / "m.json")
+        save_document(path, self.canonical())
+        assert main(["energy", path, "--json"]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert out == dump_json(doc) + "\n"
+        assert {q for comp in doc["per_component"] for q in comp["states"]} == set(self.NAMES)
+        for name in self.NAMES:
+            assert json.dumps(name) in out
+
+
+def random_dfa_doc(n, n_sym, seed):
+    """Complete DFA over states q0..q{n-1} and symbols x0..x{n_sym-1}, plus
+    one state nothing reaches, with seeded costs."""
+    rng = random.Random(seed)
+    names = [f"q{i}" for i in range(n)]
+    symbols = [f"x{j}" for j in range(n_sym)]
+    return {
+        "alphabet": symbols,
+        "states": names + ["unreached"],
+        "initial": names[0],
+        "accepting": names[::3],
+        "transitions": [
+            {"from": p, "symbol": x, "to": names[rng.randrange(n)], "cost": rng.uniform(-1.0, 1.0)}
+            for p in names + ["unreached"]
+            for x in symbols
+        ],
+    }
+
+
+class TestArrayPaths:
+    def test_no_transition_objects(self, tmp_path, monkeypatch):
+        path, out = str(tmp_path / "m.json"), str(tmp_path / "out.json")
+        save_document(path, random_dfa_doc(40, 3, seed=4))
+        made = []
+        original = Transition.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Transition, "__init__", counting)
+        a = load_automaton(path)
+        free_energy(a)
+        free_energy(a, form="bipartite")
+        run_partition_series(a, "runs_all", 20)
+        run_partition_series(a, "runs_accepting", 20)
+        word_partition_series(a, PairCostFunction.create({("x0", "x1"): 0.5}, default=-0.25), 20)
+        similarity(a, a)
+        lambda_exact(a)
+        determinize(a)
+        save_document(out, automaton_to_document(a))
+        assert made == []
+        # the named view is still there for the callers that walk it
+        assert len(a.transitions) == len(made) == 41 * 3
+
+    def test_load_memory_grows_with_transitions(self, tmp_path):
+        # 20,000 states x 8 symbols: 160,000 transitions
+        path = str(tmp_path / "big.json")
+        save_document(path, random_dfa_doc(20_000, 8, seed=5))
+
+        tracemalloc.start()
+        try:
+            with open(path, encoding="utf-8") as f:
+                json.load(f)
+            _, json_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            a = load_automaton(path)
+            retained, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(a.src) == 160_008
+        # json.load's decoded rows dominate the peak (about 72 MiB); the
+        # automaton adds its columns and names on top and keeps only those
+        assert load_peak < json_peak + 16 * 2**20
+        assert retained < 16 * 2**20

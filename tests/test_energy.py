@@ -13,7 +13,6 @@ from gurevich import (
     free_energy,
     gurevich_matrix_bipartite,
     gurevich_matrix_compact,
-    induced,
     map_costs,
     run_partition_series,
     scc,
@@ -31,6 +30,18 @@ from conftest import (
     random_automaton,
     random_strongly_connected,
 )
+
+
+def induced(a, states):
+    """Sub-automaton on a state subset, with the first member as initial."""
+    keep = frozenset(states)
+    return CostAutomaton.create(
+        sorted(a.alphabet),
+        sorted(keep),
+        min(keep),
+        sorted(a.accepting & keep),
+        [t for t in a.transitions if t.source in keep and t.target in keep],
+    )
 
 
 @pytest.fixture
