@@ -35,7 +35,6 @@ from .documents import (
 )
 from .energy import (
     EnergyReport,
-    component_energy,
     free_energy,
     gurevich_matrix_bipartite,
     gurevich_matrix_compact,
@@ -104,7 +103,6 @@ __all__ = [
     "trim",
     "validate",
     "EnergyReport",
-    "component_energy",
     "free_energy",
     "gurevich_matrix_bipartite",
     "gurevich_matrix_compact",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
@@ -32,6 +33,8 @@ __all__ = [
     "save_document",
     "dump_json",
 ]
+
+_LARGEST = sys.float_info.max
 
 
 def _fmt_float(x: float) -> str:
@@ -88,14 +91,24 @@ def dump_json(obj: Any) -> str:
     return "".join(parts)
 
 
+def _finite(value: Any, key: str, where: str) -> float:
+    """value as a float if it is a finite JSON number; JSON numbers past the
+    double range parse as inf, and strings and booleans are not numbers."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not -_LARGEST <= value <= _LARGEST
+    ):
+        raise DocumentError(f"{where}: field {key!r} must be a finite number")
+    return float(value)
+
+
 def _require(doc: dict, key: str, kind: type, where: str) -> Any:
     if key not in doc:
         raise DocumentError(f"{where}: missing field {key!r}")
     value = doc[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise DocumentError(f"{where}: field {key!r} must be a number")
-        return float(value)
+        return _finite(value, key, where)
     if not isinstance(value, kind):
         raise DocumentError(f"{where}: field {key!r} must be {kind.__name__}")
     return value
@@ -109,14 +122,7 @@ def _transition_row(t: Any, where: str, i: int) -> tuple[str, str, str, float]:
         raise DocumentError(f"{where}: transition {i} must be an object")
     at = f"{where} transition {i}"
     src, sym, dst = (_require(t, key, str, at) for key in ("from", "symbol", "to"))
-    cost = t.get("cost", 0.0)
-    try:
-        if isinstance(cost, bool):
-            raise TypeError
-        cost = float(cost)
-    except (TypeError, ValueError):
-        raise DocumentError(f"{at}: field 'cost' must be a number") from None
-    return src, sym, dst, cost
+    return src, sym, dst, _finite(t.get("cost", 0.0), "cost", at)
 
 
 def automaton_from_document(doc: Any, where: str = "automaton") -> CostAutomaton:
@@ -143,11 +149,12 @@ def automaton_from_document(doc: Any, where: str = "automaton") -> CostAutomaton
     sym: list[str] = []
     dst: list[str] = []
     cost: list[float] = []
+    largest = _LARGEST
     for i, t in enumerate(rows):
         if type(t) is dict:
             s, y, d, c = t.get("from"), t.get("symbol"), t.get("to"), t.get("cost", 0.0)
             plain = type(s) is str and type(y) is str and type(d) is str
-            if plain and (type(c) is float or type(c) is int):
+            if plain and (type(c) is float or type(c) is int) and -largest <= c <= largest:
                 src.append(s)
                 sym.append(y)
                 dst.append(d)
@@ -188,9 +195,7 @@ def pair_cost_from_document(doc: Any, alphabet=None, where: str = "pair costs") 
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected a JSON object")
     pairs = _require(doc, "pairs", list, where)
-    default = doc.get("default", 0.0)
-    if isinstance(default, bool) or not isinstance(default, (int, float)):
-        raise DocumentError(f"{where}: field 'default' must be a number")
+    default = _finite(doc.get("default", 0.0), "default", where)
     entries = {}
     for i, p in enumerate(pairs):
         if not isinstance(p, dict):
@@ -199,7 +204,7 @@ def pair_cost_from_document(doc: Any, alphabet=None, where: str = "pair costs") 
         second = _require(p, "second", str, f"{where} pair {i}")
         cost = _require(p, "cost", float, f"{where} pair {i}")
         entries[(first, second)] = cost
-    return PairCostFunction.create(entries, default=float(default), alphabet=alphabet)
+    return PairCostFunction.create(entries, default=default, alphabet=alphabet)
 
 
 def pair_cost_to_document(u: PairCostFunction) -> dict:

@@ -19,17 +19,22 @@ energy 0 (ln 0 = 0 convention).
 
 Inside ``free_energy`` states are ints in sorted-name order: trimming, the
 SCC split and the grouping of each component's edges all run on int
-arrays, and names reappear only in the report.  A component's matrix is a
-dense array up to ``_DENSE_DIM`` nodes and a scipy CSR matrix above it, so
-memory grows with transitions, not states^2; scipy is imported only when a
-component needs it.  The public builders ``gurevich_matrix_compact`` and
+arrays, and names reappear only in the report.  Every cyclic component
+whose matrix has at most ``_DENSE_DIM`` nodes is one block of a single
+block-diagonal matrix, held as edge arrays and solved by one batched sweep
+(``spectral.block_radii``): each block is certified, stalls into Noda steps
+and spends its iteration budget on its own, as if solved alone.  Each
+larger component is solved alone on a scipy CSR matrix, so memory grows
+with transitions, not states^2; scipy is imported only when a component
+needs it.  The public builders ``gurevich_matrix_compact`` and
 ``gurevich_matrix_bipartite`` always return dense labelled matrices.
 
 e^V leaves the double range once V passes about +709 (overflow) or -708
-(subnormal, then 0).  A component whose largest weight falls outside
-e^(+-700) is solved with its costs shifted by its largest cost and the
-shift added back, since E(V + c) = E(V) + c; every other component is
-solved as built.
+(subnormal, then 0).  A component whose largest cost lies outside +-700,
+so that its largest weight leaves e^(+-700), is solved with its costs
+shifted by its largest cost and the shift added back, since
+E(V + c) = E(V) + c; every other component is solved as built.  The shift
+is chosen per component, in the batch as alone.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .spectral import (
     DEFAULT_TOLERANCE,
     NonnegativeMatrix,
     SpectralResult,
+    block_radii,
     spectral_radius,
 )
 
@@ -54,17 +60,18 @@ __all__ = [
     "EnergyReport",
     "gurevich_matrix_bipartite",
     "gurevich_matrix_compact",
-    "component_energy",
     "free_energy",
 ]
 
-# components with more matrix nodes than this are solved on CSR matrices;
-# on one core the whole solve (build, sweeps, Noda steps) is faster dense up
-# to this size and faster on CSR from about 192 nodes up
+# components with at most this many matrix nodes share the batched solve,
+# whose Noda steps are dense; larger ones are solved alone on CSR matrices.
+# On one core a lone solve is faster dense up to this size and faster on
+# CSR from about 192 nodes up
 _DENSE_DIM = 160
 
-# weights outside this range send a component to the shifted build
-_WEIGHT_RANGE = (math.exp(-700.0), math.exp(700.0))
+# a component whose largest cost lies outside +-this, so that its largest
+# weight leaves e^(+-700), is solved shifted
+_COST_RANGE = 700.0
 
 # steps of the automaton per matrix step, by form
 _STEPS = {"compact": 1.0, "bipartite": 2.0}
@@ -108,6 +115,31 @@ def _check_form(form: str) -> None:
         raise ValueError(f"unknown form {form!r}")
 
 
+def _layout(
+    sizes: np.ndarray,
+    counts: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    weights: np.ndarray,
+    form: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Block-diagonal Gurevich matrix of consecutive components as edge
+    arrays (dims, rows, cols, values).  Component b has sizes[b] states and
+    the next counts[b] edges, with local src and dst; its block holds its
+    states and then, in bipartite form, one node per edge."""
+    dims = sizes + counts if form == "bipartite" else sizes
+    starts = dims.cumsum() - dims
+    offsets = starts.repeat(counts)
+    if form == "bipartite":
+        firsts = counts.cumsum() - counts
+        nodes = (starts + sizes - firsts).repeat(counts) + np.arange(len(src))
+        rows = np.concatenate((offsets + src, nodes))
+        cols = np.concatenate((nodes, offsets + dst))
+        values = np.concatenate((weights, np.ones(len(weights))))
+        return dims, rows, cols, values
+    return dims, offsets + src, offsets + dst, weights
+
+
 def _transfer_matrix(
     size: int,
     src: np.ndarray,
@@ -117,16 +149,11 @@ def _transfer_matrix(
     dense: bool = False,
 ):
     """Gurevich matrix of one component from its local edge arrays: a
-    dense array when ``dense`` or at most ``_DENSE_DIM`` nodes, else CSR."""
-    if form == "bipartite":
-        nodes = np.arange(size, size + len(weights))
-        rows = np.concatenate((src, nodes))
-        cols = np.concatenate((nodes, dst))
-        values = np.concatenate((weights, np.ones(len(weights))))
-        dim = size + len(weights)
-    else:
-        rows, cols, values, dim = src, dst, weights, size
-    if dense or dim <= _DENSE_DIM:
+    dense array when ``dense``, else CSR."""
+    (dim,), rows, cols, values = _layout(
+        np.array([size]), np.array([len(weights)]), src, dst, weights, form
+    )
+    if dense:
         flat = np.bincount(rows * dim + cols, weights=values, minlength=dim * dim)
         return flat.reshape(dim, dim)
     from scipy.sparse import csr_matrix
@@ -168,57 +195,62 @@ def gurevich_matrix_compact(a: CostAutomaton, shift: float = 0.0) -> Nonnegative
     return _public_matrix(a, "compact", shift)
 
 
-def component_energy(
-    a: CostAutomaton,
-    form: str = "compact",
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> float:
-    """Energy of one SCC; loop-free singletons are 0 by convention."""
-    if len(a.states) == 1 and not a.src.size:
-        return 0.0
-    _check_form(form)
-    _check_component(a)
-    energy, _ = _solve_component(
-        len(a.state_names), a.src, a.dst, a.cost, form, tolerance, max_iterations
-    )
-    return energy
-
-
-def _solve_component(
-    size: int,
+def _solve_cyclic(
+    sizes: np.ndarray,
+    counts: np.ndarray,
     src: np.ndarray,
     dst: np.ndarray,
     cost: np.ndarray,
     form: str,
     tolerance: float,
     max_iterations: int,
-) -> tuple[float, SpectralResult]:
-    """Energy of one cyclic component given by its local edge arrays."""
-    with np.errstate(over="ignore"):
-        weights = np.exp(cost)
-    shift = 0.0
-    lowest, highest = _WEIGHT_RANGE
-    if not lowest <= weights.max() <= highest:
-        shift = float(cost.max())
-        weights = np.exp(cost - shift)
-    entries = _transfer_matrix(size, src, dst, weights, form)
-    matrix = NonnegativeMatrix(dim=entries.shape[0], entries=entries)
-    result = spectral_radius(matrix, tolerance, max_iterations)
-    if not result.converged:
-        raise NotConverged(
-            f"{result.method} iteration stopped at residual {result.residual:.3e} "
-            f"after {result.iterations} iterations (component of {size} states, "
-            f"{form} matrix of dimension {matrix.dim})",
-            result=result,
-        )
-    if not 0.0 < result.radius < math.inf:
-        raise Underflow(
-            f"free energy: certified radius {result.radius!r} of a component of "
-            f"{size} states is not a positive double; its costs span "
-            f"{float(cost.min())!r} to {float(cost.max())!r}, too wide for one shift"
-        )
-    return _STEPS[form] * math.log(result.radius) + shift, result
+) -> list[tuple[float, SpectralResult]]:
+    """Energy and certified solve of each cyclic component: component b
+    has sizes[b] states and the next counts[b] edges of the local edge
+    arrays.  Components up to ``_DENSE_DIM`` matrix nodes share one batched
+    solve; each larger one is solved alone on a CSR matrix."""
+    if not len(sizes):
+        return []
+    firsts = counts.cumsum() - counts
+    top = np.maximum.reduceat(cost, firsts)
+    shifts = np.where(np.abs(top) <= _COST_RANGE, 0.0, top)
+    weights = np.exp(cost - shifts.repeat(counts))
+    dims = sizes + counts if form == "bipartite" else sizes
+    small = dims <= _DENSE_DIM
+    large = (~small).nonzero()[0].tolist()
+    results: list[SpectralResult | None] = [None] * len(sizes)
+    if len(large) < len(sizes):
+        batch = sizes, counts, src, dst, weights
+        if large:
+            edges = small.repeat(counts)
+            batch = sizes[small], counts[small], src[edges], dst[edges], weights[edges]
+        solved = block_radii(*_layout(*batch, form), tolerance, max_iterations)
+        for c, result in zip(small.nonzero()[0].tolist(), solved):
+            results[c] = result
+    for c in large:
+        edges = slice(firsts[c], firsts[c] + counts[c])
+        entries = _transfer_matrix(int(sizes[c]), src[edges], dst[edges], weights[edges], form)
+        matrix = NonnegativeMatrix(dim=entries.shape[0], entries=entries)
+        results[c] = spectral_radius(matrix, tolerance, max_iterations)
+    energies = []
+    for c, (result, shift) in enumerate(zip(results, shifts.tolist())):
+        if not result.converged:
+            raise NotConverged(
+                f"{result.method} iteration stopped at residual {result.residual:.3e} "
+                f"after {result.iterations} iterations (component of {sizes[c]} states, "
+                f"{form} matrix of dimension {dims[c]})",
+                result=result,
+            )
+        if not 0.0 < result.radius < math.inf:
+            edges = slice(firsts[c], firsts[c] + counts[c])
+            raise Underflow(
+                f"free energy: certified radius {result.radius!r} of a component of "
+                f"{sizes[c]} states is not a positive double; its costs span "
+                f"{float(cost[edges].min())!r} to {float(cost[edges].max())!r}, "
+                "too wide for one shift"
+            )
+        energies.append((_STEPS[form] * math.log(result.radius) + shift, result))
+    return energies
 
 
 def free_energy(
@@ -256,25 +288,24 @@ def free_energy(
     # the edges inside components, grouped by component
     inside = np.flatnonzero(comp_of[src] == comp_of[dst])
     order = inside[np.argsort(comp_of[src[inside]], kind="stable")]
-    bounds = np.searchsorted(comp_of[src[order]], np.arange(len(comps) + 1)).tolist()
+    bounds = np.searchsorted(comp_of[src[order]], np.arange(len(comps) + 1))
     local_src, local_dst, comp_cost = local[src[order]], local[dst[order]], cost[order]
 
+    sizes = np.array([len(members) for members in comps], dtype=np.intp)
+    counts = bounds[1:] - bounds[:-1]
+    cyclic = counts > 0  # a loop-free singleton has no edge inside and needs no solve
+    solved = iter(_solve_cyclic(
+        sizes[cyclic], counts[cyclic], local_src, local_dst, comp_cost, form, tolerance, max_iterations
+    ))
     per_component: list[tuple[frozenset[str], float]] = []
     solver: list[SpectralResult | None] = []
-    for c, members in enumerate(comps):
-        lo, hi = bounds[c], bounds[c + 1]
-        energy, result = 0.0, None  # a loop-free singleton has no edge inside
-        if hi > lo:
-            energy, result = _solve_component(
-                len(members), local_src[lo:hi], local_dst[lo:hi], comp_cost[lo:hi],
-                form, tolerance, max_iterations,
-            )
+    for members, has_cycle in zip(comps, cyclic.tolist()):
+        energy, result = next(solved) if has_cycle else (0.0, None)
         per_component.append((frozenset(names[i] for i in members), energy))
         solver.append(result)
     # max keeps the earliest of equal energies; with no cyclic component
     # this is component 0, whose energy is the conventional 0
-    cyclic = [c for c, result in enumerate(solver) if result is not None]
-    best = max(cyclic, key=lambda c: per_component[c][1], default=0)
+    best = max(cyclic.nonzero()[0].tolist(), key=lambda c: per_component[c][1], default=0)
     return EnergyReport(
         energy=per_component[best][1],
         per_component=tuple(per_component),

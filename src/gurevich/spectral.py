@@ -35,6 +35,21 @@ of the run back to power sweeps.
 The matrix may be a dense ndarray or a scipy CSR matrix; both sweep with
 ``a @ v``.  This module never imports scipy itself: a CSR matrix can only
 arrive once its caller has loaded scipy.
+
+``block_radii`` solves every diagonal block of a block-diagonal matrix at
+once, given as edge arrays with the blocks laid out one after another.
+``spectral_radius`` is the same loop over a batch of one block, so each
+block gets exactly the rules above, applied to itself alone:
+
+* a sweep is one ``np.bincount`` mat-vec over the edges of every block
+  still in the batch, and ``np.add.reduceat`` renormalises each block;
+* each block's Collatz-Wielandt interval comes from
+  ``np.minimum.reduceat``/``np.maximum.reduceat`` of w / v, and a block
+  leaves the batch on the sweep that certifies it;
+* each block has its own rate window and its own iteration count, so
+  ``max_iterations`` applies per block;
+* a block that stalls takes its Noda steps on its own dense matrix, from
+  its current vector, while the other blocks go on sweeping.
 """
 
 from __future__ import annotations
@@ -49,6 +64,7 @@ __all__ = [
     "NonnegativeMatrix",
     "SpectralResult",
     "spectral_radius",
+    "block_radii",
     "DEFAULT_TOLERANCE",
     "DEFAULT_MAX_ITERATIONS",
 ]
@@ -104,27 +120,37 @@ class SpectralResult:
     method: str = "power"
 
 
-def _bounds(v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """Collatz-Wielandt interval of w = Av; hi is inf while mass flows into
-    a zero coordinate of v, where the ratio is unbounded."""
-    pos = v > 0.0
-    if pos.all():
+# phases of a block: power sweeps, then Noda steps once they stall, then
+# power sweeps only once Noda gives out
+_POWER, _NODA, _POWER_ONLY = 0, 1, 2
+
+
+def _bounds(v: np.ndarray, w: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collatz-Wielandt interval of w = Av for each block starting at
+    ``starts``.  A zero coordinate of v bounds nothing while nothing flows
+    into it, and makes the block's hi inf once something does."""
+    if np.count_nonzero(v) == len(v):
         ratios = w / v
-    else:
-        ratios = w[pos] / v[pos]
-        if np.any(w[~pos] > 0.0):
-            return float(ratios.min()), math.inf
-    return float(ratios.min()), float(ratios.max())
+        return np.minimum.reduceat(ratios, starts), np.maximum.reduceat(ratios, starts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = w / v
+    idle = (v == 0.0) & (w == 0.0)
+    return (
+        np.minimum.reduceat(np.where(idle, np.inf, ratios), starts),
+        np.maximum.reduceat(np.where(idle, -np.inf, ratios), starts),
+    )
 
 
-def _stalled(widths: deque, hi: float, tolerance: float, dim: int) -> bool:
-    """Whether power sweeps, contracting the width as fast as they did over
-    ``widths``, would need more than ``dim`` further sweeps to certify."""
-    first, last = widths[0], widths[-1]
-    if last >= first:
-        return True
-    sweeps = (len(widths) - 1) * math.log(last / (tolerance * hi)) / math.log(first / last)
-    return sweeps > dim
+def _stalled(
+    first: np.ndarray, last: np.ndarray, hi: np.ndarray, tolerance: float, dims: np.ndarray
+) -> np.ndarray:
+    """Which blocks' power sweeps, contracting the width from ``first`` to
+    ``last`` over the rate window, would at that rate need more further
+    sweeps to certify than the block has nodes.  A width that has not
+    shrunk stalls at once, since last > tolerance * hi on a block that is
+    still in the batch; a window with a non-finite end never stalls."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _RATE_WINDOW * np.log(last / (tolerance * hi)) > dims * np.log(first / last)
 
 
 def _noda_step(a, shift: float, v: np.ndarray) -> np.ndarray | None:
@@ -150,6 +176,147 @@ def _noda_step(a, shift: float, v: np.ndarray) -> np.ndarray | None:
     return y / total
 
 
+def _dense(dim: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """dim x dim array with values[e] summed into (rows[e], cols[e])."""
+    return np.bincount(rows * dim + cols, weights=values, minlength=dim * dim).reshape(dim, dim)
+
+
+class _Matrix:
+    """One dense or CSR matrix, solved as a batch of one block."""
+
+    def __init__(self, a) -> None:
+        self.a = a
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return self.a @ v
+
+    def block(self, start: int, dim: int):
+        return self.a
+
+
+class _Blocks:
+    """Block-diagonal matrix held as edge arrays sorted by row; blocks that
+    leave the batch are cut out with ``keep``."""
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, size: int) -> None:
+        order = np.argsort(rows, kind="stable")
+        self.rows, self.cols, self.values = rows[order], cols[order], values[order]
+        self.size = size
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, weights=self.values * v[self.cols], minlength=self.size)
+
+    def block(self, start: int, dim: int) -> np.ndarray:
+        """Dense matrix of the block on nodes start .. start + dim - 1."""
+        edges = slice(*np.searchsorted(self.rows, (start, start + dim)).tolist())
+        return _dense(dim, self.rows[edges] - start, self.cols[edges] - start, self.values[edges])
+
+    def keep(self, nodes: np.ndarray) -> None:
+        """Drop every node outside the mask ``nodes`` with its edges."""
+        position = np.cumsum(nodes) - 1
+        inside = nodes[self.rows]
+        self.rows = position[self.rows[inside]]
+        self.cols = position[self.cols[inside]]
+        self.values = self.values[inside]
+        self.size = int(position[-1]) + 1
+
+
+def _result(lo: float, hi: float, iterations: int, converged: bool, noda: bool) -> SpectralResult:
+    if math.isfinite(hi):
+        radius, residual = (lo + hi) / 2.0, (hi - lo) / hi if hi > 0.0 else 0.0
+    else:
+        radius, residual = lo, math.inf
+    method = "noda" if noda else "power"
+    return SpectralResult(radius, iterations, residual, converged, method)
+
+
+def _solve(op, dims: np.ndarray, tolerance: float, max_iterations: int) -> list[SpectralResult]:
+    """Certified radius of every block of ``op``, whose blocks have ``dims``
+    nodes each, laid out one after another.
+
+    All blocks sweep together, one mat-vec per sweep; each keeps its own
+    interval, phase and Noda shift, and leaves the batch once certified.
+    A block's rate window spans its last ``_RATE_WINDOW`` sweeps, and its
+    stall rule reads the window only when the widths at both ends are
+    finite.  A block in its Noda phase replaces its swept vector by its
+    Noda step, solved on its own matrix."""
+    k = len(dims)
+    if max_iterations < 1:
+        return [_result(0.0, math.inf, 0, False, False) for _ in range(k)]
+    results: list[SpectralResult | None] = [None] * k
+    ids = np.arange(k)  # each active block's index in results
+    starts = dims.cumsum() - dims
+    v = (1.0 / dims).repeat(dims)
+    phase = np.full(k, _POWER, dtype=np.int8)
+    powering, stepping = k, []  # blocks sweeping; positions of those taking Noda steps
+    history: deque = deque(maxlen=_RATE_WINDOW + 1)  # widths of the latest sweeps
+    # by index in results: the upper bound that the block's last Noda step
+    # shifted by
+    shifts: dict[int, float] = {}
+    iterations = 0
+    while iterations < max_iterations:
+        w = op.matvec(v)
+        iterations += 1
+        lo, hi = _bounds(v, w, starts)
+        gap = hi - lo
+        done = gap <= tolerance * hi
+        certified = np.count_nonzero(done)
+        if certified:
+            done &= np.isfinite(hi)  # an unbounded interval certifies nothing
+            certified = np.count_nonzero(done)
+        if certified:
+            for b in done.nonzero()[0].tolist():
+                i = int(ids[b])
+                results[i] = _result(float(lo[b]), float(hi[b]), iterations, True, i in shifts)
+            if certified == len(dims):
+                return results
+            keep = ~done
+            nodes = keep.repeat(dims)
+            op.keep(nodes)
+            v, w = v[nodes], w[nodes]
+            ids, dims, lo, hi, gap, phase = (x[keep] for x in (ids, dims, lo, hi, gap, phase))
+            history = deque((h[keep] for h in history), maxlen=_RATE_WINDOW + 1)
+            starts = dims.cumsum() - dims
+            powering = np.count_nonzero(phase == _POWER)
+            stepping = (phase == _NODA).nonzero()[0].tolist()
+        history.append(gap)
+        if powering and iterations > _RATE_WINDOW:
+            stalled = _stalled(history[0], gap, hi, tolerance, dims)
+            if powering < len(dims):
+                stalled &= phase == _POWER
+            if np.count_nonzero(stalled):
+                phase[stalled] = _NODA
+                new = stalled.nonzero()[0].tolist()
+                powering -= len(new)
+                stepping += new
+        steps = []
+        for b in stepping:
+            i, bound = int(ids[b]), float(hi[b])
+            if not bound < shifts.get(i, math.inf):
+                phase[b] = _POWER_ONLY  # rounding has stopped the descent
+                continue
+            # built for each step, so that one dense block at a time is alive
+            start, dim = int(starts[b]), int(dims[b])
+            y = _noda_step(op.block(start, dim), bound, v[start : start + dim])
+            if y is None:
+                phase[b] = _POWER_ONLY
+            else:
+                steps.append((start, y))
+                shifts[i] = bound
+        if len(steps) < len(stepping):
+            stepping = [b for b in stepping if phase[b] == _NODA]
+        if len(steps) < len(dims):
+            w += v
+            sums = np.add.reduceat(w, starts)
+            w /= sums if len(sums) == 1 else sums.repeat(dims)
+            v = w
+        for start, y in steps:
+            v[start : start + len(y)] = y
+    for b, i in enumerate(ids.tolist()):
+        results[i] = _result(float(lo[b]), float(hi[b]), iterations, False, i in shifts)
+    return results
+
+
 def spectral_radius(
     m: NonnegativeMatrix,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -167,45 +334,30 @@ def spectral_radius(
     a = m.entries
     if a.size == 0 or a.max() == 0.0:
         return SpectralResult(radius=0.0, iterations=0, residual=0.0, converged=True)
+    return _solve(_Matrix(a), np.array([m.dim]), tolerance, max_iterations)[0]
 
-    v = np.full(m.dim, 1.0 / m.dim)
-    widths: deque = deque(maxlen=_RATE_WINDOW + 1)
-    phase = "power"  # then "noda", then "power only" once Noda gives out
-    method = "power"
-    shift = math.inf  # upper bound that the last Noda step shifted by
-    lo, hi = 0.0, math.inf
-    iterations = 0
-    while iterations < max_iterations:
-        w = a @ v
-        iterations += 1
-        lo, hi = _bounds(v, w)
-        if math.isfinite(hi) and hi - lo <= tolerance * hi:
-            return SpectralResult(
-                radius=(lo + hi) / 2.0,
-                iterations=iterations,
-                residual=(hi - lo) / hi if hi > 0 else 0.0,
-                converged=True,
-                method=method,
-            )
-        if phase == "noda" and not hi < shift:
-            phase = "power only"  # rounding has stopped the descent
-        elif phase == "power" and math.isfinite(hi):
-            widths.append(hi - lo)
-            if len(widths) == widths.maxlen and _stalled(widths, hi, tolerance, m.dim):
-                phase = "noda"
-        if phase == "noda":
-            y = _noda_step(a, hi, v)
-            if y is not None:
-                v, shift, method = y, hi, "noda"
-                continue
-            phase = "power only"
-        v = w + v
-        v /= v.sum()
-    finite = math.isfinite(hi)
-    return SpectralResult(
-        radius=(lo + hi) / 2.0 if finite else lo,
-        iterations=iterations,
-        residual=(hi - lo) / hi if finite and hi > 0 else math.inf,
-        converged=False,
-        method=method,
-    )
+
+def block_radii(
+    dims: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+) -> list[SpectralResult]:
+    """``spectral_radius`` of every diagonal block of a block-diagonal
+    nonnegative matrix, in one batched sweep.
+
+    The matrix is given by its edges: entry (rows[e], cols[e]) gains
+    values[e].  Block b holds dims[b] consecutive nodes, block 0 first, and
+    every edge lies inside a block.  Each block gets the certificate,
+    iteration budget and Noda hand-off it would get on its own; blocks
+    should be small, since a block's Noda steps solve its dense matrix.
+    """
+    dims = np.asarray(dims, dtype=np.intp)
+    size = int(dims.sum())
+    if len(dims) == 1:  # a dense mat-vec is cheaper than an edge sweep
+        op = _Matrix(_dense(size, rows, cols, values))
+    else:
+        op = _Blocks(rows, cols, values, size)
+    return _solve(op, dims, tolerance, max_iterations)

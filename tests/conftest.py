@@ -173,6 +173,42 @@ def chord_cycle(n: int, cost: float) -> CostAutomaton:
     return aut(["a", "b"], states, "0", states, transitions + [("0", "b", "2", cost)])
 
 
+def many_components() -> CostAutomaton:
+    """One automaton with a component of every kind the energy layer
+    solves: 1-state loops, period-2 two-cycles, chorded 3-cycles, a
+    40-state chord cycle whose power sweeps stall into Noda steps, a
+    chorded 3-cycle at costs near +800 and one near -800 (both solved
+    shifted), and a 170-state ring with chords, above the dense size in
+    either form.  A loop-free singleton sits between each block and the
+    next, linked by one edge on each side."""
+    rng = random.Random(17)
+
+    def chorded(n, offset, spread):
+        edges = [(i, "a", (i + 1) % n) for i in range(n)] + [(0, "b", 2 % n)]
+        return n, [(p, x, q, offset + rng.uniform(-spread, spread)) for p, x, q in edges]
+
+    blocks = []
+    for _ in range(4):
+        blocks.append((1, [(0, "a", 0, rng.uniform(-1.0, 1.0)), (0, "b", 0, rng.uniform(-1.0, 1.0))]))
+        blocks.append((2, [(0, "a", 1, rng.uniform(-1.0, 1.0)), (1, "b", 0, rng.uniform(-1.0, 1.0))]))
+        blocks.append(chorded(3, 0.0, 1.0))
+    blocks += [chorded(40, 0.0, 0.05), chorded(3, 800.0, 1.0), chorded(3, -800.0, 1.0)]
+    ring = [(i, "a", (i + 1) % 170, rng.uniform(-1.0, 1.0)) for i in range(170)]
+    ring += [(i, "c", rng.randrange(170), rng.uniform(-1.0, 1.0)) for i in range(0, 170, 7)]
+    blocks.append((170, ring))
+    rng.shuffle(blocks)
+
+    states, transitions = [], []
+    for k, (n, edges) in enumerate(blocks):
+        names = [f"b{k}.{i}" for i in range(n)]
+        states += names + [f"t{k}"]
+        transitions += [(names[p], x, names[q], c) for p, x, q, c in edges]
+        transitions.append((names[-1], "c", f"t{k}", 0.0))
+        if k + 1 < len(blocks):
+            transitions.append((f"t{k}", "c", f"b{k + 1}.0", 0.0))
+    return aut(["a", "b", "c"], states, states[0], states, transitions)
+
+
 @pytest.fixture
 def single_cycle() -> CostAutomaton:
     """One deterministic cycle: all weight concentrated on one orbit."""

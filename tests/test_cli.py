@@ -16,7 +16,7 @@ from gurevich import (
 )
 from gurevich.cli import main
 
-from conftest import aut
+from conftest import aut, many_components
 
 
 def write_automaton(tmp_path, name, a):
@@ -352,6 +352,23 @@ class TestEnvironmentAndUsage:
         _, err = lines_of(capsys)
         assert "residual" in err
 
+    @pytest.mark.parametrize("form", ["compact", "bipartite"])
+    def test_max_iters_counts_per_component(self, tmp_path, capsys, monkeypatch, form):
+        # one sweep certifies only the compact 1-state blocks; the error
+        # names the first component in the report's order that it starves
+        a = many_components()
+        rep = gurevich.free_energy(a, form=form)
+        first = next(
+            len(states)
+            for (states, _), r in zip(rep.per_component, rep.solver)
+            if r is not None and (len(states) > 1 or form == "bipartite")
+        )
+        path = write_automaton(tmp_path, "m.json", a)
+        monkeypatch.setenv("MAX_ITERS", "1")
+        assert main(["energy", path, "--form", form]) == 3
+        _, err = lines_of(capsys)
+        assert f"after 1 iterations (component of {first} states, {form} matrix" in err
+
     def test_loose_tolerance_env_still_works(self, tmp_path, capsys, monkeypatch, dna_m2):
         path = write_automaton(tmp_path, "m.json", dna_m2)
         monkeypatch.setenv("TOLERANCE", "1e-6")
@@ -374,6 +391,40 @@ class TestEnvironmentAndUsage:
         assert main(["energy", path]) == 2
         _, err = lines_of(capsys)
         assert "MAX_ITERS must be positive" in err
+
+
+class TestNonFiniteCosts:
+    """Costs reach the CLI as JSON text: 1e400 parses to inf, and strings
+    are not numbers, whatever they spell."""
+
+    @pytest.mark.parametrize("token", ['"1.5"', '"inf"', '"nan"', "1e400", "-1e400"])
+    def test_transition_cost(self, tmp_path, capsys, ab_star, token):
+        doc = automaton_to_document(ab_star)
+        doc["transitions"][1]["cost"] = "COST"
+        path = tmp_path / "m.json"
+        path.write_text(dump_json(doc).replace('"COST"', token), encoding="utf-8")
+        assert main(["energy", str(path)]) == 2
+        _, err = lines_of(capsys)
+        assert err.splitlines() == [f"error: {path} transition 1: field 'cost' must be a finite number"]
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('{"pairs": [{"first": "a", "second": "b", "cost": 1e400}], "default": 0.0}',
+             " pair 0: field 'cost'"),
+            ('{"pairs": [{"first": "a", "second": "b", "cost": 2.0}], "default": 1e400}',
+             ": field 'default'"),
+        ],
+    )
+    def test_pair_cost(self, tmp_path, capsys, ab_star, text, where):
+        dfa_path = write_automaton(tmp_path, "dfa.json", ab_star)
+        u_path = tmp_path / "u.json"
+        u_path.write_text(text, encoding="utf-8")
+        out_path = tmp_path / "machine.json"
+        assert main(["implement", dfa_path, str(u_path), str(out_path)]) == 2
+        _, err = lines_of(capsys)
+        assert err.splitlines() == [f"error: {u_path}{where} must be a finite number"]
+        assert not out_path.exists()
 
 
 class TestOutOfMemory:

@@ -114,6 +114,18 @@ class TestAutomatonDocuments:
         with pytest.raises(DocumentError, match="expected a JSON object"):
             automaton_from_document([1, 2])
 
+    @pytest.mark.parametrize(
+        "cost",
+        ["1.5", "inf", "nan", float("inf"), float("-inf"), float("nan"), pytest.param(10**400, id="10**400")],
+    )
+    def test_cost_must_be_a_finite_number(self, cost):
+        # float("inf") is what the JSON number 1e400 parses to, and a JSON
+        # integer past the double range stays an int
+        doc = branchy_doc()
+        doc["transitions"][4]["cost"] = cost
+        with pytest.raises(DocumentError, match="transition 4: field 'cost' must be a finite number"):
+            automaton_from_document(doc)
+
     def test_duplicate_transition_rejected(self):
         doc = branchy_doc()
         doc["transitions"].append(dict(doc["transitions"][0]))
@@ -150,6 +162,18 @@ class TestPairCostDocuments:
             pair_cost_from_document({})
         with pytest.raises(DocumentError, match="pair 0.*cost"):
             pair_cost_from_document({"pairs": [{"first": "a", "second": "b"}]})
+
+
+    @pytest.mark.parametrize("field", ["cost", "default"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), "2.0", pytest.param(10**400, id="10**400")])
+    def test_costs_must_be_finite_numbers(self, field, value):
+        doc = {"pairs": [{"first": "a", "second": "b", "cost": 2.0}], "default": 0.0}
+        if field == "cost":
+            doc["pairs"][0]["cost"] = value
+        else:
+            doc["default"] = value
+        with pytest.raises(DocumentError, match=f"field '{field}' must be a finite number"):
+            pair_cost_from_document(doc)
 
 
 class TestLinlenDocuments:

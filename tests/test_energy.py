@@ -6,9 +6,9 @@ import pytest
 
 from gurevich import (
     CostAutomaton,
+    NotConverged,
     NotStronglyConnected,
     branching_costs,
-    component_energy,
     estimate_limit,
     free_energy,
     gurevich_matrix_bipartite,
@@ -20,6 +20,7 @@ from gurevich import (
     trim,
 )
 from gurevich import energy as energy_mod
+from gurevich.spectral import block_radii
 
 from conftest import (
     DNA_M1_ENERGY,
@@ -27,6 +28,7 @@ from conftest import (
     aut,
     chord_cycle,
     chord_log_root,
+    many_components,
     random_automaton,
     random_strongly_connected,
 )
@@ -113,18 +115,18 @@ class TestCompactMatrix:
 
 class TestComponentEnergy:
     def test_two_cycle_both_forms(self, two_cycle):
-        assert abs(component_energy(two_cycle, "compact") - 3.5) < 1e-9
-        assert abs(component_energy(two_cycle, "bipartite") - 3.5) < 1e-9
+        assert abs(free_energy(two_cycle, "compact").energy - 3.5) < 1e-9
+        assert abs(free_energy(two_cycle, "bipartite").energy - 3.5) < 1e-9
 
     def test_singleton_without_loop(self):
         a = aut(["a"], ["A"], "A", ["A"], [])
-        assert component_energy(a, "compact") == 0.0
-        assert component_energy(a, "bipartite") == 0.0
+        assert free_energy(a, "compact").energy == 0.0
+        assert free_energy(a, "bipartite").energy == 0.0
 
     def test_three_self_loops(self):
         a = aut(["a", "b", "c"], ["A"], "A", ["A"],
                 [("A", "a", "A"), ("A", "b", "A"), ("A", "c", "A")])
-        assert abs(component_energy(a, "compact") - math.log(3)) < 1e-9
+        assert abs(free_energy(a, "compact").energy - math.log(3)) < 1e-9
 
 
 class TestFreeEnergy:
@@ -314,7 +316,12 @@ class TestSparsePathAgreement:
             kinds.append(isinstance(m.entries, np.ndarray))
             return spectral_radius(m, *args)
 
+        def batch_spy(dims, *args):
+            kinds.extend([True] * len(dims))
+            return block_radii(dims, *args)
+
         monkeypatch.setattr(energy_mod, "spectral_radius", spy)
+        monkeypatch.setattr(energy_mod, "block_radii", batch_spy)
         build, steps = {
             "compact": (gurevich_matrix_compact, 1.0),
             "bipartite": (gurevich_matrix_bipartite, 2.0),
@@ -332,7 +339,7 @@ class TestSparsePathAgreement:
                 want = spectral_radius(build(sub, shift=shift), 1e-13)
                 want_energy = steps * math.log(want.radius) + shift
                 assert abs(energy - want_energy) <= 1e-12 * max(1.0, abs(want_energy))
-        # the blocks were solved on both kinds of matrix
+        # the blocks were solved both in the batch and alone on CSR matrices
         assert kinds.count(True) and kinds.count(False)
 
     def test_component_order_matches_scc(
@@ -351,3 +358,81 @@ class TestSparsePathAgreement:
                 energies = [rep.per_component[i][1] for i in cyclic]
                 best = cyclic[energies.index(max(energies))] if cyclic else 0
                 assert rep.max_component == best
+
+
+class TestBatchedComponents:
+    """Every component up to the dense size is solved in one batched sweep;
+    each must come out as its own solve on the public dense builder would."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """The matrices that free_energy hands to spectral_radius, and the
+        block sizes of each batch it hands to block_radii."""
+        calls = {"single": [], "batch": []}
+
+        def single(m, *args):
+            calls["single"].append(m)
+            return spectral_radius(m, *args)
+
+        def batch(dims, *args):
+            calls["batch"].append(list(dims))
+            return block_radii(dims, *args)
+
+        monkeypatch.setattr(energy_mod, "spectral_radius", single)
+        monkeypatch.setattr(energy_mod, "block_radii", batch)
+        return calls
+
+    @pytest.mark.parametrize("form", ["compact", "bipartite"])
+    def test_each_block_matches_its_own_solve(self, solved, form):
+        a = many_components()
+        rep = free_energy(a, form=form, tolerance=1e-13)
+        build, steps = {
+            "compact": (gurevich_matrix_compact, 1.0),
+            "bipartite": (gurevich_matrix_bipartite, 2.0),
+        }[form]
+        sizes = []
+        for (states, energy), result in zip(rep.per_component, rep.solver):
+            if result is None:
+                assert len(states) == 1 and energy == 0.0
+                continue
+            assert result.converged and result.residual <= 1e-13
+            sub = induced(a, states)
+            top = max(t.cost for t in sub.transitions)
+            shift = top if abs(top) > 700.0 else 0.0
+            want = spectral_radius(build(sub, shift=shift), 1e-13)
+            want_energy = steps * math.log(want.radius) + shift
+            assert abs(energy - want_energy) <= 1e-12 * max(1.0, abs(want_energy))
+            if len(states) == 40:
+                assert result.method == "noda"  # stalled, then Noda steps
+            if len(states) == 1 and form == "compact":
+                assert result.iterations == 1  # a 1x1 block certifies on its first sweep
+            sizes.append(len(states))
+        # one batch for every block up to the dense size, the ring on CSR
+        (m,) = solved["single"]
+        assert not isinstance(m.entries, np.ndarray) and m.dim >= 170
+        (dims,) = solved["batch"]
+        assert len(dims) == len(sizes) - 1 and max(dims) <= energy_mod._DENSE_DIM
+        assert sorted(sizes) == sorted([1] * 4 + [2] * 4 + [3] * 6 + [40, 170])
+
+    @pytest.mark.parametrize("form", ["compact", "bipartite"])
+    def test_order_matches_scc(self, form):
+        a = many_components()
+        parts = scc(trim(a))
+        rep = free_energy(a, form=form)
+        assert tuple(states for states, _ in rep.per_component) == parts.components
+        assert [r is None for r in rep.solver] == list(parts.is_singleton_without_loop)
+        cyclic = [i for i, r in enumerate(rep.solver) if r is not None]
+        energies = [rep.per_component[i][1] for i in cyclic]
+        assert rep.max_component == cyclic[energies.index(max(energies))]
+        assert len(rep.per_component[rep.max_component][0]) == 3  # the +800 block
+
+    def test_starved_batch_names_the_first_unconverged_component(self):
+        a = many_components()
+        rep = free_energy(a)
+        first = next(
+            len(states)
+            for (states, _), r in zip(rep.per_component, rep.solver)
+            if r is not None and len(states) > 1
+        )
+        with pytest.raises(NotConverged, match=rf"after 1 iterations \(component of {first} states"):
+            free_energy(a, max_iterations=1)

@@ -15,6 +15,7 @@ from gurevich import (
     spectral_radius,
 )
 from gurevich import energy as energy_mod
+from gurevich.spectral import block_radii
 from gurevich.cli import main
 
 from conftest import aut, chord_cycle, chord_log_root
@@ -240,6 +241,41 @@ class TestSolverSwitch:
         exact = 1e-30 * math.exp(chord_log_root(10))
         assert r.converged
         assert abs(r.radius - exact) / exact <= 1e-10
+
+
+class TestBlockRadii:
+    def blocks(self):
+        return [chord_matrix(40), random_positive(3, 5), mat([[math.exp(0.7)]]), chord_matrix(12),
+                mat([[0.0, 4.0], [0.25, 0.0]])]
+
+    def batch(self, matrices, tolerance, max_iterations):
+        """block_radii of the block-diagonal matrix with these blocks."""
+        offsets = np.cumsum([0] + [m.dim for m in matrices])
+        rows, cols = zip(*(np.nonzero(m.entries) for m in matrices))
+        values = np.concatenate([m.entries[r, c] for m, r, c in zip(matrices, rows, cols)])
+        rows = np.concatenate([r + o for r, o in zip(rows, offsets)])
+        cols = np.concatenate([c + o for c, o in zip(cols, offsets)])
+        dims = np.array([m.dim for m in matrices])
+        return block_radii(dims, rows, cols, values, tolerance, max_iterations)
+
+    def test_each_block_as_if_solved_alone(self):
+        # same sweeps, same Noda hand-off, same certificate as one solve per block
+        matrices = self.blocks()
+        for got, m in zip(self.batch(matrices, 1e-12, 10**6), matrices):
+            want = spectral_radius(m, 1e-12, 10**6)
+            assert got.converged and got.residual <= 1e-12
+            assert (got.iterations, got.method) == (want.iterations, want.method)
+            assert abs(got.radius - want.radius) <= 1e-12 * want.radius
+        assert [r.method for r in self.batch(matrices, 1e-12, 10**6)][0] == "noda"
+
+    def test_iteration_budget_per_block(self):
+        matrices = self.blocks()
+        results = self.batch(matrices, 1e-12, 3)
+        assert [r.converged for r in results] == [False, False, True, False, True]
+        for got, m in zip(results, matrices):
+            want = spectral_radius(m, 1e-12, 3)
+            assert (got.converged, got.iterations) == (want.converged, want.iterations)
+            assert got.converged or got.residual > 1e-12
 
 
 class TestSlowComponentForms:
