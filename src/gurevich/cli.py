@@ -12,6 +12,7 @@ at startup.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -261,6 +262,7 @@ def cmd_linlen(args, solver: _Solver) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gurevich",
@@ -278,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="replace costs with ln k(state, symbol) before solving",
     )
-    p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("nondet", help="nondeterminism estimates")
     p.add_argument("path")
@@ -290,20 +291,17 @@ def _build_parser() -> argparse.ArgumentParser:
         default=nondet_mod.DEFAULT_STATE_CAP,
         help="abort determinization beyond this many subset states",
     )
-    p.set_defaults(func=cmd_nondet)
 
     p = sub.add_parser("similarity", help="free-energy similarity of two automata")
     p.add_argument("path1")
     p.add_argument("path2")
     p.add_argument("--json", action="store_true")
     p.add_argument("--normalized", action="store_true")
-    p.set_defaults(func=cmd_similarity)
 
     p = sub.add_parser("implement", help="compile pair costs onto a DFA")
     p.add_argument("dfa_path")
     p.add_argument("paircost_path")
     p.add_argument("out_path")
-    p.set_defaults(func=cmd_implement)
 
     p = sub.add_parser("oracle", help="brute-force partition sums and limit estimate")
     p.add_argument("path")
@@ -312,7 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=60)
     p.add_argument("--window", type=int, default=10)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("linlen", help="free energy of a linear-length language")
     p.add_argument("spec_path")
@@ -324,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="compare against the split-enumeration oracle up to length N",
     )
-    p.set_defaults(func=cmd_linlen)
 
     return parser
 
@@ -357,8 +353,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     args.inputs = []
+    # looked up per call, so a handler replaced on the module takes effect
+    handler = globals()["cmd_" + args.command]
     try:
-        return args.func(args, solver)
+        return handler(args, solver)
     except (DocumentError, NotDeterministic, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -52,6 +52,7 @@ from .spectral import (
     DEFAULT_TOLERANCE,
     NonnegativeMatrix,
     SpectralResult,
+    _dense,
     block_radii,
     spectral_radius,
 )
@@ -140,24 +141,13 @@ def _layout(
     return dims, offsets + src, offsets + dst, weights
 
 
-def _transfer_matrix(
-    size: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    weights: np.ndarray,
-    form: str,
-    dense: bool = False,
-):
-    """Gurevich matrix of one component from its local edge arrays: a
-    dense array when ``dense``, else CSR."""
+def _transfer_matrix(size: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray, form: str):
+    """Gurevich matrix of one component from its local edge arrays, as CSR."""
+    from scipy.sparse import csr_matrix
+
     (dim,), rows, cols, values = _layout(
         np.array([size]), np.array([len(weights)]), src, dst, weights, form
     )
-    if dense:
-        flat = np.bincount(rows * dim + cols, weights=values, minlength=dim * dim)
-        return flat.reshape(dim, dim)
-    from scipy.sparse import csr_matrix
-
     return csr_matrix((values, (rows, cols)), shape=(dim, dim))
 
 
@@ -171,7 +161,10 @@ def _public_matrix(a: CostAutomaton, form: str, shift: float) -> NonnegativeMatr
         weights = np.exp(cost - shift)
     if not np.isfinite(weights).all():
         raise Overflow(f"e^{cost.max() - shift} exceeds the double range; rescale costs")
-    entries = _transfer_matrix(len(names), src, dst, weights, form, dense=True)
+    (dim,), rows, cols, values = _layout(
+        np.array([len(names)]), np.array([len(weights)]), src, dst, weights, form
+    )
+    entries = _dense(dim, rows, cols, values)
     if form == "bipartite":
         names += [
             f"{names[p]}-{a.symbols[y]}->{names[q]}"

@@ -118,7 +118,9 @@ def implement_construction(dfa: CostAutomaton, u: PairCostFunction) -> CostAutom
     0, matching the 0 cost of length-1 words; state (p, a, q) accepts iff q
     accepts, and the start accepts iff it did, so the language is preserved
     for every length including the empty word.  The word-to-accepting-run
-    map is one-to-one.
+    map is one-to-one.  States are named ``(p,a,q)`` and the start keeps
+    its name; where two names would coincide, the names inside just those
+    get their backslashes, ``(``, ``,`` and ``)`` escaped.
     """
     if not dfa.deterministic:
         raise NotDeterministic("implement_construction needs a deterministic input")
@@ -127,37 +129,43 @@ def implement_construction(dfa: CostAutomaton, u: PairCostFunction) -> CostAutom
         return automata.EMPTY
 
     names, symbols, start = dfa.state_names, dfa.symbols, dfa.initial
-    node = [
-        f"({names[p]},{symbols[y]},{names[q]})"
+    # state 0 is the start and state e + 1 is transition e, named (p,a,q)
+    rows = [(start,)] + [
+        (names[p], symbols[y], names[q])
         for p, y, q in zip(dfa.src.tolist(), dfa.sym.tolist(), dfa.dst.tolist())
     ]
-    if start in node or len(set(node)) != len(node):
-        raise ValueError("state name collision in implement_construction")
+
+    def label(row: Sequence[str]) -> str:
+        return "(" + ",".join(row) + ")" if len(row) == 3 else row[0]
+
+    labels = automata._unique_names(
+        [label(row) for row in rows],
+        lambda e: label([automata._escape(name, "(,)") for name in rows[e]]),
+    )
 
     # entry edges: start -> (start, a, q) at cost 0; then (p, a, q) -> (q, b, r)
     # for every transition q -b-> r, charging U(a, b); both in input order
     order, indptr = automata.by_source_rows(len(names), dfa.src)
-    entry = order[indptr[dfa.index_of(start)] : indptr[dfa.index_of(start) + 1]].tolist()
+    entry = order[indptr[dfa.index_of(start)] : indptr[dfa.index_of(start) + 1]]
     fanout = indptr[dfa.dst + 1] - indptr[dfa.dst]
-    first = np.repeat(np.arange(len(node)), fanout)
+    first = np.repeat(np.arange(len(dfa.src)), fanout)
     then = order[automata.spans(indptr[dfa.dst], fanout)]
     k = len(symbols)
     pairs = (dfa.sym[first] * k + dfa.sym[then]).tolist()
     pair_cost = {c: u.cost(symbols[c // k], symbols[c % k]) for c in sorted(set(pairs))}
 
-    accepting = [node[e] for e in np.flatnonzero(dfa.accepting_mask[dfa.dst]).tolist()]
+    accepting = (np.flatnonzero(dfa.accepting_mask[dfa.dst]) + 1).tolist()
     if start in dfa.accepting:
-        accepting.append(start)
-    first, then = first.tolist(), then.tolist()
-    result = CostAutomaton.from_columns(
-        dfa.alphabet,
-        node + [start],
-        start,
+        accepting.append(0)
+    targets = np.concatenate((entry, then))
+    result = automata._sorted_automaton(
+        labels,
+        symbols,
         accepting,
-        [start] * len(entry) + [node[e] for e in first],
-        [symbols[y] for y in dfa.sym[entry + then].tolist()],
-        [node[e] for e in entry + then],
-        [0.0] * len(entry) + [pair_cost[c] for c in pairs],
+        np.concatenate((np.zeros(len(entry), dtype=np.intp), first + 1)),
+        dfa.sym[targets],
+        targets + 1,
+        np.array([0.0] * len(entry) + [pair_cost[c] for c in pairs]),
     )
     return automata.trim(result)
 

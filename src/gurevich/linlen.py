@@ -29,15 +29,18 @@ the translated language's word-sum rate, hence the original's.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import automata
-from .automata import CostAutomaton, Transition
+from .automata import CostAutomaton
 from .energy import EnergyReport, free_energy
-from .errors import BlockAlphabetTooLarge, DocumentError, NotDeterministic, StateCapExceeded
+from .errors import BlockAlphabetTooLarge, DocumentError, StateCapExceeded
 from .langcost import PairCostFunction, word_cost
 from .oracle import PartitionSeries, _series
 from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
@@ -148,24 +151,37 @@ def validate_spec(spec: LinearLengthSpec) -> list[str]:
     return out
 
 
-def _run_dfa(a: CostAutomaton, state: str | None, word: Sequence[str]) -> str | None:
-    for sym in word:
-        if state is None:
-            return None
-        state = a.dfa_step(state, sym)
-    return state
+def _successors(a: CostAutomaton, width: int) -> list[int]:
+    """DFA successor table: the target of state s on symbol y is at
+    s * width + y, -1 where there is none."""
+    table = np.full(len(a.state_names) * width, -1, dtype=np.intp)
+    table[a.src * width + a.sym] = a.dst
+    return table.tolist()
 
 
-def _part_str(part: tuple[str, ...]) -> str:
-    return "+".join(part)
+def _block_text(block: tuple[tuple[int, ...], ...], symbols: Sequence[str]) -> str:
+    return ",".join("+".join([symbols[y] for y in part]) for part in block)
 
 
-def _real_symbol(block: tuple[tuple[str, ...], ...], mem: tuple[str, ...]) -> str:
-    return "[" + ",".join(_part_str(p) for p in block) + ";" + ",".join(mem) + "]"
-
-
-def _pad_symbol(block: tuple[tuple[str, ...], ...], mem: tuple[str, ...]) -> str:
-    return "pad" + _real_symbol(block, mem)
+def _label(key: tuple, names: tuple) -> str:
+    """Name of a block-automaton state or symbol key, given the base state,
+    part state and symbol names."""
+    base_names, part_names, symbols = names
+    if key[0] == "c":
+        _, phase, g, sims, prs, mem = key
+        return (
+            f"c{phase}"
+            + ("~g:" + ",".join([base_names[s] for s in g]) if g else "")
+            + "~q:" + ",".join([base_names[s] for s in sims])
+            + "~r:" + ",".join([part_names[j][r] for j, r in enumerate(prs)])
+            + "~m:" + ",".join([symbols[y] for y in mem])
+        )
+    if key[0] == "p":
+        return f"{_label(key[1], names)}~pad{key[3]}~b:" + _block_text(key[2], symbols)
+    if key[0] == "start":
+        return "start"
+    # a symbol: "[" or "pad[", the block, ";", the last symbol of each track, "]"
+    return key[0] + _block_text(key[1], symbols) + ";" + ",".join([symbols[y] for y in key[2]]) + "]"
 
 
 def block_automaton(
@@ -177,7 +193,9 @@ def block_automaton(
 
     Its free energy is the free energy of the linear-length language; see
     the module docstring for why the construction's bounded ambiguity does
-    not move the rate.
+    not move the rate.  States and symbols are int-keyed while it runs and
+    named at the end; where two names would coincide, the state and symbol
+    names inside just those get their backslashes and ``,+;~`` escaped.
     """
     problems = validate_spec(spec)
     if problems:
@@ -187,159 +205,129 @@ def block_automaton(
     if base.is_empty or any(p.is_empty for p in parts):
         return automata.EMPTY
 
-    sigma = sorted(base.alphabet)
+    sigma = base.symbols  # every part's too: validate_spec checks the alphabets
+    width = len(sigma)
     k = spec.lengths.k
     u = spec.pair_cost
     vectors = [spec.lengths.offset] + list(spec.lengths.periods)
 
-    tuple_sets: list[list[tuple[tuple[str, ...], ...]]] = []
+    tuple_sets: list[list[tuple[tuple[int, ...], ...]]] = []
     for vec in vectors:
-        count = len(sigma) ** sum(vec)
+        count = width ** sum(vec)
         if count > block_cap:
             raise BlockAlphabetTooLarge(
                 f"vector {vec} needs {count} block tuples, cap is {block_cap}",
                 count=count,
             )
-        per_coord = [
-            [tuple(w) for w in itertools.product(sigma, repeat=length)] for length in vec
-        ]
-        tuple_sets.append([tuple(b) for b in itertools.product(*per_coord)])
+        per_coord = [list(itertools.product(range(width), repeat=length)) for length in vec]
+        tuple_sets.append(list(itertools.product(*per_coord)))
 
-    base_states = sorted(base.states)
-    guesses = list(itertools.product(base_states, repeat=k - 1))
+    guesses = list(itertools.product(range(len(base.state_names)), repeat=k - 1))
+    steps = [_successors(a, width) for a in (base,) + parts]
 
-    # state keys: ("start",) | ("c", phase, guess, sims, prs, mem)
-    #           | ("p", core_key, block, remaining)
-    start_key = ("start",)
-    names: dict[tuple, str] = {start_key: "start"}
-    used_names = {"start"}
+    def junction_cost(mem: tuple[int, ...], block: tuple[tuple[int, ...], ...]) -> float:
+        return sum(u.cost(sigma[mem[j]], sigma[block[j][0]]) for j in range(k) if block[j])
 
-    def name_of(key: tuple) -> str:
-        if key in names:
-            return names[key]
-        if key[0] == "c":
-            _, phase, g, sims, prs, mem = key
-            base_name = (
-                f"c{phase}"
-                + ("~g:" + ",".join(g) if g else "")
-                + "~q:" + ",".join(sims)
-                + "~r:" + ",".join(prs)
-                + "~m:" + ",".join(mem)
-            )
-        else:
-            _, core_key, block, remaining = key
-            base_name = f"{name_of(core_key)}~pad{remaining}~b:" + ",".join(
-                _part_str(p) for p in block
-            )
-        name = base_name
-        counter = 1
-        while name in used_names:
-            counter += 1
-            name = f"{base_name}#{counter}"
-        names[key] = name
-        used_names.add(name)
-        return name
+    def internal_cost(block: tuple[tuple[int, ...], ...]) -> float:
+        return sum(word_cost(u, [sigma[y] for y in p]) for p in block)
 
-    def junction_cost(mem: tuple[str, ...], block: tuple[tuple[str, ...], ...]) -> float:
-        return sum(u.cost(mem[j], block[j][0]) for j in range(k) if block[j])
-
-    def internal_cost(block: tuple[tuple[str, ...], ...]) -> float:
-        return sum(word_cost(u, p) for p in block)
-
-    def read_block(
-        sims: tuple[str, ...],
-        prs: tuple[str, ...],
-        mem: tuple[str, ...] | None,
-        block: tuple[tuple[str, ...], ...],
-    ):
+    def read_block(sims: tuple, prs: tuple, mem: tuple | None, block: tuple):
         """Advance every track; None when some simulation dies."""
         new_sims, new_prs, new_mem = [], [], []
         for j in range(k):
-            s = _run_dfa(base, sims[j], block[j])
-            r = _run_dfa(parts[j], prs[j], block[j])
-            if s is None or r is None:
-                return None
+            s, r = sims[j], prs[j]
+            for y in block[j]:
+                s, r = steps[0][s * width + y], steps[j + 1][r * width + y]
+                if s < 0 or r < 0:
+                    return None
             new_sims.append(s)
             new_prs.append(r)
             new_mem.append(block[j][-1] if block[j] else mem[j])  # type: ignore[index]
         return tuple(new_sims), tuple(new_prs), tuple(new_mem)
 
-    transitions: list[Transition] = []
-    accepting: set[str] = set()
-    queue: list[tuple] = []
-    enqueued: set[tuple] = {start_key}
+    # state keys: ("start",) | ("c", phase, guess, sims, prs, mem)
+    #           | ("p", core_key, block, remaining); both numbered in
+    # discovery order.  Symbol keys: ("[" or "pad[", block, mem)
+    ids: dict[tuple, int] = {("start",): 0}
+    symbol_ids: dict[tuple, int] = {}
+    edges: list[tuple[int, int, int, float]] = []
+    stack: list[tuple] = []  # core states still to expand
 
-    def emit(source_key: tuple, symbol: str, target_key: tuple, cost: float) -> None:
-        transitions.append(Transition(name_of(source_key), symbol, name_of(target_key), cost))
-        if target_key not in enqueued:
-            if len(enqueued) >= state_cap:
-                raise StateCapExceeded(
-                    f"block translation exceeded the state cap ({state_cap})"
-                )
-            enqueued.add(target_key)
-            queue.append(target_key)
+    def state(key: tuple) -> int:
+        if key not in ids:
+            if len(ids) >= state_cap:
+                raise StateCapExceeded(f"block translation exceeded the state cap ({state_cap})")
+            ids[key] = len(ids)
+            if key[0] == "c":
+                stack.append(key)
+        return ids[key]
 
-    def emit_block(
-        source_key: tuple,
-        block: tuple[tuple[str, ...], ...],
-        core_key: tuple,
-        entry_cost: float,
-    ) -> None:
-        """Edge for one real block symbol, then its stutter chain."""
+    def emit(source: int, symbol_key: tuple, target: int, cost: float) -> None:
+        edges.append((source, symbol_ids.setdefault(symbol_key, len(symbol_ids)), target, cost))
+
+    def emit_block(source: int, block: tuple, core_key: tuple, entry_cost: float) -> None:
+        """Edge for one real block symbol, then, the first time it is
+        reached, its stutter chain."""
         mem = core_key[5]
-        real = _real_symbol(block, mem)
         size = sum(len(p) for p in block)
-        if size == 1:
-            emit(source_key, real, core_key, entry_cost)
-            return
-        pad = _pad_symbol(block, mem)
-        first_pad = ("p", core_key, block, size - 1)
-        emit(source_key, real, first_pad, entry_cost)
-        for t in range(size - 1, 0, -1):
-            src = ("p", core_key, block, t)
-            dst = ("p", core_key, block, t - 1) if t > 1 else core_key
-            # the first stutter's edge carries the block's internal cost
-            emit(src, pad, dst, internal_cost(block) if t == size - 1 else 0.0)
+        chain = [("p", core_key, block, t) for t in range(size - 1, 0, -1)] + [core_key]
+        new = chain[0] not in ids
+        emit(source, ("[", block, mem), state(chain[0]), entry_cost)
+        if new:  # the first stutter's edge carries the block's internal cost
+            for t in range(size - 1):
+                cost = internal_cost(block) if t == 0 else 0.0
+                emit(ids[chain[t]], ("pad[", block, mem), state(chain[t + 1]), cost)
 
     # initial blocks: drawn from [d_0]; every part non-null (offset positive),
     # so the memory tuple is fully determined and the entry edge costs 0
+    starts = (base.index_of(base.initial),), tuple(p.index_of(p.initial) for p in parts)
     for block in tuple_sets[0]:
         for g in guesses:
-            starts = (base.initial,) + g
-            stepped = read_block(starts, tuple(p.initial for p in parts), None, block)
-            if stepped is None:
-                continue
-            sims, prs, mem = stepped
-            core_key = ("c", 0, g, sims, prs, mem)
-            emit_block(start_key, block, core_key, 0.0)
+            stepped = read_block(starts[0] + g, starts[1], None, block)
+            if stepped is not None:
+                emit_block(0, block, ("c", 0, g) + stepped, 0.0)
 
-    while queue:
-        key = queue.pop()
-        if key[0] != "c":
-            continue  # pad chains were fully emitted with their block
+    accepting: list[int] = []
+    while stack:
+        key = stack.pop()
         _, phase, g, sims, prs, mem = key
         if (
             all(sims[j] == g[j] for j in range(k - 1))
-            and sims[k - 1] in base.accepting
-            and all(prs[j] in parts[j].accepting for j in range(k))
+            and base.accepting_mask[sims[k - 1]]
+            and all(parts[j].accepting_mask[prs[j]] for j in range(k))
         ):
-            accepting.add(name_of(key))
+            accepting.append(ids[key])
         for i in range(max(1, phase), len(vectors)):
             for block in tuple_sets[i]:
                 stepped = read_block(sims, prs, mem, block)
-                if stepped is None:
-                    continue
-                new_sims, new_prs, new_mem = stepped
-                core_key = ("c", i, g, new_sims, new_prs, new_mem)
-                emit_block(key, block, core_key, junction_cost(mem, block))
+                if stepped is not None:
+                    emit_block(ids[key], block, ("c", i, g) + stepped, junction_cost(mem, block))
+    if not edges:
+        return automata.EMPTY  # the start alone, which does not accept
 
-    symbols = {t.symbol for t in transitions}
-    result = CostAutomaton.create(
-        symbols or sigma,
-        (names[key] for key in enqueued),
-        "start",
+    def esc(names: Sequence[str]) -> list[str]:
+        return [automata._escape(name, ",+;~") for name in names]
+
+    # state names start with "c" or are "start", symbol names start with "["
+    # or "pad[": the two kinds never share a name, so one pass settles both
+    keys = list(ids) + list(symbol_ids)
+    plain = (base.state_names, [p.state_names for p in parts], sigma)
+    escaped = (esc(base.state_names), [esc(p.state_names) for p in parts], esc(sigma))
+    labels = automata._unique_names(
+        [_label(key, plain) for key in keys], lambda i: _label(keys[i], escaped)
+    )
+    symbols = labels[len(ids) :]
+    order = sorted(range(len(symbols)), key=symbols.__getitem__)
+    rank = np.argsort(order)  # symbol id -> position in sorted order
+    src, sym, dst, cost = zip(*edges)
+    result = automata._sorted_automaton(
+        labels[: len(ids)],
+        tuple(symbols[y] for y in order),
         accepting,
-        dict.fromkeys(transitions),
+        np.array(src, dtype=np.intp),
+        rank[list(sym)],
+        np.array(dst, dtype=np.intp),
+        np.array(cost, dtype=float),
     )
     return automata.trim(result)
 
@@ -403,43 +391,54 @@ def linlen_word_oracle(
     if base.is_empty or any(p.is_empty for p in parts):
         return _series("words", sums[1:])
 
-    steps = [{(t.source, t.symbol): t.target for t in p.transitions} for p in parts]
-    children = {s: [(t.target, t.symbol) for t in sorted(ts)] for s, ts in base.by_source.items()}
+    width = len(base.symbols)
+    steps = [_successors(p, width) for p in parts]
+    accepting = [p.accepting_mask.tolist() for p in parts]
+    initials = [p.index_of(p.initial) for p in parts]
+    base_accepting = base.accepting_mask.tolist()
+    pair_cost = functools.cache(lambda x, y: u.cost(base.symbols[x], base.symbols[y]))
+    # each base state's (target, symbol) edges, by symbol then target index
+    order = np.lexsort((base.dst, base.sym, base.src))
+    indptr = np.searchsorted(base.src[order], np.arange(len(base.state_names) + 1)).tolist()
+    edges = list(zip(base.dst[order].tolist(), base.sym[order].tolist()))
+    children = [edges[indptr[s] : indptr[s + 1]] for s in range(len(base.state_names))]
 
     # a configuration: (part index, part state, start of the part, finished lengths)
     def close(configs: list[tuple], pos: int) -> list[tuple]:
         """``configs`` plus every part opened by closing an accepting one at pos."""
         for part, state, start, lens in configs:  # also visits the appended ones
-            if part + 1 < k and state in parts[part].accepting:
-                configs.append((part + 1, parts[part + 1].initial, pos, lens + (pos - start,)))
+            if part + 1 < k and accepting[part][state]:
+                configs.append((part + 1, initials[part + 1], pos, lens + (pos - start,)))
         return configs
 
     def has_split(configs: list[tuple], n: int) -> bool:
         return any(
             part == k - 1
-            and state in parts[part].accepting
+            and accepting[part][state]
             and linear_set_member(spec.lengths, lens + (n - start,))
             for part, state, start, lens in configs
         )
 
     enumerated = 0
-    root = close([(0, parts[0].initial, 0, ())], 0)
+    root = close([(0, initials[0], 0, ())], 0)
     # (base state, prefix length, last symbol, prefix cost, configurations)
-    stack: list[tuple[str, int, str, float, list[tuple]]] = [(base.initial, 0, "", 0.0, root)]
+    stack: list[tuple[int, int, int, float, list[tuple]]] = [
+        (base.index_of(base.initial), 0, -1, 0.0, root)
+    ]
     while stack:
         state, n, last, cost, configs = stack.pop()
         enumerated += 1
         if enumerated > word_cap:
             raise ValueError(f"oracle enumeration passed {word_cap} prefixes; instance too large")
-        if n and state in base.accepting and has_split(configs, n):
+        if n and base_accepting[state] and has_split(configs, n):
             sums[n] += math.exp(cost)
         if n < max_n:
             for target, sym in children[state]:
                 stepped = []
                 for part, part_state, start, lens in configs:
-                    nxt = steps[part].get((part_state, sym))
-                    if nxt is not None:
+                    nxt = steps[part][part_state * width + sym]
+                    if nxt >= 0:
                         stepped.append((part, nxt, start, lens))
-                step_cost = cost + u.cost(last, sym) if n else 0.0
+                step_cost = cost + pair_cost(last, sym) if n else 0.0
                 stack.append((target, n + 1, sym, step_cost, close(stepped, n + 1)))
     return _series("words", sums[1:])

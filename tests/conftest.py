@@ -242,6 +242,51 @@ def ab_cycle_machine() -> CostAutomaton:
     )
 
 
+def linlen_doc(diag_cost=1.0) -> dict:
+    """Document of {a^n b^2n a^3n : n >= 1} with cost diag_cost on aa and bb."""
+    base = {
+        "alphabet": ["a", "b"],
+        "states": ["s0", "s1", "s2"],
+        "initial": "s0",
+        "accepting": ["s0", "s1", "s2"],
+        "transitions": [
+            {"from": "s0", "symbol": "a", "to": "s0"},
+            {"from": "s0", "symbol": "b", "to": "s1"},
+            {"from": "s1", "symbol": "b", "to": "s1"},
+            {"from": "s1", "symbol": "a", "to": "s2"},
+            {"from": "s2", "symbol": "a", "to": "s2"},
+        ],
+    }
+    a_star = {
+        "alphabet": ["a", "b"], "states": ["A"], "initial": "A", "accepting": ["A"],
+        "transitions": [{"from": "A", "symbol": "a", "to": "A"}],
+    }
+    b_star = {
+        "alphabet": ["a", "b"], "states": ["B"], "initial": "B", "accepting": ["B"],
+        "transitions": [{"from": "B", "symbol": "b", "to": "B"}],
+    }
+    return {
+        "base": base,
+        "parts": [a_star, b_star, dict(a_star)],
+        "lengths": {"offset": [1, 2, 3], "periods": [[1, 2, 3]]},
+        "pair_cost": {
+            "pairs": [
+                {"first": "a", "second": "a", "cost": diag_cost},
+                {"first": "b", "second": "b", "cost": diag_cost},
+            ]
+        },
+    }
+
+
+def colliding_dfa() -> CostAutomaton:
+    """DFA whose transitions (a, b, "x,c") and ("a,b", x, c) would both be
+    named "(a,b,x,c)" by the plain implement construction."""
+    return aut(
+        ["b", "x"], ["a", "a,b", "c", "x,c"], "a", ["c", "x,c"],
+        [("a", "b", "x,c"), ("a", "x", "a,b"), ("a,b", "x", "c")],
+    )
+
+
 # ---------------------------------------------------------------------------
 # random corpora (seeded; sizes per the fixture-scale limits)
 

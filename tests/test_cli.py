@@ -16,7 +16,7 @@ from gurevich import (
 )
 from gurevich.cli import main
 
-from conftest import aut, many_components
+from conftest import aut, colliding_dfa, linlen_doc, many_components
 
 
 def write_automaton(tmp_path, name, a):
@@ -35,41 +35,6 @@ def write_json(tmp_path, name, doc):
     p = tmp_path / name
     p.write_text(dump_json(doc) + "\n", encoding="utf-8")
     return str(p)
-
-
-def linlen_doc(diag_cost=1.0):
-    base = {
-        "alphabet": ["a", "b"],
-        "states": ["s0", "s1", "s2"],
-        "initial": "s0",
-        "accepting": ["s0", "s1", "s2"],
-        "transitions": [
-            {"from": "s0", "symbol": "a", "to": "s0"},
-            {"from": "s0", "symbol": "b", "to": "s1"},
-            {"from": "s1", "symbol": "b", "to": "s1"},
-            {"from": "s1", "symbol": "a", "to": "s2"},
-            {"from": "s2", "symbol": "a", "to": "s2"},
-        ],
-    }
-    a_star = {
-        "alphabet": ["a", "b"], "states": ["A"], "initial": "A", "accepting": ["A"],
-        "transitions": [{"from": "A", "symbol": "a", "to": "A"}],
-    }
-    b_star = {
-        "alphabet": ["a", "b"], "states": ["B"], "initial": "B", "accepting": ["B"],
-        "transitions": [{"from": "B", "symbol": "b", "to": "B"}],
-    }
-    return {
-        "base": base,
-        "parts": [a_star, b_star, dict(a_star)],
-        "lengths": {"offset": [1, 2, 3], "periods": [[1, 2, 3]]},
-        "pair_cost": {
-            "pairs": [
-                {"first": "a", "second": "a", "cost": diag_cost},
-                {"first": "b", "second": "b", "cost": diag_cost},
-            ]
-        },
-    }
 
 
 def lines_of(capsys):
@@ -221,6 +186,17 @@ class TestSimilarityCommand:
         assert doc["delta"] == pytest.approx(1.025, abs=2e-3)
 
 
+class TestDispatch:
+    def test_parser_built_once_and_handlers_looked_up_per_call(self, monkeypatch):
+        import gurevich.cli as cli
+
+        assert cli._build_parser() is cli._build_parser()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_energy", lambda args, solver: calls.append(args.path) or 0)
+        assert main(["energy", "m.json"]) == 0
+        assert calls == ["m.json"]
+
+
 class TestImplementCommand:
     def test_compiles_and_canonicalizes(self, tmp_path, capsys, ab_star, u_ab):
         dfa_path = write_automaton(tmp_path, "dfa.json", ab_star)
@@ -234,6 +210,16 @@ class TestImplementCommand:
         # canonical on disk: serializing the reload reproduces the file
         raw = open(out_path, encoding="utf-8").read()
         assert raw == dump_json(automaton_to_document(machine)) + "\n"
+
+    def test_colliding_transition_names(self, tmp_path, capsys):
+        dfa_path = write_automaton(tmp_path, "dfa.json", colliding_dfa())
+        u = gurevich.PairCostFunction.create({("b", "x"): 1.0, ("x", "x"): 2.0})
+        u_path = write_pair_cost(tmp_path, "u.json", u)
+        out_path = str(tmp_path / "machine.json")
+        assert main(["implement", dfa_path, u_path, out_path]) == 0
+        out, _ = lines_of(capsys)
+        assert out == ["states 4 transitions 3"]
+        assert len(load_automaton(out_path).states) == 4
 
     def test_rejects_nfa(self, tmp_path, capsys, branchy_nfa, u_ab):
         nfa_path = write_automaton(tmp_path, "nfa.json", branchy_nfa)

@@ -11,12 +11,17 @@ from gurevich import (
     Transition,
     automaton_from_document,
     automaton_to_document,
+    block_automaton,
     determinize,
     dump_json,
     free_energy,
+    implement_construction,
     lambda_exact,
+    linlen_energy,
     linlen_spec_from_document,
+    linlen_word_oracle,
     load_automaton,
+    load_linlen_spec,
     pair_cost_from_document,
     pair_cost_to_document,
     run_partition_series,
@@ -25,6 +30,8 @@ from gurevich import (
     word_partition_series,
 )
 from gurevich.cli import main
+
+from conftest import linlen_doc
 
 
 def branchy_doc():
@@ -300,8 +307,15 @@ class TestArrayPaths:
             made.append(args)
             original(self, *args, **kwargs)
 
+        spec_path = str(tmp_path / "spec.json")
+        save_document(spec_path, linlen_doc())
         monkeypatch.setattr(Transition, "__init__", counting)
+        spec = load_linlen_spec(spec_path)
+        block_automaton(spec)
+        linlen_energy(spec)
+        linlen_word_oracle(spec, 12)
         a = load_automaton(path)
+        implement_construction(a, PairCostFunction.create({("x0", "x1"): 0.5}))
         free_energy(a)
         free_energy(a, form="bipartite")
         run_partition_series(a, "runs_all", 20)

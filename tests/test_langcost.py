@@ -10,12 +10,13 @@ from gurevich import (
     free_energy,
     implement_construction,
     language_energy,
+    validate,
     verify_implements,
     word_cost,
     word_partition_series,
 )
 
-from conftest import aut, enum_accepting_runs, enum_words, random_automaton
+from conftest import aut, colliding_dfa, enum_accepting_runs, enum_words, random_automaton
 
 ZERO_U = PairCostFunction.create()
 
@@ -90,6 +91,19 @@ class TestImplementConstruction:
                 assert len(runs) == 1
                 _, cost = runs[0]
                 assert cost == pytest.approx(word_cost(u, w), abs=1e-9)
+
+
+    def test_state_names_do_not_collide(self):
+        # transitions (a, b, "x,c") and ("a,b", x, c) would both be "(a,b,x,c)"
+        dfa = colliding_dfa()
+        u = PairCostFunction.create({("b", "x"): 1.0, ("x", "x"): 2.0})
+        m = implement_construction(dfa, u)
+        assert validate(m) == []
+        assert m.deterministic
+        assert len(m.states) == 4
+        assert "(a,x,a,b)" in m.states  # a name no other shares stays plain
+        assert {"(a,b,x\\,c)", "(a\\,b,x,c)"} <= m.states
+        assert verify_implements(m, dfa, u, 6).holds
 
 
 class TestVerifyImplements:

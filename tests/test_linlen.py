@@ -11,6 +11,7 @@ from gurevich import (
     LinearSet,
     PairCostFunction,
     block_automaton,
+    free_energy,
     language_energy,
     linear_set_member,
     linlen_energy,
@@ -18,6 +19,7 @@ from gurevich import (
     linlen_word_oracle,
     run_partition_series,
     trim,
+    validate,
     validate_spec,
     word_cost,
 )
@@ -180,6 +182,51 @@ class TestEnergy:
         with pytest.raises(BlockAlphabetTooLarge) as exc:
             linlen_energy(spec)
         assert exc.value.count == 3**10
+
+
+def colliding_names_spec(first, second):
+    """Base {w,x,z}*, two parts that reach first[0]/first[1] and
+    second[0]/second[1] on zx/wx and then read anything, lengths (2,2)+(1,1)."""
+    sigma = ["w", "x", "z"]
+    base = aut(sigma, ["S"], "S", ["S"], [("S", y, "S") for y in sigma])
+
+    def part(after_zx, after_wx):
+        ends = [after_zx, after_wx]
+        moves = [("p0", "z", "pz"), ("pz", "x", after_zx), ("p0", "w", "pw"), ("pw", "x", after_wx)]
+        return aut(sigma, ["p0", "pz", "pw"] + ends, "p0", ends,
+                   moves + [(q, y, q) for q in ends for y in sigma])
+
+    return LinearLengthSpec(
+        base=base, parts=(part(*first), part(*second)),
+        lengths=LinearSet.create((2, 2), [(1, 1)]), pair_cost=ZERO_U,
+    )
+
+
+class TestBlockNames:
+    def test_colliding_state_names_are_escaped(self):
+        # part states ("a,b", "c") and ("a", "b,c") both print as "a,b,c"
+        a = block_automaton(colliding_names_spec(("a,b", "a"), ("c", "b,c")))
+        apart = block_automaton(colliding_names_spec(("ab", "a"), ("c", "bc")))
+        assert validate(a) == []
+        assert len(a.states) == len(apart.states) == 89
+        assert len(a.src) == len(apart.src)
+        assert not any("#" in name for name in a.states)
+        assert any("~r:a\\,b,c~" in name for name in a.states)
+        assert any("~r:a,b\\,c~" in name for name in a.states)
+        assert "c1~g:S~q:S,S~r:ab,c~m:x,x" in apart.states  # nothing to escape
+        for m in (a, apart):
+            assert free_energy(m).energy == pytest.approx(math.log(3.0), abs=1e-12)
+
+    def test_colliding_symbol_names_are_escaped(self):
+        # blocks (a+b, a, c) and (a, b+a, c) both print as "[a+b+a+c;c]"
+        sigma = ["a", "a+b", "b+a", "c"]
+        star = aut(sigma, ["S"], "S", ["S"], [("S", y, "S") for y in sigma])
+        spec = LinearLengthSpec(star, (star,), LinearSet.create((3,), [(3,)]), ZERO_U)
+        a = block_automaton(spec)
+        assert validate(a) == []
+        assert len(a.symbols) == 2 * 4**3  # one real and one stutter symbol per block
+        assert {"[a\\+b+a+c;c]", "[a+b\\+a+c;c]"} <= a.alphabet
+        assert free_energy(a).energy == pytest.approx(math.log(4.0), abs=1e-12)
 
 
 class TestUnion:
