@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -114,10 +115,12 @@ def _out_of_memory(args) -> str:
 
 
 def cmd_energy(args, solver: _Solver) -> int:
+    tolerance = solver.tolerance
+    if args.tolerance is not None:
+        tolerance = _tolerance(args.tolerance, "--tolerance")
     a = _load(args, args.path)
     if args.branching_costs:
         a = nondet_mod.branching_costs(a)
-    tolerance = args.tolerance if args.tolerance is not None else solver.tolerance
     report = free_energy(
         a, form=args.form, tolerance=tolerance, max_iterations=solver.max_iterations
     )
@@ -325,14 +328,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tolerance(raw, source: str) -> float:
+    """A solver tolerance read from ``source``: a number strictly between 0
+    and 1.  Above that the certificate accepts a wrong radius; at 0 or
+    below, or NaN, it can never be met."""
+    try:
+        tolerance = float(raw)
+    except ValueError:
+        tolerance = math.nan
+    if not 0.0 < tolerance < 1.0:
+        raise ValueError(f"{source} must be positive and below 1, got {raw}")
+    return tolerance
+
+
 def _solver_from_env() -> _Solver:
     tolerance = DEFAULT_TOLERANCE
     max_iterations = DEFAULT_MAX_ITERATIONS
     raw = os.environ.get("TOLERANCE")
     if raw is not None:
-        tolerance = float(raw)
-        if not tolerance > 0:
-            raise ValueError(f"TOLERANCE must be positive, got {raw}")
+        tolerance = _tolerance(raw, "TOLERANCE")
     raw = os.environ.get("MAX_ITERS")
     if raw is not None:
         max_iterations = int(raw)

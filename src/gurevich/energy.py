@@ -19,15 +19,15 @@ energy 0 (ln 0 = 0 convention).
 
 Inside ``free_energy`` states are ints in sorted-name order: trimming, the
 SCC split and the grouping of each component's edges all run on int
-arrays, and names reappear only in the report.  Every cyclic component
-whose matrix has at most ``_DENSE_DIM`` nodes is one block of a single
-block-diagonal matrix, held as edge arrays and solved by one batched sweep
-(``spectral.block_radii``): each block is certified, stalls into Noda steps
-and spends its iteration budget on its own, as if solved alone.  Each
-larger component is solved alone on a scipy CSR matrix, so memory grows
-with transitions, not states^2; scipy is imported only when a component
-needs it.  The public builders ``gurevich_matrix_compact`` and
-``gurevich_matrix_bipartite`` always return dense labelled matrices.
+arrays, and names reappear only in the report.  Every cyclic component,
+whatever its size, is one block of a single block-diagonal matrix, held as
+edge arrays and solved by one batched sweep (``spectral.block_radii``):
+each block is certified, stalls into Noda steps and spends its iteration
+budget on its own, as if solved alone.  Only a block of at most 160 nodes
+that takes Noda steps is ever made dense, so memory grows with
+transitions, not states^2.  The public builders
+``gurevich_matrix_compact`` and ``gurevich_matrix_bipartite`` return dense
+labelled matrices.
 
 e^V leaves the double range once V passes about +709 (overflow) or -708
 (subnormal, then 0).  A component whose largest cost lies outside +-700,
@@ -54,7 +54,7 @@ from .spectral import (
     SpectralResult,
     _dense,
     block_radii,
-    spectral_radius,
+    spectral_radius,  # unused here; ``bench/tracing.py`` times this name
 )
 
 __all__ = [
@@ -63,12 +63,6 @@ __all__ = [
     "gurevich_matrix_compact",
     "free_energy",
 ]
-
-# components with at most this many matrix nodes share the batched solve,
-# whose Noda steps are dense; larger ones are solved alone on CSR matrices.
-# On one core a lone solve is faster dense up to this size and faster on
-# CSR from about 192 nodes up
-_DENSE_DIM = 160
 
 # a component whose largest cost lies outside +-this, so that its largest
 # weight leaves e^(+-700), is solved shifted
@@ -141,16 +135,6 @@ def _layout(
     return dims, offsets + src, offsets + dst, weights
 
 
-def _transfer_matrix(size: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray, form: str):
-    """Gurevich matrix of one component from its local edge arrays, as CSR."""
-    from scipy.sparse import csr_matrix
-
-    (dim,), rows, cols, values = _layout(
-        np.array([size]), np.array([len(weights)]), src, dst, weights, form
-    )
-    return csr_matrix((values, (rows, cols)), shape=(dim, dim))
-
-
 def _public_matrix(a: CostAutomaton, form: str, shift: float) -> NonnegativeMatrix:
     _check_component(a)
     names, src, dst, cost = list(a.state_names), a.src, a.dst, a.cost
@@ -200,31 +184,15 @@ def _solve_cyclic(
 ) -> list[tuple[float, SpectralResult]]:
     """Energy and certified solve of each cyclic component: component b
     has sizes[b] states and the next counts[b] edges of the local edge
-    arrays.  Components up to ``_DENSE_DIM`` matrix nodes share one batched
-    solve; each larger one is solved alone on a CSR matrix."""
+    arrays.  Every component is one block of a single batched solve."""
     if not len(sizes):
         return []
     firsts = counts.cumsum() - counts
     top = np.maximum.reduceat(cost, firsts)
     shifts = np.where(np.abs(top) <= _COST_RANGE, 0.0, top)
     weights = np.exp(cost - shifts.repeat(counts))
-    dims = sizes + counts if form == "bipartite" else sizes
-    small = dims <= _DENSE_DIM
-    large = (~small).nonzero()[0].tolist()
-    results: list[SpectralResult | None] = [None] * len(sizes)
-    if len(large) < len(sizes):
-        batch = sizes, counts, src, dst, weights
-        if large:
-            edges = small.repeat(counts)
-            batch = sizes[small], counts[small], src[edges], dst[edges], weights[edges]
-        solved = block_radii(*_layout(*batch, form), tolerance, max_iterations)
-        for c, result in zip(small.nonzero()[0].tolist(), solved):
-            results[c] = result
-    for c in large:
-        edges = slice(firsts[c], firsts[c] + counts[c])
-        entries = _transfer_matrix(int(sizes[c]), src[edges], dst[edges], weights[edges], form)
-        matrix = NonnegativeMatrix(dim=entries.shape[0], entries=entries)
-        results[c] = spectral_radius(matrix, tolerance, max_iterations)
+    dims, rows, cols, values = _layout(sizes, counts, src, dst, weights, form)
+    results = block_radii(dims, rows, cols, values, tolerance, max_iterations)
     energies = []
     for c, (result, shift) in enumerate(zip(results, shifts.tolist())):
         if not result.converged:

@@ -42,7 +42,7 @@ from .automata import CostAutomaton
 from .energy import EnergyReport, free_energy
 from .errors import BlockAlphabetTooLarge, DocumentError, StateCapExceeded
 from .langcost import PairCostFunction, word_cost
-from .oracle import PartitionSeries, _series
+from .oracle import PartitionSeries, _check_max_n, _series
 from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 
 __all__ = [
@@ -379,6 +379,7 @@ def linlen_word_oracle(
     language, short max_n); ``word_cap`` bounds the enumerated prefixes to
     fail loudly instead of spinning.
     """
+    _check_max_n(max_n)
     problems = validate_spec(spec)
     if problems:
         raise DocumentError("; ".join(problems))

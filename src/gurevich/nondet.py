@@ -81,11 +81,11 @@ def lambda_exact(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> NondetReport:
     """Exact nondeterminism via determinization; raises StateCapExceeded
-    when the subset construction would pass ``state_cap`` (callers can then
-    still fall back to lambda_plus)."""
+    when the subset construction would pass ``state_cap``, before any
+    solve (callers can then still fall back to lambda_plus)."""
     a = automata.trim(a)
-    base = lambda_plus(a, tolerance, max_iterations)
     det = automata.determinize(a, state_cap=state_cap)
+    base = lambda_plus(a, tolerance, max_iterations)
     energy_det = energy.free_energy(det, tolerance=tolerance, max_iterations=max_iterations).energy
     raw = base.energy_zero - energy_det
     return NondetReport(

@@ -60,7 +60,7 @@ def _series(kind: str, sums: list[float]) -> PartitionSeries:
     return PartitionSeries(kind=kind, values=values, rates=rates)
 
 
-def _check_max_n(max_n: int, cap: int) -> None:
+def _check_max_n(max_n: int, cap: float = math.inf) -> None:
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
     if max_n > cap:

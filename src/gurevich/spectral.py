@@ -20,7 +20,8 @@ Two kinds of step move v towards the Perron vector:
   (hi I - A)^-1 is nonnegative with a positive diagonal, so y is strictly
   positive, and since (Ay)_i / y_i = hi - v_i / y_i the next upper bound
   lies strictly below hi.  A step costs one LU solve: numpy's dense
-  solve for an ndarray, scipy's sparse ``splu`` for a CSR matrix.
+  solve on a block of at most ``_DENSE_DIM`` nodes, scipy's sparse
+  ``splu`` on a larger one.
 
 Power sweeps come first.  Once a window of them has passed, the solver
 measures how fast the interval's width contracts and predicts how many
@@ -32,14 +33,10 @@ cycles with few chords) switch and certify in a handful of solves.  A solve that
 not lower the upper bound because rounding has taken over, hands the rest
 of the run back to power sweeps.
 
-The matrix may be a dense ndarray or a scipy CSR matrix; both sweep with
-``a @ v``.  This module never imports scipy itself: a CSR matrix can only
-arrive once its caller has loaded scipy.
-
-``block_radii`` solves every diagonal block of a block-diagonal matrix at
-once, given as edge arrays with the blocks laid out one after another.
-``spectral_radius`` is the same loop over a batch of one block, so each
-block gets exactly the rules above, applied to itself alone:
+There is one solver loop, ``block_radii``.  It solves every diagonal
+block of a block-diagonal matrix at once, given as edge arrays with the
+blocks laid out one after another, and each block gets exactly the rules
+above, applied to itself alone:
 
 * a sweep is one ``np.bincount`` mat-vec over the edges of every block
   still in the batch, and ``np.add.reduceat`` renormalises each block;
@@ -48,8 +45,12 @@ block gets exactly the rules above, applied to itself alone:
   leaves the batch on the sweep that certifies it;
 * each block has its own rate window and its own iteration count, so
   ``max_iterations`` applies per block;
-* a block that stalls takes its Noda steps on its own dense matrix, from
-  its current vector, while the other blocks go on sweeping.
+* a block that stalls takes its Noda steps on its own edges, from its
+  current vector, while the other blocks go on sweeping.
+
+``spectral_radius`` takes one dense ndarray or scipy CSR matrix and solves
+it as a batch of one block.  scipy is imported only when a block above
+``_DENSE_DIM`` nodes takes a Noda step.
 """
 
 from __future__ import annotations
@@ -74,6 +75,13 @@ DEFAULT_MAX_ITERATIONS = 1_000_000
 
 # power sweeps between two width readings that give the contraction rate
 _RATE_WINDOW = 16
+
+# a block with at most this many nodes takes its Noda steps on a dense
+# matrix with numpy's LU, a larger one on a CSC matrix with scipy's splu.
+# On one core a dense step is the faster up to here (a ring with one chord
+# per node: 0.23 ms dense, 0.72 ms splu at 160 nodes), and its n^2 memory
+# stays small
+_DENSE_DIM = 160
 
 
 @dataclass(frozen=True)
@@ -153,45 +161,36 @@ def _stalled(
         return _RATE_WINDOW * np.log(last / (tolerance * hi)) > dims * np.log(first / last)
 
 
-def _noda_step(a, shift: float, v: np.ndarray) -> np.ndarray | None:
-    """y / sum(y) for (shift I - a) y = v, or None when the solve fails."""
-    if isinstance(a, np.ndarray):
-        b = -a
-        b.flat[:: a.shape[0] + 1] += shift
+def _dense(dim: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """dim x dim array with values[e] summed into (rows[e], cols[e])."""
+    return np.bincount(rows * dim + cols, weights=values, minlength=dim * dim).reshape(dim, dim)
+
+
+def _noda_step(
+    dim: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shift: float, v: np.ndarray
+) -> np.ndarray | None:
+    """y / sum(y) for (shift I - A) y = v, A the dim x dim matrix with
+    values[e] summed into (rows[e], cols[e]), or None when the solve fails."""
+    if dim <= _DENSE_DIM:
+        b = -_dense(dim, rows, cols, values)
+        b.flat[:: dim + 1] += shift
         try:
             y = np.linalg.solve(b, v)
         except np.linalg.LinAlgError:
             return None
     else:
-        from scipy.sparse import identity
+        from scipy.sparse import csc_matrix, identity
         from scipy.sparse.linalg import splu
 
         try:
-            y = splu((shift * identity(a.shape[0], format="csr") - a).tocsc()).solve(v)
+            a = csc_matrix((values, (rows, cols)), shape=(dim, dim))
+            y = splu(shift * identity(dim, format="csc") - a).solve(v)
         except (RuntimeError, MemoryError):  # exactly singular factor, or no room
             return None
     total = y.sum()
     if not (math.isfinite(total) and y.min() > 0.0):
         return None
     return y / total
-
-
-def _dense(dim: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """dim x dim array with values[e] summed into (rows[e], cols[e])."""
-    return np.bincount(rows * dim + cols, weights=values, minlength=dim * dim).reshape(dim, dim)
-
-
-class _Matrix:
-    """One dense or CSR matrix, solved as a batch of one block."""
-
-    def __init__(self, a) -> None:
-        self.a = a
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.a @ v
-
-    def block(self, start: int, dim: int):
-        return self.a
 
 
 class _Blocks:
@@ -206,10 +205,11 @@ class _Blocks:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return np.bincount(self.rows, weights=self.values * v[self.cols], minlength=self.size)
 
-    def block(self, start: int, dim: int) -> np.ndarray:
-        """Dense matrix of the block on nodes start .. start + dim - 1."""
+    def edges(self, start: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Edges of the block on nodes start .. start + dim - 1, numbered
+        from 0 within it."""
         edges = slice(*np.searchsorted(self.rows, (start, start + dim)).tolist())
-        return _dense(dim, self.rows[edges] - start, self.cols[edges] - start, self.values[edges])
+        return self.rows[edges] - start, self.cols[edges] - start, self.values[edges]
 
     def keep(self, nodes: np.ndarray) -> None:
         """Drop every node outside the mask ``nodes`` with its edges."""
@@ -230,16 +230,57 @@ def _result(lo: float, hi: float, iterations: int, converged: bool, noda: bool) 
     return SpectralResult(radius, iterations, residual, converged, method)
 
 
-def _solve(op, dims: np.ndarray, tolerance: float, max_iterations: int) -> list[SpectralResult]:
-    """Certified radius of every block of ``op``, whose blocks have ``dims``
-    nodes each, laid out one after another.
+def spectral_radius(
+    m: NonnegativeMatrix,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+) -> SpectralResult:
+    """Perron-Frobenius eigenvalue to relative accuracy ``tolerance``.
+
+    Never raises: when the Collatz-Wielandt interval is still wider than
+    tolerance after max_iterations (power sweeps and Noda steps together)
+    the result comes back with converged=False and the midpoint estimate
+    (reducible matrices can be this slow; callers that need a guarantee
+    should treat converged=False as an error, which is what the energy
+    layer does).
+    """
+    a = m.entries
+    if isinstance(a, np.ndarray):
+        rows, cols = a.nonzero()
+        values = a[rows, cols]
+    else:
+        a = a.tocoo()
+        rows, cols, values = a.row, a.col, a.data
+    if not values.any():
+        return SpectralResult(radius=0.0, iterations=0, residual=0.0, converged=True)
+    return block_radii([m.dim], rows, cols, values, tolerance, max_iterations)[0]
+
+
+def block_radii(
+    dims: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+) -> list[SpectralResult]:
+    """``spectral_radius`` of every diagonal block of a block-diagonal
+    nonnegative matrix, in one batched sweep.
+
+    The matrix is given by its edges: entry (rows[e], cols[e]) gains
+    values[e].  Block b holds dims[b] consecutive nodes, block 0 first, and
+    every edge lies inside a block.  Each block gets the certificate,
+    iteration budget and Noda hand-off it would get on its own.
 
     All blocks sweep together, one mat-vec per sweep; each keeps its own
     interval, phase and Noda shift, and leaves the batch once certified.
     A block's rate window spans its last ``_RATE_WINDOW`` sweeps, and its
     stall rule reads the window only when the widths at both ends are
     finite.  A block in its Noda phase replaces its swept vector by its
-    Noda step, solved on its own matrix."""
+    Noda step, solved on its own edges."""
+    dims = np.asarray(dims, dtype=np.intp)
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    op = _Blocks(rows, cols, np.asarray(values, dtype=float), int(dims.sum()))
     k = len(dims)
     if max_iterations < 1:
         return [_result(0.0, math.inf, 0, False, False) for _ in range(k)]
@@ -295,9 +336,9 @@ def _solve(op, dims: np.ndarray, tolerance: float, max_iterations: int) -> list[
             if not bound < shifts.get(i, math.inf):
                 phase[b] = _POWER_ONLY  # rounding has stopped the descent
                 continue
-            # built for each step, so that one dense block at a time is alive
+            # built for each step, so that one block's system at a time is alive
             start, dim = int(starts[b]), int(dims[b])
-            y = _noda_step(op.block(start, dim), bound, v[start : start + dim])
+            y = _noda_step(dim, *op.edges(start, dim), bound, v[start : start + dim])
             if y is None:
                 phase[b] = _POWER_ONLY
             else:
@@ -315,49 +356,3 @@ def _solve(op, dims: np.ndarray, tolerance: float, max_iterations: int) -> list[
     for b, i in enumerate(ids.tolist()):
         results[i] = _result(float(lo[b]), float(hi[b]), iterations, False, i in shifts)
     return results
-
-
-def spectral_radius(
-    m: NonnegativeMatrix,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> SpectralResult:
-    """Perron-Frobenius eigenvalue to relative accuracy ``tolerance``.
-
-    Never raises: when the Collatz-Wielandt interval is still wider than
-    tolerance after max_iterations (power sweeps and Noda steps together)
-    the result comes back with converged=False and the midpoint estimate
-    (reducible matrices can be this slow; callers that need a guarantee
-    should treat converged=False as an error, which is what the energy
-    layer does).
-    """
-    a = m.entries
-    if a.size == 0 or a.max() == 0.0:
-        return SpectralResult(radius=0.0, iterations=0, residual=0.0, converged=True)
-    return _solve(_Matrix(a), np.array([m.dim]), tolerance, max_iterations)[0]
-
-
-def block_radii(
-    dims: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    values: np.ndarray,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> list[SpectralResult]:
-    """``spectral_radius`` of every diagonal block of a block-diagonal
-    nonnegative matrix, in one batched sweep.
-
-    The matrix is given by its edges: entry (rows[e], cols[e]) gains
-    values[e].  Block b holds dims[b] consecutive nodes, block 0 first, and
-    every edge lies inside a block.  Each block gets the certificate,
-    iteration budget and Noda hand-off it would get on its own; blocks
-    should be small, since a block's Noda steps solve its dense matrix.
-    """
-    dims = np.asarray(dims, dtype=np.intp)
-    size = int(dims.sum())
-    if len(dims) == 1:  # a dense mat-vec is cheaper than an edge sweep
-        op = _Matrix(_dense(size, rows, cols, values))
-    else:
-        op = _Blocks(rows, cols, values, size)
-    return _solve(op, dims, tolerance, max_iterations)

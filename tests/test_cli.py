@@ -14,6 +14,8 @@ from gurevich import (
     pair_cost_to_document,
     save_document,
 )
+from gurevich import energy as energy_mod
+from gurevich import free_energy
 from gurevich.cli import main
 
 from conftest import aut, colliding_dfa, linlen_doc, many_components
@@ -149,6 +151,23 @@ class TestNondetCommand:
         assert out[0] == "lambda_plus 0.499249"
         assert all(not line.startswith("lambda_exact") for line in out)
         assert "error:" in err
+
+    def test_state_cap_solves_lambda_plus_once(self, tmp_path, capsys, monkeypatch, branchy_nfa):
+        # determinization hits the cap before any solve, so only the
+        # fallback's two energies are computed
+        path = write_automaton(tmp_path, "m.json", branchy_nfa)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return free_energy(*args, **kwargs)
+
+        monkeypatch.setattr(energy_mod, "free_energy", spy)
+        assert main(["nondet", path, "--exact", "--state-cap", "3"]) == 4
+        out, err = lines_of(capsys)
+        assert len(calls) == 2
+        assert out == ["lambda_plus 0.499249", "energy_v 1.084990", "energy_zero 0.585741"]
+        assert err == "error: determinization exceeded the state cap (3)\n"
 
     def test_json(self, tmp_path, capsys, branchy_nfa):
         path = write_automaton(tmp_path, "m.json", branchy_nfa)
@@ -294,6 +313,14 @@ class TestLinlenCommand:
         assert doc["energy"] == pytest.approx(1.0, abs=1e-9)
         assert "oracle" in doc
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_oracle_check_must_be_positive(self, tmp_path, capsys, n):
+        path = write_json(tmp_path, "spec.json", linlen_doc())
+        assert main(["linlen", path, "--oracle-check", n]) == 2
+        out, err = lines_of(capsys)
+        assert out == []
+        assert err == f"error: max_n must be positive, got {n}\n"
+
     def test_bad_offset_is_input_error(self, tmp_path, capsys):
         doc = linlen_doc()
         doc["lengths"]["offset"] = [0, 2, 3]
@@ -330,6 +357,25 @@ class TestEnvironmentAndUsage:
         assert main(["energy", path]) == 2
         _, err = lines_of(capsys)
         assert "TOLERANCE must be positive" in err
+
+    @pytest.mark.parametrize("value", ["inf", "2", "1", "nan", "-1", "0"])
+    def test_out_of_range_tolerance_flag(self, tmp_path, capsys, value, ab_star):
+        # tolerance 1 or more certifies a wrong radius; 0 or less, or NaN,
+        # can never be met
+        path = write_automaton(tmp_path, "m.json", ab_star)
+        assert main(["energy", path, "--tolerance", value]) == 2
+        out, err = lines_of(capsys)
+        assert out == []
+        assert err == f"error: --tolerance must be positive and below 1, got {float(value)}\n"
+
+    @pytest.mark.parametrize("value", ["inf", "2", "nan", "0"])
+    def test_out_of_range_tolerance_env(self, tmp_path, capsys, monkeypatch, value, ab_star):
+        path = write_automaton(tmp_path, "m.json", ab_star)
+        monkeypatch.setenv("TOLERANCE", value)
+        assert main(["energy", path]) == 2
+        out, err = lines_of(capsys)
+        assert out == []
+        assert err == f"error: TOLERANCE must be positive and below 1, got {value}\n"
 
     def test_max_iters_env_starves_solver(self, tmp_path, capsys, monkeypatch, dna_m2):
         path = write_automaton(tmp_path, "m.json", dna_m2)
@@ -432,7 +478,7 @@ class TestOutOfMemory:
 
 class TestColdStart:
     def test_cli_import_leaves_scipy_out(self):
-        # scipy is imported only for components above the dense dimension;
+        # scipy is imported only for Noda steps above the dense dimension;
         # at import time it would add its import time to every command
         src = os.path.dirname(os.path.dirname(os.path.abspath(gurevich.__file__)))
         code = "import sys, gurevich.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -453,6 +499,32 @@ class TestColdStart:
             "a = CostAutomaton.create(['a'], names, '0', names, edges + [('0', 'a', '2', 0.0)])\n"
             "assert free_energy(a).solver[0].converged\n"
             "assert free_energy(a, form='bipartite').solver[0].converged\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_large_well_mixed_energy_leaves_scipy_out(self):
+        # only Noda steps on a block above the dense dimension load scipy;
+        # a well-mixed component certifies by power sweeps at any size
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gurevich.__file__)))
+        code = (
+            "import random, sys\n"
+            "from gurevich import CostAutomaton, free_energy\n"
+            "rng = random.Random(5)\n"
+            "n = 2000\n"
+            "names = [str(i) for i in range(n)]\n"
+            "edges = {(names[i], 'a', names[(i + 1) % n]) for i in range(n)}\n"
+            "edges |= {(names[i], rng.choice('abc'), names[rng.randrange(n)]) for i in range(n) for _ in range(4)}\n"
+            "a = CostAutomaton.create(['a', 'b', 'c'], names, '0', names,\n"
+            "    [(p, x, q, rng.uniform(-1.0, 1.0)) for p, x, q in sorted(edges)])\n"
+            "rep = free_energy(a)\n"
+            "assert len(rep.solver) == 1 and rep.solver[0].converged\n"
+            "assert rep.solver[0].method == 'power'\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         out = subprocess.run(

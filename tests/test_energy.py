@@ -20,6 +20,7 @@ from gurevich import (
     trim,
 )
 from gurevich import energy as energy_mod
+from gurevich import spectral as spectral_mod
 from gurevich.spectral import block_radii
 
 from conftest import (
@@ -310,17 +311,12 @@ class TestSparsePathAgreement:
     @pytest.mark.parametrize("form", ["compact", "bipartite"])
     @pytest.mark.parametrize("offset", [0.0, 800.0, -800.0])
     def test_matches_public_dense_builders(self, monkeypatch, form, offset):
-        kinds = []
-
-        def spy(m, *args):
-            kinds.append(isinstance(m.entries, np.ndarray))
-            return spectral_radius(m, *args)
+        batches = []
 
         def batch_spy(dims, *args):
-            kinds.extend([True] * len(dims))
+            batches.append(list(dims))
             return block_radii(dims, *args)
 
-        monkeypatch.setattr(energy_mod, "spectral_radius", spy)
         monkeypatch.setattr(energy_mod, "block_radii", batch_spy)
         build, steps = {
             "compact": (gurevich_matrix_compact, 1.0),
@@ -339,8 +335,12 @@ class TestSparsePathAgreement:
                 want = spectral_radius(build(sub, shift=shift), 1e-13)
                 want_energy = steps * math.log(want.radius) + shift
                 assert abs(energy - want_energy) <= 1e-12 * max(1.0, abs(want_energy))
-        # the blocks were solved both in the batch and alone on CSR matrices
-        assert kinds.count(True) and kinds.count(False)
+        # one batch per call, with blocks above the dense dimension in both
+        # forms and blocks below it too in compact form
+        assert [len(dims) for dims in batches] == [3, 3]
+        assert all(max(dims) > spectral_mod._DENSE_DIM for dims in batches)
+        if form == "compact":
+            assert all(min(dims) <= spectral_mod._DENSE_DIM for dims in batches)
 
     def test_component_order_matches_scc(
         self, branchy_nfa, dna_m1, dna_m2, ab_cycle_machine, single_cycle
@@ -361,25 +361,28 @@ class TestSparsePathAgreement:
 
 
 class TestBatchedComponents:
-    """Every component up to the dense size is solved in one batched sweep;
-    each must come out as its own solve on the public dense builder would."""
+    """Every cyclic component is one block of one batched sweep; each must
+    come out as its own solve on the public dense builder would."""
 
     @pytest.fixture
     def solved(self, monkeypatch):
-        """The matrices that free_energy hands to spectral_radius, and the
-        block sizes of each batch it hands to block_radii."""
-        calls = {"single": [], "batch": []}
+        """The block sizes of each batch that free_energy hands to
+        block_radii, and the shapes of the systems that splu factors."""
+        import scipy.sparse.linalg
 
-        def single(m, *args):
-            calls["single"].append(m)
-            return spectral_radius(m, *args)
+        calls = {"batch": [], "splu": []}
 
         def batch(dims, *args):
             calls["batch"].append(list(dims))
             return block_radii(dims, *args)
 
-        monkeypatch.setattr(energy_mod, "spectral_radius", single)
+        def splu(b):
+            calls["splu"].append(b.shape)
+            return real_splu(b)
+
+        real_splu = scipy.sparse.linalg.splu
         monkeypatch.setattr(energy_mod, "block_radii", batch)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
         return calls
 
     @pytest.mark.parametrize("form", ["compact", "bipartite"])
@@ -402,17 +405,19 @@ class TestBatchedComponents:
             want = spectral_radius(build(sub, shift=shift), 1e-13)
             want_energy = steps * math.log(want.radius) + shift
             assert abs(energy - want_energy) <= 1e-12 * max(1.0, abs(want_energy))
-            if len(states) == 40:
+            if len(states) in (40, 170):
                 assert result.method == "noda"  # stalled, then Noda steps
             if len(states) == 1 and form == "compact":
                 assert result.iterations == 1  # a 1x1 block certifies on its first sweep
             sizes.append(len(states))
-        # one batch for every block up to the dense size, the ring on CSR
-        (m,) = solved["single"]
-        assert not isinstance(m.entries, np.ndarray) and m.dim >= 170
-        (dims,) = solved["batch"]
-        assert len(dims) == len(sizes) - 1 and max(dims) <= energy_mod._DENSE_DIM
         assert sorted(sizes) == sorted([1] * 4 + [2] * 4 + [3] * 6 + [40, 170])
+        # one batch holds every cyclic component, the ring among them; only
+        # the ring is above the dense size, so only its Noda steps use splu
+        (dims,) = solved["batch"]
+        assert len(dims) == len(sizes)
+        (ring,) = [d for d in dims if d > spectral_mod._DENSE_DIM]
+        assert ring >= 170
+        assert solved["splu"] and set(solved["splu"]) == {(ring, ring)}
 
     @pytest.mark.parametrize("form", ["compact", "bipartite"])
     def test_order_matches_scc(self, form):

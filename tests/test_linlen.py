@@ -297,6 +297,11 @@ class TestOracle:
         with pytest.raises(ValueError, match="word_cap|too large|prefixes"):
             linlen_word_oracle(sigma_star_spec(ZERO_U), 30, word_cap=100)
 
+    @pytest.mark.parametrize("max_n", [0, -3])
+    def test_max_n_must_be_positive(self, max_n):
+        with pytest.raises(ValueError, match=f"max_n must be positive, got {max_n}"):
+            linlen_word_oracle(abba_spec(ZERO_U), max_n)
+
 
 class TestAgainstOracle:
     @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from gurevich import (
     spectral_radius,
 )
 from gurevich import energy as energy_mod
+from gurevich import spectral as spectral_mod
 from gurevich.spectral import block_radii
 from gurevich.cli import main
 
@@ -330,33 +331,49 @@ def brackets_the_radius(a, radius, margin):
 
 
 class TestSparseSolver:
+    """Blocks above the dense dimension take their Noda steps on scipy's
+    sparse LU."""
+
     @pytest.fixture
     def solved(self, monkeypatch):
-        """The matrices free_energy hands to the solver, with their results."""
-        calls = []
+        """The matrix free_energy hands to block_radii, as CSR, with its
+        result, and the shapes of the systems that splu factors."""
+        import scipy.sparse.linalg
+        from scipy.sparse import csr_matrix
 
-        def spy(m, *args):
-            result = spectral_radius(m, *args)
-            calls.append((m, result))
-            return result
+        calls = {"batch": [], "splu": []}
+        real_splu = scipy.sparse.linalg.splu
 
-        monkeypatch.setattr(energy_mod, "spectral_radius", spy)
+        def batch(dims, rows, cols, values, *args):
+            results = block_radii(dims, rows, cols, values, *args)
+            size = int(sum(dims))
+            m = csr_matrix((values, (rows, cols)), shape=(size, size))
+            calls["batch"].append((m, results))
+            return results
+
+        def splu(b):
+            calls["splu"].append(b.shape)
+            return real_splu(b)
+
+        monkeypatch.setattr(energy_mod, "block_radii", batch)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
         return calls
 
     def test_chord_cycle_certified_on_csr(self, solved):
         rep = free_energy(chord_cycle(1000, 0.0))
-        (m, result), = solved
-        assert not isinstance(m.entries, np.ndarray)  # a scipy CSR matrix
+        (m, (result,)), = solved["batch"]
+        assert m.shape == (1000, 1000)
         assert result.converged and result.method == "noda"
+        assert solved["splu"] and set(solved["splu"]) == {(1000, 1000)}
         assert abs(rep.energy - chord_log_root(1000)) <= 1e-10
 
     def test_diffusive_ring_certified_on_csr(self, solved):
         rep = free_energy(ring_automaton(1500, 7))
-        (m, result), = solved
-        assert not isinstance(m.entries, np.ndarray)
+        (m, (result,)), = solved["batch"]
         assert result.converged and result.method == "noda"
         assert result.iterations <= 100
-        assert brackets_the_radius(m.entries, math.exp(rep.energy), 1e-10)
+        assert set(solved["splu"]) == {(1500, 1500)}
+        assert brackets_the_radius(m, math.exp(rep.energy), 1e-10)
 
     @pytest.mark.parametrize("failure", ["singular", "memory", "negative", "nan"])
     def test_failed_sparse_solve_falls_back_to_power(self, monkeypatch, failure):
@@ -378,10 +395,16 @@ class TestSparseSolver:
             return Factor()
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
-        m = chord_matrix(12)
-        r = spectral_radius(NonnegativeMatrix(dim=12, entries=csr_matrix(m.entries)), 1e-12, 10**6)
-        exact = math.exp(chord_log_root(12))
-        assert calls == [(12, 12)]  # one attempt, then power sweeps only
+        # above the dense dimension; the gap between 1 and the other
+        # diagonal entries is wide enough for power sweeps alone to
+        # finish, and narrow enough that they stall into a Noda step first
+        dim = 200
+        assert dim > spectral_mod._DENSE_DIM
+        entries = np.full((dim, dim), 1e-4)
+        entries[np.diag_indices(dim)] += np.r_[np.full(dim - 1, 0.9), 1.0]
+        exact = max(np.linalg.eigvals(entries).real)
+        r = spectral_radius(NonnegativeMatrix(dim=dim, entries=csr_matrix(entries)), 1e-12, 10**6)
+        assert calls == [(dim, dim)]  # one attempt, then power sweeps only
         assert r.converged
         assert r.method == "power"
         assert abs(r.radius - exact) / exact <= 1e-10
