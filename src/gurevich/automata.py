@@ -537,7 +537,10 @@ def determinize(a: CostAutomaton, state_cap: int = 2**20) -> CostAutomaton:
     M_0, and carrying costs through merged subsets is ill-defined.  Subsets
     are named ``{a,b}``; where two subsets would share a name (a state name
     containing ``,``), their members' backslashes and commas are escaped.
+    ``state_cap`` must be positive.
     """
+    if state_cap < 1:
+        raise ValueError(f"state_cap must be positive, got {state_cap}")
     if a.is_empty or a.initial is None or a.index_of(a.initial) is None:
         return EMPTY
     k = len(a.symbols)

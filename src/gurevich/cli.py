@@ -4,9 +4,9 @@ Exit codes: 0 success, 2 input/validation/usage, 3 numerical trouble
 (non-convergence, overflow, underflow), 4 resource cap hit or memory exhausted (the
 message then names the subcommand and the sizes of the automata it
 loaded).  Text output renders numbers with 6 decimals; --json renders
-full reports with 17 significant digits.  Solver defaults can be
-overridden by the TOLERANCE and MAX_ITERS environment variables, read once
-at startup.
+full reports with 17 significant digits, and text lines are fields of
+that same report.  Solver defaults can be overridden by the TOLERANCE
+and MAX_ITERS environment variables, read on every ``main`` call.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import linlen as linlen_mod
 from . import nondet as nondet_mod
@@ -52,12 +51,6 @@ EXIT_NUMERICAL = 3
 EXIT_CAP = 4
 
 
-@dataclass(frozen=True)
-class _Solver:
-    tolerance: float
-    max_iterations: int
-
-
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
@@ -85,7 +78,10 @@ def _energy_report_doc(r: EnergyReport) -> dict:
     }
 
 
-def _series_doc(series: oracle_mod.PartitionSeries, estimate: float, spread: float) -> dict:
+def _series_doc(series: oracle_mod.PartitionSeries, window: int) -> dict:
+    """The series with its limit estimate over the last ``window`` rates,
+    or over all of them when the series is shorter."""
+    estimate, spread = oracle_mod.estimate_limit(series, min(window, len(series.rates)))
     return {
         "kind": series.kind,
         "values": [[n, s] for n, s in series.values],
@@ -95,8 +91,22 @@ def _series_doc(series: oracle_mod.PartitionSeries, estimate: float, spread: flo
     }
 
 
-def _emit(doc: dict) -> None:
-    print(dump_json(doc))
+def _lines(doc: dict, keys, prefix: str = "") -> None:
+    """One ``key value`` line per key: floats with 6 decimals, None as n/a."""
+    for key in keys:
+        value = doc[key]
+        text = "n/a" if value is None else _fmt(value) if isinstance(value, float) else value
+        print(f"{prefix}{key} {text}")
+
+
+def _show(args, doc: dict, keys) -> int:
+    """Print a handler's document: whole as JSON with --json, else the
+    text lines of ``keys``."""
+    if args.json:
+        print(dump_json(doc))
+    else:
+        _lines(doc, keys)
+    return EXIT_OK
 
 
 def _load(args, path: str) -> CostAutomaton:
@@ -114,111 +124,58 @@ def _out_of_memory(args) -> str:
     return f"out of memory in {args.command}" + (f" on {inputs}" if inputs else "")
 
 
-def cmd_energy(args, solver: _Solver) -> int:
-    tolerance = solver.tolerance
-    if args.tolerance is not None:
-        tolerance = _tolerance(args.tolerance, "--tolerance")
+def cmd_energy(args) -> int:
     a = _load(args, args.path)
     if args.branching_costs:
         a = nondet_mod.branching_costs(a)
     report = free_energy(
-        a, form=args.form, tolerance=tolerance, max_iterations=solver.max_iterations
+        a, form=args.form, tolerance=args.tolerance, max_iterations=args.max_iterations
     )
-    if args.json:
-        _emit(_energy_report_doc(report))
-    else:
-        print(f"energy {_fmt(report.energy)}")
-    return EXIT_OK
+    return _show(args, _energy_report_doc(report), ["energy"])
 
 
-def _nondet_doc(r: nondet_mod.NondetReport) -> dict:
-    return {
-        "lambda_plus": r.lambda_plus,
-        "energy_v": r.energy_v,
-        "energy_zero": r.energy_zero,
-        "lambda_exact": r.lambda_exact,
-        "dfa_states": r.dfa_states,
-        "lambda_plus_raw": r.lambda_plus_raw,
-        "lambda_exact_raw": r.lambda_exact_raw,
-    }
-
-
-def _print_nondet(r: nondet_mod.NondetReport, as_json: bool) -> None:
-    if as_json:
-        _emit(_nondet_doc(r))
-        return
-    print(f"lambda_plus {_fmt(r.lambda_plus)}")
-    print(f"energy_v {_fmt(r.energy_v)}")
-    print(f"energy_zero {_fmt(r.energy_zero)}")
-    if r.lambda_exact is not None:
-        print(f"lambda_exact {_fmt(r.lambda_exact)}")
-        print(f"dfa_states {r.dfa_states}")
-
-
-def cmd_nondet(args, solver: _Solver) -> int:
+def cmd_nondet(args) -> int:
     a = _load(args, args.path)
-    if not args.exact:
-        report = nondet_mod.lambda_plus(a, solver.tolerance, solver.max_iterations)
-        _print_nondet(report, args.json)
-        return EXIT_OK
+    solver = (args.tolerance, args.max_iterations)
+    cap_hit = None
     try:
-        report = nondet_mod.lambda_exact(
-            a,
-            state_cap=args.state_cap,
-            tolerance=solver.tolerance,
-            max_iterations=solver.max_iterations,
-        )
+        if args.exact:
+            report = nondet_mod.lambda_exact(a, args.state_cap, *solver)
+        else:
+            report = nondet_mod.lambda_plus(a, *solver)
     except StateCapExceeded as e:
         # cap hit during determinization: the upper estimate still stands
-        fallback = nondet_mod.lambda_plus(a, solver.tolerance, solver.max_iterations)
-        _print_nondet(fallback, args.json)
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAP
-    _print_nondet(report, args.json)
-    return EXIT_OK
+        report, cap_hit = nondet_mod.lambda_plus(a, *solver), e
+    keys = ["lambda_plus", "energy_v", "energy_zero"]
+    if report.lambda_exact is not None:
+        keys += ["lambda_exact", "dfa_states"]
+    _show(args, dict(vars(report)), keys)
+    if cap_hit is None:
+        return EXIT_OK
+    print(f"error: {cap_hit}", file=sys.stderr)
+    return EXIT_CAP
 
 
-def cmd_similarity(args, solver: _Solver) -> int:
+def cmd_similarity(args) -> int:
     a1 = _load(args, args.path1)
     a2 = _load(args, args.path2)
-    report = similarity(a1, a2, solver.tolerance, solver.max_iterations)
-    if args.json:
-        _emit(
-            {
-                "delta": report.delta,
-                "energy_1": report.energy_1,
-                "energy_2": report.energy_2,
-                "product_states": report.product_states,
-                "normalized": report.normalized,
-            }
-        )
-        return EXIT_OK
-    print(f"delta {_fmt(report.delta)}")
-    print(f"energy_1 {_fmt(report.energy_1)}")
-    print(f"energy_2 {_fmt(report.energy_2)}")
-    print(f"product_states {report.product_states}")
+    report = similarity(a1, a2, args.tolerance, args.max_iterations)
+    keys = ["delta", "energy_1", "energy_2", "product_states"]
     if args.normalized:
-        if report.normalized is None:
-            print("normalized n/a")
-        else:
-            print(f"normalized {_fmt(report.normalized)}")
-    return EXIT_OK
+        keys.append("normalized")
+    return _show(args, dict(vars(report)), keys)
 
 
-def cmd_implement(args, solver: _Solver) -> int:
+def cmd_implement(args) -> int:
     dfa = _load(args, args.dfa_path)
     u = load_pair_cost(args.paircost_path, alphabet=dfa.alphabet)
-    try:
-        machine = implement_construction(dfa, u)
-    except NotDeterministic:
-        print("error: input must be deterministic", file=sys.stderr)
-        return EXIT_INPUT
+    machine = implement_construction(dfa, u)
     save_document(args.out_path, automaton_to_document(machine))
     print(f"states {len(machine.state_names)} transitions {len(machine.src)}")
     return EXIT_OK
 
 
-def cmd_oracle(args, solver: _Solver) -> int:
+def cmd_oracle(args) -> int:
     a = _load(args, args.path)
     if args.kind == "words":
         u = (
@@ -230,38 +187,20 @@ def cmd_oracle(args, solver: _Solver) -> int:
     else:
         kind = {"runs": "runs_all", "accepting-runs": "runs_accepting"}[args.kind]
         series = oracle_mod.run_partition_series(a, kind, args.max_n)
-    window = min(args.window, len(series.rates))
-    estimate, spread = oracle_mod.estimate_limit(series, window)
-    if args.json:
-        _emit(_series_doc(series, estimate, spread))
-        return EXIT_OK
-    print(f"estimate {_fmt(estimate)}")
-    print(f"spread {_fmt(spread)}")
-    return EXIT_OK
+    return _show(args, _series_doc(series, args.window), ["estimate", "spread"])
 
 
-def cmd_linlen(args, solver: _Solver) -> int:
+def cmd_linlen(args) -> int:
     spec = load_linlen_spec(args.spec_path)
     report = linlen_mod.linlen_energy(
-        spec, tolerance=solver.tolerance, max_iterations=solver.max_iterations
+        spec, tolerance=args.tolerance, max_iterations=args.max_iterations
     )
-    oracle_doc = None
-    oracle_lines: list[str] = []
+    doc = _energy_report_doc(report)
     if args.oracle_check is not None:
-        series = linlen_mod.linlen_word_oracle(spec, args.oracle_check)
-        window = min(12, len(series.rates))
-        estimate, spread = oracle_mod.estimate_limit(series, window)
-        oracle_doc = _series_doc(series, estimate, spread)
-        oracle_lines = [f"oracle_estimate {_fmt(estimate)}", f"oracle_spread {_fmt(spread)}"]
-    if args.json:
-        doc = _energy_report_doc(report)
-        if oracle_doc is not None:
-            doc["oracle"] = oracle_doc
-        _emit(doc)
-        return EXIT_OK
-    print(f"energy {_fmt(report.energy)}")
-    for line in oracle_lines:
-        print(line)
+        doc["oracle"] = _series_doc(linlen_mod.linlen_word_oracle(spec, args.oracle_check), 12)
+    _show(args, doc, ["energy"])
+    if "oracle" in doc and not args.json:
+        _lines(doc["oracle"], ["estimate", "spread"], prefix="oracle_")
     return EXIT_OK
 
 
@@ -341,18 +280,22 @@ def _tolerance(raw, source: str) -> float:
     return tolerance
 
 
-def _solver_from_env() -> _Solver:
-    tolerance = DEFAULT_TOLERANCE
-    max_iterations = DEFAULT_MAX_ITERATIONS
+def _settings(args) -> None:
+    """Solver settings onto ``args``: ``tolerance`` from --tolerance, else
+    TOLERANCE, else the default; ``max_iterations`` from MAX_ITERS, else
+    the default.  The environment is checked first, even when the flag is
+    given."""
     raw = os.environ.get("TOLERANCE")
-    if raw is not None:
-        tolerance = _tolerance(raw, "TOLERANCE")
+    tolerance = DEFAULT_TOLERANCE if raw is None else _tolerance(raw, "TOLERANCE")
     raw = os.environ.get("MAX_ITERS")
-    if raw is not None:
-        max_iterations = int(raw)
-        if max_iterations < 1:
-            raise ValueError(f"MAX_ITERS must be positive, got {raw}")
-    return _Solver(tolerance=tolerance, max_iterations=max_iterations)
+    try:
+        args.max_iterations = DEFAULT_MAX_ITERATIONS if raw is None else int(raw)
+    except ValueError:
+        args.max_iterations = 0  # not an integer: rejected with the others below
+    if args.max_iterations < 1:
+        raise ValueError(f"MAX_ITERS must be positive, got {raw}")
+    flag = getattr(args, "tolerance", None)
+    args.tolerance = tolerance if flag is None else _tolerance(flag, "--tolerance")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -361,16 +304,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    try:
-        solver = _solver_from_env()
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     args.inputs = []
-    # looked up per call, so a handler replaced on the module takes effect
-    handler = globals()["cmd_" + args.command]
     try:
-        return handler(args, solver)
+        _settings(args)
+        # looked up per call, so a handler replaced on the module takes effect
+        return globals()["cmd_" + args.command](args)
     except (DocumentError, NotDeterministic, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

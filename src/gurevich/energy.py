@@ -230,12 +230,11 @@ def free_energy(
     _check_form(form)
     if a.is_empty:
         return EnergyReport(energy=0.0, per_component=(), solver=(), form_used=form)
-    live = automata.live_states(a)
-    if not live.any():
+    trimmed = automata.trim(a)
+    if trimmed.is_empty:
         return EnergyReport(0.0, (), (), form, None, trim_changed=True)
-    trim_changed = not live.all()
-    if trim_changed:
-        a = automata.keep_states(a, live)
+    trim_changed = trimmed is not a  # trim returns its input when every state is live
+    a = trimmed
     names, src, dst, cost = a.state_names, a.src, a.dst, a.cost
     n = len(names)
 

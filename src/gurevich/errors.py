@@ -47,7 +47,9 @@ class Underflow(GurevichError):
 
 
 class StateCapExceeded(GurevichError):
-    """A state-set construction (determinization, block translation) passed its cap."""
+    """A construction (determinization, block translation) passed its state
+    cap, or an enumeration (the linlen word oracle's prefixes) passed its
+    count cap."""
 
 
 class BlockAlphabetTooLarge(GurevichError):

@@ -123,7 +123,7 @@ def implement_construction(dfa: CostAutomaton, u: PairCostFunction) -> CostAutom
     get their backslashes, ``(``, ``,`` and ``)`` escaped.
     """
     if not dfa.deterministic:
-        raise NotDeterministic("implement_construction needs a deterministic input")
+        raise NotDeterministic("input must be deterministic")
     dfa = automata.trim(dfa)
     if dfa.is_empty:
         return automata.EMPTY

@@ -376,8 +376,8 @@ def linlen_word_oracle(
     split when a last-part configuration accepts and its length vector is
     in D.  The cost is carried as prefix cost + U(last, symbol), so no word
     is rescanned.  Practical only on small instances (narrow base
-    language, short max_n); ``word_cap`` bounds the enumerated prefixes to
-    fail loudly instead of spinning.
+    language, short max_n); ``word_cap`` bounds the enumerated prefixes, so
+    it raises StateCapExceeded instead of spinning.
     """
     _check_max_n(max_n)
     problems = validate_spec(spec)
@@ -430,7 +430,7 @@ def linlen_word_oracle(
         state, n, last, cost, configs = stack.pop()
         enumerated += 1
         if enumerated > word_cap:
-            raise ValueError(f"oracle enumeration passed {word_cap} prefixes; instance too large")
+            raise StateCapExceeded(f"oracle enumeration passed {word_cap} prefixes; instance too large")
         if n and base_accepting[state] and has_split(configs, n):
             sums[n] += math.exp(cost)
         if n < max_n:

@@ -255,6 +255,13 @@ class TestDeterminize:
                 assert d.deterministic
                 assert validate(d) == []
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_state_cap_must_be_positive(self, cap, branchy_nfa):
+        # checked before anything else, even on the empty automaton
+        for a in (branchy_nfa, EMPTY):
+            with pytest.raises(ValueError, match=f"^state_cap must be positive, got {cap}$"):
+                determinize(a, state_cap=cap)
+
     def test_subset_names_do_not_collide(self):
         # the subset {p, q} and the singleton {"p,q"} would both be "{p,q}"
         def nfa(r):

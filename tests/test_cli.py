@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from gurevich import (
     save_document,
 )
 from gurevich import energy as energy_mod
+from gurevich import linlen as linlen_mod
 from gurevich import free_energy
 from gurevich.cli import main
 
@@ -169,6 +171,14 @@ class TestNondetCommand:
         assert out == ["lambda_plus 0.499249", "energy_v 1.084990", "energy_zero 0.585741"]
         assert err == "error: determinization exceeded the state cap (3)\n"
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_state_cap_must_be_positive(self, tmp_path, capsys, cap, branchy_nfa):
+        path = write_automaton(tmp_path, "m.json", branchy_nfa)
+        assert main(["nondet", path, "--exact", "--state-cap", cap]) == 2
+        out, err = lines_of(capsys)
+        assert out == []
+        assert err == f"error: state_cap must be positive, got {cap}\n"
+
     def test_json(self, tmp_path, capsys, branchy_nfa):
         path = write_automaton(tmp_path, "m.json", branchy_nfa)
         assert main(["nondet", path, "--exact", "--json"]) == 0
@@ -211,7 +221,7 @@ class TestDispatch:
 
         assert cli._build_parser() is cli._build_parser()
         calls = []
-        monkeypatch.setattr(cli, "cmd_energy", lambda args, solver: calls.append(args.path) or 0)
+        monkeypatch.setattr(cli, "cmd_energy", lambda args: calls.append(args.path) or 0)
         assert main(["energy", "m.json"]) == 0
         assert calls == ["m.json"]
 
@@ -321,6 +331,25 @@ class TestLinlenCommand:
         assert out == []
         assert err == f"error: max_n must be positive, got {n}\n"
 
+    def test_oracle_prefix_cap_is_resource_error(self, tmp_path, capsys, monkeypatch):
+        # base and the one part are both {a, b}*, so every prefix is
+        # enumerated; a cap of 1000 stands in for the default 10^6, which
+        # takes seconds to reach
+        sigma = {
+            "alphabet": ["a", "b"], "states": ["A"], "initial": "A", "accepting": ["A"],
+            "transitions": [{"from": "A", "symbol": s, "to": "A"} for s in ("a", "b")],
+        }
+        doc = {"base": sigma, "parts": [dict(sigma)], "lengths": {"offset": [1], "periods": [[1]]}}
+        path = write_json(tmp_path, "spec.json", doc)
+        monkeypatch.setattr(
+            linlen_mod, "linlen_word_oracle",
+            functools.partial(linlen_mod.linlen_word_oracle, word_cap=1000),
+        )
+        assert main(["linlen", path, "--oracle-check", "22"]) == 4
+        out, err = lines_of(capsys)
+        assert out == []
+        assert err == "error: oracle enumeration passed 1000 prefixes; instance too large\n"
+
     def test_bad_offset_is_input_error(self, tmp_path, capsys):
         doc = linlen_doc()
         doc["lengths"]["offset"] = [0, 2, 3]
@@ -416,6 +445,30 @@ class TestEnvironmentAndUsage:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
+    def test_max_iters_env_must_be_positive_integer(self, tmp_path, capsys, monkeypatch, value, ab_star):
+        path = write_automaton(tmp_path, "m.json", ab_star)
+        monkeypatch.setenv("MAX_ITERS", value)
+        assert main(["energy", path]) == 2
+        out, err = lines_of(capsys)
+        assert out == []
+        assert err == f"error: MAX_ITERS must be positive, got {value}\n"
+
+    def test_bad_tolerance_env_fails_despite_flag(self, tmp_path, capsys, monkeypatch, ab_star):
+        path = write_automaton(tmp_path, "m.json", ab_star)
+        monkeypatch.setenv("TOLERANCE", "nope")
+        assert main(["energy", path, "--tolerance", "1e-6"]) == 2
+        out, err = lines_of(capsys)
+        assert out == []
+        assert err == "error: TOLERANCE must be positive and below 1, got nope\n"
+
+    def test_settings_read_on_every_call(self, tmp_path, capsys, monkeypatch, dna_m2):
+        path = write_automaton(tmp_path, "m.json", dna_m2)
+        monkeypatch.setenv("MAX_ITERS", "1")
+        assert main(["energy", path]) == 3
+        monkeypatch.delenv("MAX_ITERS")
+        assert main(["energy", path]) == 0
 
     def test_invalid_max_iters_env(self, tmp_path, capsys, monkeypatch, ab_star):
         path = write_automaton(tmp_path, "m.json", ab_star)

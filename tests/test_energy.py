@@ -156,6 +156,24 @@ class TestFreeEnergy:
         assert rep.per_component == ()
         assert rep.trim_changed
 
+    def test_zero_iterations_not_converged(self, ab_cycle_machine):
+        with pytest.raises(NotConverged, match="after 0 iterations"):
+            free_energy(ab_cycle_machine, max_iterations=0)
+
+    def test_untrimmed_input_reports_as_trimmed(self):
+        # the dead state D hangs off the 2-cycle; the report matches the one
+        # on the trimmed automaton apart from trim_changed
+        a = aut(
+            ["a", "b"], ["A", "B", "C", "D"], "A", ["A"],
+            [("A", "a", "B", 0.3), ("B", "b", "A", 0.1), ("A", "b", "C", 0.0),
+             ("C", "a", "C", 0.7), ("C", "b", "A", 0.0), ("B", "a", "D", 2.0)],
+        )
+        rep, ref = free_energy(a), free_energy(trim(a))
+        assert rep.trim_changed and not ref.trim_changed
+        assert rep.per_component == ref.per_component
+        assert rep.max_component == ref.max_component
+        assert rep.energy == ref.energy
+
     def test_max_component_recorded(self, ab_cycle_machine):
         rep = free_energy(ab_cycle_machine)
         assert abs(rep.energy - 3.5) < 1e-9

@@ -10,6 +10,7 @@ from gurevich import (
     LinearLengthSpec,
     LinearSet,
     PairCostFunction,
+    StateCapExceeded,
     block_automaton,
     free_energy,
     language_energy,
@@ -170,6 +171,12 @@ class TestEnergy:
         assert len(a.states) == 13
         assert len(a.transitions) == 13
 
+    def test_block_state_cap(self):
+        # the cap counts states as the translation discovers them, before
+        # the trim that leaves test_block_automaton_shape's 13
+        with pytest.raises(StateCapExceeded, match=r"block translation exceeded the state cap \(5\)"):
+            block_automaton(abba_spec(ZERO_U), state_cap=5)
+
     def test_block_cap(self):
         sigma3 = aut(
             ["a", "b", "c"], ["A"], "A", ["A"],
@@ -294,7 +301,7 @@ class TestOracle:
         assert all(v == 0.0 for _, v in series.values)
 
     def test_word_cap(self):
-        with pytest.raises(ValueError, match="word_cap|too large|prefixes"):
+        with pytest.raises(StateCapExceeded, match="word_cap|too large|prefixes"):
             linlen_word_oracle(sigma_star_spec(ZERO_U), 30, word_cap=100)
 
     @pytest.mark.parametrize("max_n", [0, -3])

@@ -216,6 +216,24 @@ class TestSolverSwitch:
         assert r.method == "power"
         assert r.radius == 2.0
 
+    def test_rounding_stall_ends_noda_steps(self, monkeypatch):
+        # 1e-16 is below what rounding lets the interval reach (about
+        # 4.4e-16 here): once a Noda step stops lowering the upper bound, the
+        # block takes no further LU solve and sweeps out its budget
+        calls = []
+        step = spectral_mod._noda_step
+
+        def spy(*args):
+            calls.append(args[0])
+            return step(*args)
+
+        monkeypatch.setattr(spectral_mod, "_noda_step", spy)
+        r = spectral_radius(chord_matrix(50), 1e-16, 300)
+        assert not r.converged
+        assert r.method == "noda"
+        assert r.iterations == 300
+        assert 0 < len(calls) <= 20
+
     @pytest.mark.parametrize("failure", ["negative", "nan", "linalg-error"])
     def test_failed_solve_falls_back_to_power(self, monkeypatch, failure):
         calls = []
