@@ -9,9 +9,9 @@ An automaton is stored as int arrays: its state names and its symbols are
 sorted tuples, and its transitions are the columns ``src``, ``sym``, ``dst``
 (indices into those tuples) and ``cost``, in input order.  Every algorithm
 here runs on the columns, and a construction names its new states once, at
-the end.  ``Transition`` objects, the ``states``/``alphabet`` sets and the
-``by_source``/``step_map`` tables are views built on first use, for callers
-that walk named edges.
+the end.  ``Transition`` objects and the ``states``/``alphabet`` sets are
+views built on first use; of the algorithms, only ``map_costs`` walks named
+edges, for its callback.
 
 All values are immutable; operations return new automata.  The empty
 automaton (zero states, ``initial`` is None) is a first-class value: trim
@@ -61,10 +61,6 @@ class Transition:
     target: str
     cost: float = 0.0
 
-    @property
-    def triple(self) -> tuple[str, str, str]:
-        return (self.source, self.symbol, self.target)
-
 
 _NO_NAMES: tuple[frozenset[str], frozenset[str]] = (frozenset(), frozenset())
 
@@ -81,7 +77,8 @@ class CostAutomaton:
     use but the input did not declare: they are indexed like the others,
     so validate() can report them, and the ``states``/``alphabet`` views
     leave them out.  ``initial`` is None only for the distinguished empty
-    value.
+    value.  ``transitions``, ``states`` and ``alphabet`` are named views,
+    built on first use for the callers that want names.
     """
 
     state_names: tuple[str, ...]
@@ -201,29 +198,6 @@ class CostAutomaton:
         """At most one target per (source, symbol) pair."""
         return not _repeats(self.src * len(self.symbols) + self.sym)
 
-    @cached_property
-    def by_source(self) -> Mapping[str, tuple[Transition, ...]]:
-        out: dict[str, list[Transition]] = {s: [] for s in self.states}
-        for t in self.transitions:
-            out[t.source].append(t)
-        return {s: tuple(ts) for s, ts in out.items()}
-
-    @cached_property
-    def step_map(self) -> Mapping[tuple[str, str], tuple[str, ...]]:
-        """(source, symbol) -> sorted tuple of targets."""
-        out: dict[tuple[str, str], list[str]] = {}
-        for t in self.transitions:
-            out.setdefault((t.source, t.symbol), []).append(t.target)
-        return {k: tuple(sorted(v)) for k, v in out.items()}
-
-    def step(self, state: str, symbol: str) -> tuple[str, ...]:
-        return self.step_map.get((state, symbol), ())
-
-    def dfa_step(self, state: str, symbol: str) -> str | None:
-        """Single successor or None; meaningful on deterministic automata."""
-        targets = self.step_map.get((state, symbol), ())
-        return targets[0] if targets else None
-
 
 def _index(declared: Iterable[str], *columns: Sequence[str]):
     """Sorted names over the declared ones and every name in ``columns``,
@@ -320,6 +294,14 @@ def by_source_rows(n: int, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return order, indptr
+
+
+def successors(a: CostAutomaton, width: int) -> list[int]:
+    """DFA successor table: the target of state s on symbol y is at
+    s * width + y, -1 where there is none."""
+    table = np.full(len(a.state_names) * width, -1, dtype=np.intp)
+    table[a.src * width + a.sym] = a.dst
+    return table.tolist()
 
 
 def adjacency(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[list[int], list[int]]:
@@ -669,15 +651,18 @@ def product(a1: CostAutomaton, a2: CostAutomaton, sep: str = "|") -> CostAutomat
 
 
 def accepts(a: CostAutomaton, word: Sequence[str]) -> bool:
-    """NFA membership by subset simulation."""
-    if a.is_empty or a.initial is None:
+    """NFA membership by subset simulation on a mask over the states."""
+    start = a.index_of(a.initial) if a.initial is not None else None
+    if a.is_empty or start is None:
         return False
-    current = {a.initial}
-    for sym in word:
-        current = {q for s in current for q in a.step(s, sym)}
-        if not current:
-            return False
-    return bool(current & a.accepting)
+    current = np.zeros(len(a.state_names), dtype=bool)
+    current[start] = True
+    for name in word:
+        y = a.symbols.index(name) if name in a.symbols else -1
+        stepped = a.dst[current[a.src] & (a.sym == y)]
+        current = np.zeros_like(current)
+        current[stepped] = True
+    return bool((current & a.accepting_mask).any())
 
 
 def map_costs(a: CostAutomaton, fn: Callable[[Transition], float]) -> CostAutomaton:

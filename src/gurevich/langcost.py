@@ -183,56 +183,70 @@ def verify_implements(
     failure shapes: the languages disagree on a word, or some accepting run
     of m costs differently (beyond 1e-9) from the word's pair cost; either
     becomes the counterexample.  Failures are data, never exceptions.
+    ``max_len`` 0 checks the empty word alone; below 0 is a ValueError.
+    Runs are carried as tuples of state indices and named only for the
+    counterexample.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be non-negative, got {max_len}")
     alphabet = sorted(m.alphabet | dfa_for_l.alphabet)
     dfa_for_l = automata.trim(dfa_for_l)
     if not dfa_for_l.deterministic:
         dfa_for_l = automata.determinize(dfa_for_l)  # costs play no role on the L side
 
-    # frontier entry: (word, m-runs keyed by state then exact cost, dfa state)
-    start_runs: dict[str, dict[float, tuple[str, ...]]] = {}
-    if not m.is_empty and m.initial is not None:
-        start_runs[m.initial] = {0.0: (m.initial,)}
-    frontier: list[tuple[tuple[str, ...], dict, str | None]] = [
-        ((), start_runs, dfa_for_l.initial if not dfa_for_l.is_empty else None)
-    ]
+    # m's (target, cost) edges keyed by (source, symbol name) in input order
+    edges: dict[tuple[int, str], list[tuple[int, float]]] = {}
+    for s, y, d, c in zip(m.src.tolist(), m.sym.tolist(), m.dst.tolist(), m.cost.tolist()):
+        edges.setdefault((s, m.symbols[y]), []).append((d, c))
+    l_width = len(dfa_for_l.symbols)
+    l_symbol = {name: y for y, name in enumerate(dfa_for_l.symbols)}
+    l_step = automata.successors(dfa_for_l, l_width)
+    m_accepting, l_accepting = m.accepting_mask.tolist(), dfa_for_l.accepting_mask.tolist()
+
+    def named(run: tuple[int, ...]) -> tuple[str, ...]:
+        return tuple(m.state_names[s] for s in run)
+
+    # frontier entry: (word, m-runs keyed by state then exact cost, dfa state or -1)
+    start = m.index_of(m.initial) if m.initial is not None else None
+    start_runs = {} if m.is_empty or start is None else {start: {0.0: (start,)}}
+    l_start = -1 if dfa_for_l.is_empty else dfa_for_l.index_of(dfa_for_l.initial)
+    frontier: list[tuple[tuple[str, ...], dict, int]] = [((), start_runs, l_start)]
 
     for length in range(0, max_len + 1):
         next_frontier = []
         for word, runs, d_state in frontier:
-            in_m = any(state in m.accepting for state in runs)
-            in_l = d_state is not None and d_state in dfa_for_l.accepting
+            in_m = any(m_accepting[state] for state in runs)
+            in_l = d_state >= 0 and l_accepting[d_state]
             if in_m != in_l:
                 if in_m:
-                    state = next(s for s in sorted(runs) if s in m.accepting)
+                    state = next(s for s in sorted(runs) if m_accepting[s])
                     cost, run = sorted(runs[state].items())[0]
-                    ce = Counterexample(word, run, None, cost)
+                    ce = Counterexample(word, named(run), None, cost)
                 else:
                     ce = Counterexample(word, None, word_cost(u, word), None)
                 return ImplementsReport(False, max_len, ce)
             if in_m and len(word) >= 2:
                 target = word_cost(u, word)
                 for state in sorted(runs):
-                    if state not in m.accepting:
+                    if not m_accepting[state]:
                         continue
                     for cost, run in sorted(runs[state].items()):
                         if abs(cost - target) > COST_TOLERANCE:
                             return ImplementsReport(
-                                False, max_len, Counterexample(word, run, target, cost)
+                                False, max_len, Counterexample(word, named(run), target, cost)
                             )
             if length == max_len:
                 continue
             for sym in alphabet:
-                new_runs: dict[str, dict[float, tuple[str, ...]]] = {}
+                new_runs: dict[int, dict[float, tuple[int, ...]]] = {}
                 for state, by_cost in runs.items():
-                    for t in m.by_source.get(state, ()):
-                        if t.symbol != sym:
-                            continue
-                        bucket = new_runs.setdefault(t.target, {})
+                    for nxt, step_cost in edges.get((state, sym), ()):
+                        bucket = new_runs.setdefault(nxt, {})
                         for cost, run in by_cost.items():
-                            bucket.setdefault(cost + t.cost, run + (t.target,))
-                new_d = dfa_for_l.dfa_step(d_state, sym) if d_state is not None else None
-                if new_runs or new_d is not None:
+                            bucket.setdefault(cost + step_cost, run + (nxt,))
+                stepped = d_state >= 0 and sym in l_symbol
+                new_d = l_step[d_state * l_width + l_symbol[sym]] if stepped else -1
+                if new_runs or new_d >= 0:
                     next_frontier.append((word + (sym,), new_runs, new_d))
         frontier = next_frontier
     return ImplementsReport(True, max_len, None)

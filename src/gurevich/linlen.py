@@ -42,7 +42,7 @@ from .automata import CostAutomaton
 from .energy import EnergyReport, free_energy
 from .errors import BlockAlphabetTooLarge, DocumentError, StateCapExceeded
 from .langcost import PairCostFunction, word_cost
-from .oracle import PartitionSeries, _check_max_n, _series
+from .oracle import PartitionSeries, _check_max_n, _count_sweep, _series
 from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 
 __all__ = [
@@ -151,14 +151,6 @@ def validate_spec(spec: LinearLengthSpec) -> list[str]:
     return out
 
 
-def _successors(a: CostAutomaton, width: int) -> list[int]:
-    """DFA successor table: the target of state s on symbol y is at
-    s * width + y, -1 where there is none."""
-    table = np.full(len(a.state_names) * width, -1, dtype=np.intp)
-    table[a.src * width + a.sym] = a.dst
-    return table.tolist()
-
-
 def _block_text(block: tuple[tuple[int, ...], ...], symbols: Sequence[str]) -> str:
     return ",".join("+".join([symbols[y] for y in part]) for part in block)
 
@@ -223,7 +215,7 @@ def block_automaton(
         tuple_sets.append(list(itertools.product(*per_coord)))
 
     guesses = list(itertools.product(range(len(base.state_names)), repeat=k - 1))
-    steps = [_successors(a, width) for a in (base,) + parts]
+    steps = [automata.successors(a, width) for a in (base,) + parts]
 
     def junction_cost(mem: tuple[int, ...], block: tuple[tuple[int, ...], ...]) -> float:
         return sum(u.cost(sigma[mem[j]], sigma[block[j][0]]) for j in range(k) if block[j])
@@ -376,8 +368,9 @@ def linlen_word_oracle(
     split when a last-part configuration accepts and its length vector is
     in D.  The cost is carried as prefix cost + U(last, symbol), so no word
     is rescanned.  Practical only on small instances (narrow base
-    language, short max_n); ``word_cap`` bounds the enumerated prefixes, so
-    it raises StateCapExceeded instead of spinning.
+    language, short max_n); ``word_cap`` bounds the enumerated prefixes:
+    they are counted first, by an exact sweep over the base DFA, and past
+    the cap it raises StateCapExceeded before enumerating any.
     """
     _check_max_n(max_n)
     problems = validate_spec(spec)
@@ -392,17 +385,26 @@ def linlen_word_oracle(
     if base.is_empty or any(p.is_empty for p in parts):
         return _series("words", sums[1:])
 
+    # the walk pops one stack entry per base-language prefix of length <= max_n
+    n_base = len(base.state_names)
+    base_start = base.index_of(base.initial)
+    prefixes = _count_sweep(
+        n_base, base.src, base.dst, base_start, np.ones(n_base, dtype=bool), max_n
+    )
+    if any(total > word_cap for total in prefixes):
+        raise StateCapExceeded(f"oracle enumeration passed {word_cap} prefixes; instance too large")
+
     width = len(base.symbols)
-    steps = [_successors(p, width) for p in parts]
+    steps = [automata.successors(p, width) for p in parts]
     accepting = [p.accepting_mask.tolist() for p in parts]
     initials = [p.index_of(p.initial) for p in parts]
     base_accepting = base.accepting_mask.tolist()
     pair_cost = functools.cache(lambda x, y: u.cost(base.symbols[x], base.symbols[y]))
     # each base state's (target, symbol) edges, by symbol then target index
     order = np.lexsort((base.dst, base.sym, base.src))
-    indptr = np.searchsorted(base.src[order], np.arange(len(base.state_names) + 1)).tolist()
+    indptr = np.searchsorted(base.src[order], np.arange(n_base + 1)).tolist()
     edges = list(zip(base.dst[order].tolist(), base.sym[order].tolist()))
-    children = [edges[indptr[s] : indptr[s + 1]] for s in range(len(base.state_names))]
+    children = [edges[indptr[s] : indptr[s + 1]] for s in range(n_base)]
 
     # a configuration: (part index, part state, start of the part, finished lengths)
     def close(configs: list[tuple], pos: int) -> list[tuple]:
@@ -420,17 +422,11 @@ def linlen_word_oracle(
             for part, state, start, lens in configs
         )
 
-    enumerated = 0
     root = close([(0, initials[0], 0, ())], 0)
     # (base state, prefix length, last symbol, prefix cost, configurations)
-    stack: list[tuple[int, int, int, float, list[tuple]]] = [
-        (base.index_of(base.initial), 0, -1, 0.0, root)
-    ]
+    stack: list[tuple[int, int, int, float, list[tuple]]] = [(base_start, 0, -1, 0.0, root)]
     while stack:
         state, n, last, cost, configs = stack.pop()
-        enumerated += 1
-        if enumerated > word_cap:
-            raise StateCapExceeded(f"oracle enumeration passed {word_cap} prefixes; instance too large")
         if n and base_accepting[state] and has_split(configs, n):
             sums[n] += math.exp(cost)
         if n < max_n:

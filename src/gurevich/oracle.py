@@ -14,14 +14,15 @@ pair and outgoing transition.  No transfer matrix is ever formed, so memory
 grows with the edges, not with the square of the states, and neither sum
 shares code with the spectral path.
 
-Counting (f, g for the nondeterminism rate) is done in exact arbitrary
-precision integers since those feed a log-difference slope.
+Counting (f, g for the nondeterminism rate) is a separate sweep over int
+edges in exact arbitrary-precision integers, since those feed a
+log-difference slope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -232,6 +233,28 @@ def word_partition_series(
     return _sweep("words", edge_src, edge_dst, edge_weights, v, accept, max_n, rescale=True)
 
 
+def _count_sweep(
+    n: int, src: np.ndarray, dst: np.ndarray, start: int, accept: np.ndarray, max_n: int
+):
+    """Yields, for m = 0..max_n, the exact number of paths of length <= m
+    from ``start`` to a node where ``accept`` is set, over the edges
+    (src[e], dst[e]) of an n-node graph.  Counts are Python ints, so none
+    overflows; a caller may stop at the first total past a cap."""
+    edges = list(zip(src.tolist(), dst.tolist()))
+    ends = np.flatnonzero(accept).tolist()
+    v = [0] * n
+    v[start] = 1
+    total = int(accept[start])
+    yield total
+    for _ in range(max_n):
+        nxt = [0] * n
+        for s, d in edges:
+            nxt[d] += v[s]
+        v = nxt
+        total += sum([v[i] for i in ends])
+        yield total
+
+
 def count_series(
     a: CostAutomaton,
     max_n: int,
@@ -243,49 +266,22 @@ def count_series(
     L(a) (runs over accepted words, accepting or not; for a DFA this equals
     g).  g[n] = number of distinct words of length <= n in L(a), counted on
     the determinized automaton.  Both lists are indexed by n (0..max_n) and
-    cumulative, using arbitrary-precision integers.
+    cumulative, using arbitrary-precision integers.  f sweeps the product
+    of a, every state made accepting, with the determinized automaton, so a
+    pair (NFA state, DFA state) accepts when its DFA side does.
     """
     _check_max_n(max_n, cap)
     a = automata.trim(a)
     det = automata.determinize(a)
-    if a.is_empty or det.is_empty:
+    if det.is_empty:
         return [0] * (max_n + 1), [0] * (max_n + 1)
+    runs = automata.product(replace(a, accepting=frozenset(a.state_names)), det)
 
-    det_accepting = det.accepting
+    def counts(x: CostAutomaton) -> list[int]:
+        start = x.index_of(x.initial)
+        return list(_count_sweep(len(x.state_names), x.src, x.dst, start, x.accepting_mask, max_n))
 
-    # joint DP over (NFA state, DFA subset state): counts initialized runs
-    # whose word's membership the DFA component decides
-    joint: dict[tuple[str, str], int] = {(a.initial, det.initial): 1}
-    word_counts: dict[str, int] = {det.initial: 1}
-
-    eps = 1 if automata.accepts(a, ()) else 0
-    f_cum = eps
-    g_cum = eps
-    f = [f_cum]
-    g = [g_cum]
-
-    for _ in range(max_n):
-        nxt_joint: dict[tuple[str, str], int] = {}
-        for (p, d), count in joint.items():
-            for t in a.by_source.get(p, ()):
-                d2 = det.dfa_step(d, t.symbol)
-                if d2 is None:
-                    continue  # word left the trimmed language for good
-                key = (t.target, d2)
-                nxt_joint[key] = nxt_joint.get(key, 0) + count
-        joint = nxt_joint
-        f_cum += sum(count for (p, d), count in joint.items() if d in det_accepting)
-
-        nxt_words: dict[str, int] = {}
-        for d, count in word_counts.items():
-            for t in det.by_source.get(d, ()):
-                nxt_words[t.target] = nxt_words.get(t.target, 0) + count
-        word_counts = nxt_words
-        g_cum += sum(count for d, count in word_counts.items() if d in det_accepting)
-
-        f.append(f_cum)
-        g.append(g_cum)
-    return f, g
+    return counts(runs), counts(det)
 
 
 def estimate_limit(series: PartitionSeries, window: int) -> tuple[float, float]:

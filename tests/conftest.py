@@ -17,6 +17,7 @@ import pytest
 from gurevich import (
     CostAutomaton,
     PairCostFunction,
+    Transition,
     accepts,
     determinize,
     free_energy,
@@ -359,6 +360,19 @@ def random_strongly_connected(seed: int, max_states: int = 6) -> CostAutomaton:
     return map_costs(a, lambda t: t.cost + shift)
 
 
+def edges_by_source(a: CostAutomaton) -> dict[str, list[Transition]]:
+    """a's named transitions grouped by source state, in input order."""
+    out: dict[str, list[Transition]] = {}
+    for t in a.transitions:
+        out.setdefault(t.source, []).append(t)
+    return out
+
+
+def dfa_successors(dfa: CostAutomaton) -> dict[tuple[str, str], str]:
+    """(state, symbol) -> target of a deterministic automaton, in input order."""
+    return {(t.source, t.symbol): t.target for t in dfa.transitions}
+
+
 def all_accepting(a: CostAutomaton) -> CostAutomaton:
     return CostAutomaton.create(
         sorted(a.alphabet), sorted(a.states), a.initial, sorted(a.states), a.transitions
@@ -376,10 +390,11 @@ def enum_run_sum(a: CostAutomaton, n: int, kind: str) -> float:
     else:
         frontier = {a.initial: 1.0} if a.initial is not None else {}
     weights = dict(frontier)
+    edges = edges_by_source(a)
     for _ in range(n):
         nxt: dict[str, float] = {}
         for state, w in weights.items():
-            for t in a.by_source.get(state, ()):
+            for t in edges.get(state, ()):
                 nxt[t.target] = nxt.get(t.target, 0.0) + w * math.exp(t.cost)
         weights = nxt
     if kind == "runs_all":
@@ -392,13 +407,14 @@ def enum_paths_run_sum(a: CostAutomaton, n: int, kind: str) -> float:
     starts = sorted(a.states) if kind == "runs_all" else [a.initial]
     total = 0.0
     stack = [(s, 0, 0.0) for s in starts if s is not None]
+    edges = edges_by_source(a)
     while stack:
         state, depth, cost = stack.pop()
         if depth == n:
             if kind == "runs_all" or state in a.accepting:
                 total += math.exp(cost)
             continue
-        for t in a.by_source.get(state, ()):
+        for t in edges.get(state, ()):
             stack.append((t.target, depth + 1, cost + t.cost))
     return total
 
@@ -429,10 +445,11 @@ def enum_accepting_runs(m: CostAutomaton, w) -> list[tuple[tuple[str, ...], floa
     if m.initial is None:
         return runs
     stack = [((m.initial,), 0.0)]
+    edges = edges_by_source(m)
     for sym in w:
         nxt = []
         for path, cost in stack:
-            for t in m.by_source.get(path[-1], ()):
+            for t in edges.get(path[-1], ()):
                 if t.symbol == sym:
                     nxt.append((path + (t.target,), cost + t.cost))
         stack = nxt
@@ -448,6 +465,7 @@ def enum_count_f_g(a: CostAutomaton, max_n: int) -> tuple[list[int], list[int]]:
     syms = sorted(a.alphabet)
     f = [0] * (max_n + 1)
     g = [0] * (max_n + 1)
+    edges = edges_by_source(a)
     for n in range(max_n + 1):
         for w in itertools.product(syms, repeat=n):
             if not accepts(a, w):
@@ -457,7 +475,7 @@ def enum_count_f_g(a: CostAutomaton, max_n: int) -> tuple[list[int], list[int]]:
             for sym in w:
                 nxt: dict[str, int] = {}
                 for state, c in count.items():
-                    for t in a.by_source.get(state, ()):
+                    for t in edges.get(state, ()):
                         if t.symbol == sym:
                             nxt[t.target] = nxt.get(t.target, 0) + c
                 count = nxt

@@ -15,7 +15,13 @@ from gurevich import (
     validate,
 )
 
-from conftest import DNA_PRODUCT_EDGES, aut, enum_accepting_runs, random_automaton
+from conftest import (
+    DNA_PRODUCT_EDGES,
+    aut,
+    edges_by_source,
+    enum_accepting_runs,
+    random_automaton,
+)
 
 
 def name_tarjan(a):
@@ -347,9 +353,10 @@ class TestProduct:
 
 def _run_cost(a: CostAutomaton, states, word) -> float:
     total = 0.0
+    edges = edges_by_source(a)
     for i, sym in enumerate(word):
         match = [
-            t for t in a.by_source.get(states[i], ())
+            t for t in edges.get(states[i], ())
             if t.symbol == sym and t.target == states[i + 1]
         ]
         assert len(match) == 1

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import os
@@ -16,7 +15,6 @@ from gurevich import (
     save_document,
 )
 from gurevich import energy as energy_mod
-from gurevich import linlen as linlen_mod
 from gurevich import free_energy
 from gurevich.cli import main
 
@@ -331,24 +329,20 @@ class TestLinlenCommand:
         assert out == []
         assert err == f"error: max_n must be positive, got {n}\n"
 
-    def test_oracle_prefix_cap_is_resource_error(self, tmp_path, capsys, monkeypatch):
-        # base and the one part are both {a, b}*, so every prefix is
-        # enumerated; a cap of 1000 stands in for the default 10^6, which
-        # takes seconds to reach
+    def test_oracle_prefix_cap_is_resource_error(self, tmp_path, capsys):
+        # base and the one part are both {a, b}*: 2^23 - 1 prefixes up to
+        # length 22, past the default cap of 10^6, which the oracle counts
+        # before it enumerates any
         sigma = {
             "alphabet": ["a", "b"], "states": ["A"], "initial": "A", "accepting": ["A"],
             "transitions": [{"from": "A", "symbol": s, "to": "A"} for s in ("a", "b")],
         }
         doc = {"base": sigma, "parts": [dict(sigma)], "lengths": {"offset": [1], "periods": [[1]]}}
         path = write_json(tmp_path, "spec.json", doc)
-        monkeypatch.setattr(
-            linlen_mod, "linlen_word_oracle",
-            functools.partial(linlen_mod.linlen_word_oracle, word_cap=1000),
-        )
         assert main(["linlen", path, "--oracle-check", "22"]) == 4
         out, err = lines_of(capsys)
         assert out == []
-        assert err == "error: oracle enumeration passed 1000 prefixes; instance too large\n"
+        assert err == "error: oracle enumeration passed 1000000 prefixes; instance too large\n"
 
     def test_bad_offset_is_input_error(self, tmp_path, capsys):
         doc = linlen_doc()

@@ -8,10 +8,13 @@ import pytest
 from gurevich import (
     DocumentError,
     PairCostFunction,
+    StateCapExceeded,
     Transition,
+    accepts,
     automaton_from_document,
     automaton_to_document,
     block_automaton,
+    count_series,
     determinize,
     dump_json,
     free_energy,
@@ -27,6 +30,7 @@ from gurevich import (
     run_partition_series,
     save_document,
     similarity,
+    verify_implements,
     word_partition_series,
 )
 from gurevich.cli import main
@@ -314,8 +318,15 @@ class TestArrayPaths:
         block_automaton(spec)
         linlen_energy(spec)
         linlen_word_oracle(spec, 12)
+        with pytest.raises(StateCapExceeded):
+            linlen_word_oracle(spec, 12, word_cap=10)
         a = load_automaton(path)
-        implement_construction(a, PairCostFunction.create({("x0", "x1"): 0.5}))
+        u = PairCostFunction.create({("x0", "x1"): 0.5})
+        machine = implement_construction(a, u)
+        assert verify_implements(machine, a, u, 4).holds
+        assert verify_implements(a, a, u, 4).counterexample.run is not None
+        count_series(a, 8)
+        assert accepts(a, ()) and not accepts(a, ("x0", "x9"))
         free_energy(a)
         free_energy(a, form="bipartite")
         run_partition_series(a, "runs_all", 20)

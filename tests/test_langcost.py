@@ -142,6 +142,14 @@ class TestVerifyImplements:
         assert ce.word == ("a",)
         assert ce.word_cost is None
 
+    def test_negative_max_len_rejected(self, ab_star, u_ab):
+        a_star = aut(["a", "b"], ["A"], "A", ["A"], [("A", "a", "A")])
+        with pytest.raises(ValueError, match="max_len must be non-negative, got -1"):
+            verify_implements(a_star, ab_star, u_ab, -1)
+        # 0 checks the empty word alone, which both languages contain
+        report = verify_implements(a_star, ab_star, u_ab, 0)
+        assert report.holds and report.checked_up_to == 0
+
     def test_construction_holds_on_corpus(self):
         for seed in range(8):
             dfa = determinize(random_automaton(seed, max_states=4, costs="zero"))

@@ -25,7 +25,7 @@ from gurevich import (
     word_cost,
 )
 
-from conftest import aut
+from conftest import aut, dfa_successors, edges_by_source
 
 ZERO_U = PairCostFunction.create()
 DIAG_U = PairCostFunction.create({("a", "a"): 1.0, ("b", "b"): 1.0})
@@ -304,6 +304,13 @@ class TestOracle:
         with pytest.raises(StateCapExceeded, match="word_cap|too large|prefixes"):
             linlen_word_oracle(sigma_star_spec(ZERO_U), 30, word_cap=100)
 
+    def test_word_cap_counts_every_prefix(self):
+        # {a, b}* has 2^6 - 1 prefixes of length <= 5, the empty one included
+        spec = sigma_star_spec(ZERO_U)
+        assert len(linlen_word_oracle(spec, 5, word_cap=63).values) == 5
+        with pytest.raises(StateCapExceeded, match="passed 62 prefixes"):
+            linlen_word_oracle(spec, 5, word_cap=62)
+
     @pytest.mark.parametrize("max_n", [0, -3])
     def test_max_n_must_be_positive(self, max_n):
         with pytest.raises(ValueError, match=f"max_n must be positive, got {max_n}"):
@@ -359,6 +366,8 @@ def split_search_oracle(spec, max_n):
     sums = [0.0] * (max_n + 1)
     if base.is_empty or any(p.is_empty for p in parts):
         return sums[1:]
+    steps = [dfa_successors(p) for p in parts]
+    edges = edges_by_source(base)
 
     def has_split(w):
         n = len(w)
@@ -367,6 +376,7 @@ def split_search_oracle(spec, max_n):
             if part_idx == k:
                 return pos == n and linear_set_member(spec.lengths, lens)
             p = parts[part_idx]
+            step = steps[part_idx]
             state = p.initial
             end = pos
             while True:
@@ -375,7 +385,7 @@ def split_search_oracle(spec, max_n):
                         return True
                 if end == n or state is None:
                     return False
-                state = p.dfa_step(state, w[end])
+                state = step.get((state, w[end]))
                 end += 1
 
         return search(0, 0, ())
@@ -386,7 +396,7 @@ def split_search_oracle(spec, max_n):
         if state in base.accepting and word and has_split(word):
             sums[len(word)] += math.exp(word_cost(spec.pair_cost, word))
         if len(word) < max_n:
-            for t in sorted(base.by_source.get(state, ())):
+            for t in sorted(edges.get(state, ())):
                 stack.append((t.target, word + (t.symbol,)))
     return sums[1:]
 

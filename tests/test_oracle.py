@@ -26,6 +26,7 @@ from conftest import (
     aut,
     enum_count_f_g,
     enum_run_sum,
+    edges_by_source,
     enum_word_sum,
     random_automaton,
 )
@@ -146,7 +147,22 @@ class TestCountSeries:
         assert f[3] == 6 and g[3] == 2
 
     def test_matches_enumeration(self, branchy_nfa):
-        fixtures = [branchy_nfa] + [random_automaton(s, max_states=4) for s in (3, 7, 11)]
+        # state names with the product's and the subsets' separators, so
+        # that pair and subset names collide and get escaped
+        separators = aut(
+            ["a", "b"], ["p|q", "p", "q|", "{x,y}", "\\z", "{x"], "p|q", ["q|", "{x"],
+            [("p|q", "a", "p"), ("p|q", "a", "q|"), ("p", "b", "{x,y}"), ("q|", "b", "{x,y}"),
+             ("{x,y}", "a", "\\z"), ("\\z", "b", "p|q"), ("{x,y}", "b", "{x"), ("\\z", "a", "{x"),
+             ("{x", "a", "p|q"), ("{x", "b", "{x")],
+        )
+        subsets = aut(
+            ["a"], ["s", "p,q", "p", "q"], "s", ["p,q", "q"],
+            [("s", "a", "p"), ("s", "a", "q"), ("p", "a", "p,q"), ("q", "a", "p,q"),
+             ("p,q", "a", "p"), ("p,q", "a", "s")],
+        )
+        fixtures = [branchy_nfa, separators, subsets] + [
+            random_automaton(s, max_states=4) for s in (3, 7, 11)
+        ]
         for m in fixtures:
             f, g = count_series(m, 6)
             f_ref, g_ref = enum_count_f_g(m, 6)
@@ -221,14 +237,15 @@ def pair_dp_word_sums(dfa, u, max_n):
     """Word sums by a dict DP over (state, last symbol), one Python loop
     per step: the form the edge sweep replaces."""
     frontier: dict[tuple[str, str], float] = {}
-    for t in dfa.by_source.get(dfa.initial, ()):
+    edges = edges_by_source(dfa)
+    for t in edges.get(dfa.initial, ()):
         frontier[(t.target, t.symbol)] = frontier.get((t.target, t.symbol), 0.0) + 1.0
     sums = []
     for n in range(1, max_n + 1):
         if n > 1:
             nxt: dict[tuple[str, str], float] = {}
             for (state, last), w in frontier.items():
-                for t in dfa.by_source.get(state, ()):
+                for t in edges.get(state, ()):
                     key = (t.target, t.symbol)
                     nxt[key] = nxt.get(key, 0.0) + w * math.exp(u.cost(last, t.symbol))
             frontier = nxt
@@ -353,7 +370,7 @@ class TestMemoryGrowsWithTransitions:
             {(f"x{i}", f"x{j}"): -math.log(8) + 0.05 * (i - j) for i in range(8) for j in range(8)}
         )
         series, peak = traced_peak(lambda: word_partition_series(big, u, 20))
-        first = sum(1 for t in big.by_source[big.initial] if t.target in big.accepting)
+        first = sum(1 for t in edges_by_source(big)[big.initial] if t.target in big.accepting)
         assert series.values[0] == (1, float(first))
         assert all(0.0 < s < math.inf for _, s in series.values[1:])
         assert peak < 50 * 2**20
