@@ -9,20 +9,21 @@ An automaton is stored as int arrays: its state names and its symbols are
 sorted tuples, and its transitions are the columns ``src``, ``sym``, ``dst``
 (indices into those tuples) and ``cost``, in input order.  Every algorithm
 here runs on the columns, and a construction names its new states once, at
-the end.  ``Transition`` objects and the ``states``/``alphabet`` sets are
-views built on first use; of the algorithms, only ``map_costs`` walks named
-edges, for its callback.
+the end.  The start state is an index, ``start``, and the accepting set a
+bool column over the states, ``accepting_mask``.  ``Transition`` objects,
+the ``states``/``alphabet`` sets and the ``initial``/``accepting`` names
+are views built on first use; of the algorithms, only ``map_costs`` walks
+named edges, for its callback.
 
 All values are immutable; operations return new automata.  The empty
-automaton (zero states, ``initial`` is None) is a first-class value: trim
-and product return it instead of raising, and every energy computed from
-it downstream is 0.
+automaton (zero states, ``start`` is -1) is a first-class value: trim and
+product return it instead of raising, and every energy computed from it
+downstream is 0.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -74,17 +75,19 @@ class CostAutomaton:
     ``state_names[dst[e]]`` at cost ``cost[e]``.  Duplicate triples are
     kept, so validate() can still report them in hand-built inputs.
     ``undeclared`` holds the state names and the symbols that transitions
-    use but the input did not declare: they are indexed like the others,
-    so validate() can report them, and the ``states``/``alphabet`` views
-    leave them out.  ``initial`` is None only for the distinguished empty
-    value.  ``transitions``, ``states`` and ``alphabet`` are named views,
-    built on first use for the callers that want names.
+    or the initial and accepting names use but the input did not declare:
+    they are indexed like the others, so validate() can report them, and
+    the ``states``/``alphabet`` views leave them out.  ``start`` indexes
+    the initial state, -1 only for the distinguished empty value, and
+    ``accepting_mask`` is True at the accepting states.  ``transitions``,
+    ``states``, ``alphabet``, ``initial`` and ``accepting`` are named
+    views, built on first use for the callers that want names.
     """
 
     state_names: tuple[str, ...]
     symbols: tuple[str, ...]
-    initial: str | None
-    accepting: frozenset[str]
+    start: int
+    accepting_mask: np.ndarray
     src: np.ndarray
     sym: np.ndarray
     dst: np.ndarray
@@ -92,7 +95,7 @@ class CostAutomaton:
     undeclared: tuple[frozenset[str], frozenset[str]] = _NO_NAMES
 
     def __post_init__(self) -> None:
-        for column in (self.src, self.sym, self.dst, self.cost):
+        for column in (self.accepting_mask, self.src, self.sym, self.dst, self.cost):
             column.flags.writeable = False
 
     @staticmethod
@@ -126,13 +129,15 @@ class CostAutomaton:
         cost: Sequence[float],
     ) -> "CostAutomaton":
         """Build from per-transition columns of names (src, sym, dst) and costs."""
-        state_names, state_index, undeclared_states = _index(states, src, dst)
+        named = [] if initial is None else [initial]
+        accepting = set(accepting)
+        state_names, state_index, undeclared_states = _index(states, src, dst, named, accepting)
         symbols, symbol_index, undeclared_symbols = _index(alphabet, sym)
         return CostAutomaton(
             state_names,
             symbols,
-            initial,
-            frozenset(accepting),
+            -1 if initial is None else state_index[initial],
+            np.array([name in accepting for name in state_names], dtype=bool),
             _column(state_index, src),
             _column(symbol_index, sym),
             _column(state_index, dst),
@@ -144,35 +149,31 @@ class CostAutomaton:
         """Same structure with the cost column replaced (input order)."""
         return dataclasses.replace(self, cost=np.array(cost, dtype=float))
 
-    def _names(self) -> tuple:
-        return (self.state_names, self.symbols, self.initial, self.accepting, self.undeclared)
+    def _key(self) -> tuple:
+        return (self.state_names, self.symbols, self.start, self.undeclared)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CostAutomaton):
             return NotImplemented
-        return self._names() == other._names() and all(
-            np.array_equal(getattr(self, c), getattr(other, c)) for c in ("src", "sym", "dst", "cost")
+        return self._key() == other._key() and all(
+            np.array_equal(getattr(self, c), getattr(other, c))
+            for c in ("accepting_mask", "src", "sym", "dst", "cost")
         )
 
     def __hash__(self) -> int:
-        return hash(self._names())
+        return hash(self._key())
 
     @property
     def is_empty(self) -> bool:
         return len(self.state_names) == len(self.undeclared[0])
 
-    def index_of(self, name: str) -> int | None:
-        """Index of a state name in ``state_names``, None when absent."""
-        i = bisect_left(self.state_names, name)
-        return i if i < len(self.state_names) and self.state_names[i] == name else None
+    @property
+    def initial(self) -> str | None:
+        return None if self.start < 0 else self.state_names[self.start]
 
     @cached_property
-    def accepting_mask(self) -> np.ndarray:
-        """Bool array over ``state_names``, True at the accepting states."""
-        mask = np.zeros(len(self.state_names), dtype=bool)
-        found = [self.index_of(q) for q in self.accepting]
-        mask[[i for i in found if i is not None]] = True
-        return mask
+    def accepting(self) -> frozenset[str]:
+        return frozenset(self.state_names[i] for i in np.flatnonzero(self.accepting_mask).tolist())
 
     @cached_property
     def states(self) -> frozenset[str]:
@@ -219,7 +220,9 @@ def _repeats(keys: np.ndarray) -> bool:
 
 
 _NO_EDGES = np.empty(0, dtype=np.intp)
-EMPTY = CostAutomaton((), (), None, frozenset(), _NO_EDGES, _NO_EDGES, _NO_EDGES, np.empty(0))
+EMPTY = CostAutomaton(
+    (), (), -1, np.zeros(0, dtype=bool), _NO_EDGES, _NO_EDGES, _NO_EDGES, np.empty(0)
+)
 
 
 def validate(a: CostAutomaton) -> list[str]:
@@ -332,31 +335,30 @@ def live_states(a: CostAutomaton) -> np.ndarray:
     """Mask over ``a.state_names`` of the states reachable from the initial
     state and co-reachable to an accepting state."""
     n = len(a.state_names)
-    start = a.index_of(a.initial) if a.initial is not None else None
-    forward = _reach(*adjacency(n, a.src, a.dst), [] if start is None else [start])
+    forward = _reach(*adjacency(n, a.src, a.dst), [a.start] if a.start >= 0 else [])
     backward = _reach(*adjacency(n, a.dst, a.src), np.flatnonzero(a.accepting_mask).tolist())
     return (np.frombuffer(forward, dtype=np.uint8) & np.frombuffer(backward, dtype=np.uint8)) > 0
 
 
 def keep_states(a: CostAutomaton, keep: np.ndarray) -> CostAutomaton:
     """Sub-automaton on the states where the mask ``keep`` is set, with the
-    transitions between them in input order."""
+    transitions between them in input order; ``start`` is -1 when the
+    initial state is dropped."""
     kept = np.flatnonzero(keep)
     renumber = np.full(len(keep), -1, dtype=np.intp)
     renumber[kept] = np.arange(kept.size)
     inside = keep[a.src] & keep[a.dst]
     names = tuple(a.state_names[i] for i in kept.tolist())
-    kept_names = frozenset(names)
     return CostAutomaton(
         names,
         a.symbols,
-        a.initial,
-        a.accepting & kept_names,
+        int(renumber[a.start]) if a.start >= 0 else -1,
+        a.accepting_mask[kept],
         renumber[a.src[inside]],
         a.sym[inside],
         renumber[a.dst[inside]],
         a.cost[inside],
-        (a.undeclared[0] & kept_names, a.undeclared[1]),
+        (a.undeclared[0] & frozenset(names), a.undeclared[1]),
     )
 
 
@@ -489,22 +491,23 @@ def _unique_names(plain: list[str], escaped: Callable[[int], str]) -> list[str]:
 def _sorted_automaton(
     names: list[str],
     symbols: tuple[str, ...],
-    accepting: Iterable[int],
+    accepting: np.ndarray,
     src: np.ndarray,
     sym: np.ndarray,
     dst: np.ndarray,
     cost: np.ndarray,
 ) -> CostAutomaton:
     """Automaton over states numbered by construction order (state 0 is
-    initial), renumbered to the sorted order of ``names``."""
+    initial, ``accepting`` a bool mask in that order), renumbered to the
+    sorted order of ``names``."""
     order = sorted(range(len(names)), key=names.__getitem__)
     rank = np.empty(len(names), dtype=np.intp)
     rank[order] = np.arange(len(names))
     return CostAutomaton(
         tuple(names[i] for i in order),
         symbols,
-        names[0],
-        frozenset(names[i] for i in accepting),
+        int(rank[0]),
+        accepting[order],
         rank[src],
         sym,
         rank[dst],
@@ -523,7 +526,7 @@ def determinize(a: CostAutomaton, state_cap: int = 2**20) -> CostAutomaton:
     """
     if state_cap < 1:
         raise ValueError(f"state_cap must be positive, got {state_cap}")
-    if a.is_empty or a.initial is None or a.index_of(a.initial) is None:
+    if a.is_empty or a.start < 0:
         return EMPTY
     k = len(a.symbols)
     order = np.lexsort((a.dst, a.sym, a.src))
@@ -531,7 +534,7 @@ def determinize(a: CostAutomaton, state_cap: int = 2**20) -> CostAutomaton:
     for key, target in zip((a.src * k + a.sym)[order].tolist(), a.dst[order].tolist()):
         successors.setdefault(key, []).append(target)
 
-    start = (a.index_of(a.initial),)
+    start = (a.start,)
     ids = {start: 0}
     subsets = [start]
     src: list[int] = []
@@ -563,11 +566,11 @@ def determinize(a: CostAutomaton, state_cap: int = 2**20) -> CostAutomaton:
     labels = _unique_names(
         plain, lambda i: "{" + ",".join([_escape(names[s], ",") for s in subsets[i]]) + "}"
     )
-    accepting = set(np.flatnonzero(a.accepting_mask).tolist())
+    accepting = a.accepting_mask.tolist()
     result = _sorted_automaton(
         labels,
         a.symbols,
-        [i for i, sub in enumerate(subsets) if not accepting.isdisjoint(sub)],
+        np.array([any([accepting[s] for s in sub]) for sub in subsets], dtype=bool),
         np.array(src, dtype=np.intp),
         np.array(sym, dtype=np.intp),
         np.array(dst, dtype=np.intp),
@@ -576,13 +579,16 @@ def determinize(a: CostAutomaton, state_cap: int = 2**20) -> CostAutomaton:
     return trim(result)
 
 
-def product(a1: CostAutomaton, a2: CostAutomaton, sep: str = "|") -> CostAutomaton:
+_PAIR_SEP = "|"
+
+
+def product(a1: CostAutomaton, a2: CostAutomaton) -> CostAutomaton:
     """Cartesian product on shared symbols with SUMMED costs, trimmed.
 
     Accepts the intersection of the two languages.  Pair states are named
-    "left<sep>right"; where two pairs would share a name (a state name
-    containing ``sep``), their parts' backslashes and separators are
-    escaped.  Returns the empty value when the intersection is empty.
+    "left|right"; where two pairs would share a name (a state name
+    containing ``|``), their parts' backslashes and ``|`` are escaped.
+    Returns the empty value when the intersection is empty.
 
     The pairs are found one breadth-first frontier at a time: pair (p, q)
     is the int p * n2 + q, and a frontier's out-edges are joined on
@@ -590,10 +596,7 @@ def product(a1: CostAutomaton, a2: CostAutomaton, sep: str = "|") -> CostAutomat
     The transitions out of each pair follow a1's order, then a2's targets
     in sorted order.
     """
-    if a1.is_empty or a2.is_empty or a1.initial is None or a2.initial is None:
-        return EMPTY
-    start1, start2 = a1.index_of(a1.initial), a2.index_of(a2.initial)
-    if start1 is None or start2 is None:
+    if a1.is_empty or a2.is_empty or a1.start < 0 or a2.start < 0:
         return EMPTY
     symbols = tuple(sorted(set(a1.symbols) | set(a2.symbols)))
     width = len(symbols)
@@ -607,7 +610,7 @@ def product(a1: CostAutomaton, a2: CostAutomaton, sep: str = "|") -> CostAutomat
     keys2 = (a2.src * width + sym2)[edges2]
 
     n2 = len(a2.state_names)
-    frontier = np.array([start1 * n2 + start2], dtype=np.intp)
+    frontier = np.array([a1.start * n2 + a2.start], dtype=np.intp)
     seen = {int(frontier[0])}
     levels = [frontier]
     edges: list[tuple[np.ndarray, ...]] = []
@@ -634,14 +637,14 @@ def product(a1: CostAutomaton, a2: CostAutomaton, sep: str = "|") -> CostAutomat
     names1 = [a1.state_names[i] for i in left.tolist()]
     names2 = [a2.state_names[i] for i in right.tolist()]
     labels = _unique_names(
-        [x + sep + y for x, y in zip(names1, names2)],
-        lambda i: _escape(names1[i], sep) + sep + _escape(names2[i], sep),
+        [x + _PAIR_SEP + y for x, y in zip(names1, names2)],
+        lambda i: _escape(names1[i], _PAIR_SEP) + _PAIR_SEP + _escape(names2[i], _PAIR_SEP),
     )
     source, sym, target, cost = (np.concatenate(column) for column in zip(*edges))
     result = _sorted_automaton(
         labels,
         symbols,
-        np.flatnonzero(a1.accepting_mask[left] & a2.accepting_mask[right]).tolist(),
+        a1.accepting_mask[left] & a2.accepting_mask[right],
         by_key[np.searchsorted(pairs[by_key], source)],
         sym,
         by_key[np.searchsorted(pairs[by_key], target)],
@@ -652,11 +655,10 @@ def product(a1: CostAutomaton, a2: CostAutomaton, sep: str = "|") -> CostAutomat
 
 def accepts(a: CostAutomaton, word: Sequence[str]) -> bool:
     """NFA membership by subset simulation on a mask over the states."""
-    start = a.index_of(a.initial) if a.initial is not None else None
-    if a.is_empty or start is None:
+    if a.is_empty or a.start < 0:
         return False
     current = np.zeros(len(a.state_names), dtype=bool)
-    current[start] = True
+    current[a.start] = True
     for name in word:
         y = a.symbols.index(name) if name in a.symbols else -1
         stepped = a.dst[current[a.src] & (a.sym == y)]
@@ -673,13 +675,12 @@ def map_costs(a: CostAutomaton, fn: Callable[[Transition], float]) -> CostAutoma
 def induced(a: CostAutomaton, states: Iterable[str]) -> CostAutomaton:
     """Sub-automaton on a state subset (used to isolate one SCC).
 
-    Initial/accepting are irrelevant to component energies; the initial is
-    reset to the alphabetically first member so the value still validates.
+    Initial/accepting are irrelevant to component energies; the start is
+    reset to the alphabetically first kept state so the value still
+    validates, and the empty value comes back when no state is kept.
     Nothing in the package calls it; ``bench/tracing.py`` times this name,
     so it stays until the benchmark's layer list drops it.
     """
     keep = frozenset(states)
-    if not keep:
-        return EMPTY
     sub = keep_states(a, np.array([name in keep for name in a.state_names], dtype=bool))
-    return dataclasses.replace(sub, initial=min(keep))
+    return dataclasses.replace(sub, start=0) if sub.state_names else EMPTY

@@ -228,12 +228,14 @@ def linlen_spec_from_document(doc: Any, where: str = "linlen spec") -> LinearLen
     raw_lengths = _require(doc, "lengths", dict, where)
     offset = _require(raw_lengths, "offset", list, f"{where} lengths")
     periods = raw_lengths.get("periods", [])
-    if not isinstance(periods, list):
-        raise DocumentError(f"{where} lengths: field 'periods' must be a list")
-    try:
-        lengths = LinearSet.create(offset, periods)
-    except (TypeError, ValueError) as e:
-        raise DocumentError(f"{where} lengths: {e}") from e
+    # JSON integers only: 1.5, 2.0, "1" and true would otherwise pass int()
+    if not all(type(x) is int for x in offset):
+        raise DocumentError(f"{where} lengths: field 'offset' must be a list of integers")
+    if not isinstance(periods, list) or not all(
+        isinstance(p, list) and all(type(x) is int for x in p) for p in periods
+    ):
+        raise DocumentError(f"{where} lengths: field 'periods' must be a list of lists of integers")
+    lengths = LinearSet.create(offset, periods)
     pair_doc = doc.get("pair_cost", {"pairs": []})
     pair_cost = pair_cost_from_document(pair_doc, alphabet=base.alphabet, where=f"{where} pair_cost")
     return LinearLengthSpec(base=base, parts=parts, lengths=lengths, pair_cost=pair_cost)

@@ -128,9 +128,9 @@ def implement_construction(dfa: CostAutomaton, u: PairCostFunction) -> CostAutom
     if dfa.is_empty:
         return automata.EMPTY
 
-    names, symbols, start = dfa.state_names, dfa.symbols, dfa.initial
+    names, symbols, start = dfa.state_names, dfa.symbols, dfa.start
     # state 0 is the start and state e + 1 is transition e, named (p,a,q)
-    rows = [(start,)] + [
+    rows = [(names[start],)] + [
         (names[p], symbols[y], names[q])
         for p, y, q in zip(dfa.src.tolist(), dfa.sym.tolist(), dfa.dst.tolist())
     ]
@@ -146,7 +146,7 @@ def implement_construction(dfa: CostAutomaton, u: PairCostFunction) -> CostAutom
     # entry edges: start -> (start, a, q) at cost 0; then (p, a, q) -> (q, b, r)
     # for every transition q -b-> r, charging U(a, b); both in input order
     order, indptr = automata.by_source_rows(len(names), dfa.src)
-    entry = order[indptr[dfa.index_of(start)] : indptr[dfa.index_of(start) + 1]]
+    entry = order[indptr[start] : indptr[start + 1]]
     fanout = indptr[dfa.dst + 1] - indptr[dfa.dst]
     first = np.repeat(np.arange(len(dfa.src)), fanout)
     then = order[automata.spans(indptr[dfa.dst], fanout)]
@@ -154,20 +154,16 @@ def implement_construction(dfa: CostAutomaton, u: PairCostFunction) -> CostAutom
     pairs = (dfa.sym[first] * k + dfa.sym[then]).tolist()
     pair_cost = {c: u.cost(symbols[c // k], symbols[c % k]) for c in sorted(set(pairs))}
 
-    accepting = (np.flatnonzero(dfa.accepting_mask[dfa.dst]) + 1).tolist()
-    if start in dfa.accepting:
-        accepting.append(0)
     targets = np.concatenate((entry, then))
-    result = automata._sorted_automaton(
+    return automata._sorted_automaton(
         labels,
         symbols,
-        accepting,
+        dfa.accepting_mask[np.append(start, dfa.dst)],
         np.concatenate((np.zeros(len(entry), dtype=np.intp), first + 1)),
         dfa.sym[targets],
         targets + 1,
         np.array([0.0] * len(entry) + [pair_cost[c] for c in pairs]),
     )
-    return automata.trim(result)
 
 
 def verify_implements(
@@ -207,10 +203,8 @@ def verify_implements(
         return tuple(m.state_names[s] for s in run)
 
     # frontier entry: (word, m-runs keyed by state then exact cost, dfa state or -1)
-    start = m.index_of(m.initial) if m.initial is not None else None
-    start_runs = {} if m.is_empty or start is None else {start: {0.0: (start,)}}
-    l_start = -1 if dfa_for_l.is_empty else dfa_for_l.index_of(dfa_for_l.initial)
-    frontier: list[tuple[tuple[str, ...], dict, int]] = [((), start_runs, l_start)]
+    start_runs = {} if m.is_empty or m.start < 0 else {m.start: {0.0: (m.start,)}}
+    frontier: list[tuple[tuple[str, ...], dict, int]] = [((), start_runs, dfa_for_l.start)]
 
     for length in range(0, max_len + 1):
         next_frontier = []

@@ -272,7 +272,7 @@ def block_automaton(
 
     # initial blocks: drawn from [d_0]; every part non-null (offset positive),
     # so the memory tuple is fully determined and the entry edge costs 0
-    starts = (base.index_of(base.initial),), tuple(p.index_of(p.initial) for p in parts)
+    starts = (base.start,), tuple(p.start for p in parts)
     for block in tuple_sets[0]:
         for g in guesses:
             stepped = read_block(starts[0] + g, starts[1], None, block)
@@ -315,7 +315,7 @@ def block_automaton(
     result = automata._sorted_automaton(
         labels[: len(ids)],
         tuple(symbols[y] for y in order),
-        accepting,
+        np.isin(np.arange(len(ids)), accepting),
         np.array(src, dtype=np.intp),
         rank[list(sym)],
         np.array(dst, dtype=np.intp),
@@ -387,9 +387,8 @@ def linlen_word_oracle(
 
     # the walk pops one stack entry per base-language prefix of length <= max_n
     n_base = len(base.state_names)
-    base_start = base.index_of(base.initial)
     prefixes = _count_sweep(
-        n_base, base.src, base.dst, base_start, np.ones(n_base, dtype=bool), max_n
+        n_base, base.src, base.dst, base.start, np.ones(n_base, dtype=bool), max_n
     )
     if any(total > word_cap for total in prefixes):
         raise StateCapExceeded(f"oracle enumeration passed {word_cap} prefixes; instance too large")
@@ -397,7 +396,7 @@ def linlen_word_oracle(
     width = len(base.symbols)
     steps = [automata.successors(p, width) for p in parts]
     accepting = [p.accepting_mask.tolist() for p in parts]
-    initials = [p.index_of(p.initial) for p in parts]
+    initials = [p.start for p in parts]
     base_accepting = base.accepting_mask.tolist()
     pair_cost = functools.cache(lambda x, y: u.cost(base.symbols[x], base.symbols[y]))
     # each base state's (target, symbol) edges, by symbol then target index
@@ -424,7 +423,7 @@ def linlen_word_oracle(
 
     root = close([(0, initials[0], 0, ())], 0)
     # (base state, prefix length, last symbol, prefix cost, configurations)
-    stack: list[tuple[int, int, int, float, list[tuple]]] = [(base_start, 0, -1, 0.0, root)]
+    stack: list[tuple[int, int, int, float, list[tuple]]] = [(base.start, 0, -1, 0.0, root)]
     while stack:
         state, n, last, cost, configs = stack.pop()
         if n and base_accepting[state] and has_split(configs, n):

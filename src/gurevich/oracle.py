@@ -159,7 +159,7 @@ def run_partition_series(
         accept = np.ones(n)
     else:
         v = np.zeros(n)
-        v[a.index_of(a.initial)] = 1.0
+        v[a.start] = 1.0
         accept = a.accepting_mask.astype(float)
     return _sweep(kind, a.src, a.dst, weights, v, accept, max_n, rescale=False)
 
@@ -198,7 +198,7 @@ def word_partition_series(
 
     # nodes: the pairs (state, last symbol) that transitions enter, plus the
     # start pair (initial, none), which no transition enters
-    start_key = dfa.index_of(dfa.initial) * width + none
+    start_key = dfa.start * width + none
     pair_keys, pair_of = np.unique(np.append(dst * width + sym, start_key), return_inverse=True)
     pair_of = pair_of[:-1]  # per transition: the pair it enters
     pair_state, pair_sym = np.divmod(pair_keys, width)
@@ -275,11 +275,10 @@ def count_series(
     det = automata.determinize(a)
     if det.is_empty:
         return [0] * (max_n + 1), [0] * (max_n + 1)
-    runs = automata.product(replace(a, accepting=frozenset(a.state_names)), det)
+    runs = automata.product(replace(a, accepting_mask=np.ones(len(a.state_names), dtype=bool)), det)
 
     def counts(x: CostAutomaton) -> list[int]:
-        start = x.index_of(x.initial)
-        return list(_count_sweep(len(x.state_names), x.src, x.dst, start, x.accepting_mask, max_n))
+        return list(_count_sweep(len(x.state_names), x.src, x.dst, x.start, x.accepting_mask, max_n))
 
     return counts(runs), counts(det)
 

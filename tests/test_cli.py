@@ -352,6 +352,22 @@ class TestLinlenCommand:
         _, err = lines_of(capsys)
         assert "offset must be positive" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("offset", [1.5, 2, 3]), ("periods", [[1.9, 2, 3]]), ("offset", ["1", 2, 3]),
+         ("periods", [[True, 2, 3]])],
+        ids=["float-offset", "float-period", "string", "boolean"],
+    )
+    def test_non_integer_length_is_input_error(self, tmp_path, capsys, field, value):
+        # int() would truncate or coerce these into a spec for another language
+        doc = linlen_doc()
+        doc["lengths"][field] = value
+        path = write_json(tmp_path, "spec.json", doc)
+        assert main(["linlen", path]) == 2
+        out, err = lines_of(capsys)
+        assert out == []
+        assert f"lengths: field '{field}' must be a list" in err
+
     def test_block_cap_is_resource_error(self, tmp_path, capsys):
         sigma3 = {
             "alphabet": ["a", "b", "c"], "states": ["A"], "initial": "A",

@@ -216,6 +216,25 @@ class TestLinlenDocuments:
         spec = linlen_spec_from_document(doc)
         assert spec.pair_cost.cost("a", "a") == 0.0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("offset", [1.5]),
+            ("offset", [2.0]),
+            ("offset", ["1"]),
+            ("offset", [True]),
+            ("periods", [[1.9]]),
+            ("periods", [["1"]]),
+            ("periods", [[True]]),
+            ("periods", [1]),
+        ],
+    )
+    def test_lengths_must_be_integers(self, field, value):
+        doc = self.spec_doc()
+        doc["lengths"][field] = value
+        with pytest.raises(DocumentError, match=f"lengths: field '{field}' must be a list"):
+            linlen_spec_from_document(doc)
+
     def test_part_errors_are_located(self):
         doc = self.spec_doc()
         doc["parts"][0]["initial"] = "Q"

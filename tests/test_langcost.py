@@ -5,6 +5,7 @@ import pytest
 from gurevich import (
     PairCostFunction,
     UnknownSymbol,
+    automata,
     determinize,
     estimate_limit,
     free_energy,
@@ -104,6 +105,23 @@ class TestImplementConstruction:
         assert "(a,x,a,b)" in m.states  # a name no other shares stays plain
         assert {"(a,b,x\\,c)", "(a\\,b,x,c)"} <= m.states
         assert verify_implements(m, dfa, u, 6).holds
+
+    def test_output_is_trimmed(self, ab_star, u_ab):
+        # state (p,a,q) is reached through p and reaches acceptance through
+        # q, and the start is live, so the output needs no trim of its own
+        dead_ends = aut(
+            ["a", "b"], ["p", "q", "dead", "unreached"], "p", ["p"],
+            [("p", "a", "q"), ("q", "b", "p"), ("q", "a", "dead"), ("dead", "a", "dead"),
+             ("unreached", "b", "p")],
+        )
+        empty_word = aut(["a"], ["A"], "A", ["A"], [])
+        fixtures = [ab_star, colliding_dfa(), dead_ends, empty_word] + [
+            determinize(random_automaton(seed, max_states=5)) for seed in range(40)
+        ]
+        for dfa in fixtures:
+            machine = implement_construction(dfa, u_ab)
+            assert not machine.is_empty
+            assert automata.live_states(machine).all()
 
 
 class TestVerifyImplements:
