@@ -45,7 +45,10 @@ __all__ = [
     "product",
     "accepts",
     "map_costs",
+    "DEFAULT_STATE_CAP",
 ]
+
+DEFAULT_STATE_CAP = 2**20
 
 
 @dataclass(frozen=True, order=True)
@@ -515,7 +518,7 @@ def _sorted_automaton(
     )
 
 
-def determinize(a: CostAutomaton, state_cap: int = 2**20) -> CostAutomaton:
+def determinize(a: CostAutomaton, state_cap: int = DEFAULT_STATE_CAP) -> CostAutomaton:
     """Subset construction.  Result is deterministic, trimmed, zero-cost.
 
     Costs are discarded (set to 0): determinization is only ever applied to

@@ -20,7 +20,7 @@ import sys
 from . import linlen as linlen_mod
 from . import nondet as nondet_mod
 from . import oracle as oracle_mod
-from .automata import CostAutomaton
+from .automata import DEFAULT_STATE_CAP, CostAutomaton
 from .documents import (
     automaton_to_document,
     dump_json,
@@ -181,7 +181,7 @@ def cmd_oracle(args) -> int:
         u = (
             load_pair_cost(args.pair_costs, alphabet=a.alphabet)
             if args.pair_costs
-            else PairCostFunction.create({}, default=0.0)
+            else PairCostFunction.create()
         )
         series = oracle_mod.word_partition_series(a, u, args.max_n)
     else:
@@ -230,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--state-cap",
         type=int,
-        default=nondet_mod.DEFAULT_STATE_CAP,
+        default=DEFAULT_STATE_CAP,
         help="abort determinization beyond this many subset states",
     )
 

@@ -192,6 +192,9 @@ def automaton_to_document(a: CostAutomaton) -> dict:
 
 
 def pair_cost_from_document(doc: Any, alphabet=None, where: str = "pair costs") -> PairCostFunction:
+    """Parse a pair-cost document; raises DocumentError naming the first
+    offending pair, including a pair listed twice and, when ``alphabet`` is
+    given, a symbol outside it."""
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected a JSON object")
     pairs = _require(doc, "pairs", list, where)
@@ -200,9 +203,15 @@ def pair_cost_from_document(doc: Any, alphabet=None, where: str = "pair costs") 
     for i, p in enumerate(pairs):
         if not isinstance(p, dict):
             raise DocumentError(f"{where}: pair {i} must be an object")
-        first = _require(p, "first", str, f"{where} pair {i}")
-        second = _require(p, "second", str, f"{where} pair {i}")
-        cost = _require(p, "cost", float, f"{where} pair {i}")
+        at = f"{where} pair {i}"
+        first = _require(p, "first", str, at)
+        second = _require(p, "second", str, at)
+        cost = _require(p, "cost", float, at)
+        for symbol in (first, second):
+            if alphabet is not None and symbol not in alphabet:
+                raise DocumentError(f"{at}: symbol {symbol!r} is not in the alphabet")
+        if (first, second) in entries:
+            raise DocumentError(f"{at}: pair ({first!r}, {second!r}) is listed twice")
         entries[(first, second)] = cost
     return PairCostFunction.create(entries, default=default, alphabet=alphabet)
 
@@ -227,15 +236,10 @@ def linlen_spec_from_document(doc: Any, where: str = "linlen spec") -> LinearLen
     )
     raw_lengths = _require(doc, "lengths", dict, where)
     offset = _require(raw_lengths, "offset", list, f"{where} lengths")
-    periods = raw_lengths.get("periods", [])
-    # JSON integers only: 1.5, 2.0, "1" and true would otherwise pass int()
-    if not all(type(x) is int for x in offset):
-        raise DocumentError(f"{where} lengths: field 'offset' must be a list of integers")
-    if not isinstance(periods, list) or not all(
-        isinstance(p, list) and all(type(x) is int for x in p) for p in periods
-    ):
-        raise DocumentError(f"{where} lengths: field 'periods' must be a list of lists of integers")
-    lengths = LinearSet.create(offset, periods)
+    try:
+        lengths = LinearSet.create(offset, raw_lengths.get("periods", []))
+    except ValueError as e:
+        raise DocumentError(f"{where} lengths: {e}") from e
     pair_doc = doc.get("pair_cost", {"pairs": []})
     pair_cost = pair_cost_from_document(pair_doc, alphabet=base.alphabet, where=f"{where} pair_cost")
     return LinearLengthSpec(base=base, parts=parts, lengths=lengths, pair_cost=pair_cost)
@@ -269,5 +273,8 @@ def load_linlen_spec(path: str) -> LinearLengthSpec:
 
 
 def save_document(path: str, doc: Any) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dump_json(doc) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(dump_json(doc) + "\n")
+    except OSError as e:
+        raise DocumentError(f"cannot write {path}: {e}") from e

@@ -135,16 +135,16 @@ def _layout(
     return dims, offsets + src, offsets + dst, weights
 
 
-def _public_matrix(a: CostAutomaton, form: str, shift: float) -> NonnegativeMatrix:
+def _public_matrix(a: CostAutomaton, form: str) -> NonnegativeMatrix:
     _check_component(a)
     names, src, dst, cost = list(a.state_names), a.src, a.dst, a.cost
     if form == "bipartite":  # transition nodes in (source, symbol, target) order
         order = np.lexsort((cost, dst, a.sym, src))
         src, sym, dst, cost = src[order], a.sym[order], dst[order], cost[order]
     with np.errstate(over="ignore"):
-        weights = np.exp(cost - shift)
+        weights = np.exp(cost)
     if not np.isfinite(weights).all():
-        raise Overflow(f"e^{cost.max() - shift} exceeds the double range; rescale costs")
+        raise Overflow(f"e^{cost.max()} exceeds the double range; rescale costs")
     (dim,), rows, cols, values = _layout(
         np.array([len(names)]), np.array([len(weights)]), src, dst, weights, form
     )
@@ -157,19 +157,19 @@ def _public_matrix(a: CostAutomaton, form: str, shift: float) -> NonnegativeMatr
     return NonnegativeMatrix(dim=len(names), entries=entries, labels=tuple(names))
 
 
-def gurevich_matrix_bipartite(a: CostAutomaton, shift: float = 0.0) -> NonnegativeMatrix:
+def gurevich_matrix_bipartite(a: CostAutomaton) -> NonnegativeMatrix:
     """Bipartite Gurevich matrix of one strongly connected component.
 
     Nodes: the component's states plus one node per transition.  Nonzero
-    entries: state p -> node (p,a,q) carries e^{V(p,a,q) - shift}; node
-    (p,a,q) -> state q carries 1.
+    entries: state p -> node (p,a,q) carries e^{V(p,a,q)}; node (p,a,q) ->
+    state q carries 1.
     """
-    return _public_matrix(a, "bipartite", shift)
+    return _public_matrix(a, "bipartite")
 
 
-def gurevich_matrix_compact(a: CostAutomaton, shift: float = 0.0) -> NonnegativeMatrix:
-    """m x m Gurevich matrix: entry (i, j) = sum over symbols of e^{V(p_i,a,p_j) - shift}."""
-    return _public_matrix(a, "compact", shift)
+def gurevich_matrix_compact(a: CostAutomaton) -> NonnegativeMatrix:
+    """m x m Gurevich matrix: entry (i, j) = sum over symbols of e^{V(p_i,a,p_j)}."""
+    return _public_matrix(a, "compact")
 
 
 def _solve_cyclic(

@@ -15,7 +15,7 @@ language_energy computes the word-sum growth rate without any word sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ from . import automata, energy
 from .automata import CostAutomaton
 from .energy import EnergyReport
 from .errors import NotDeterministic, UnknownSymbol
-from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 
 __all__ = [
     "PairCostFunction",
@@ -45,27 +44,23 @@ COST_TOLERANCE = 1e-9
 class PairCostFunction:
     """U: ordered symbol pair -> real cost; unlisted pairs get ``default``.
 
-    ``alphabet`` is optional: when present, cost lookups on symbols outside
-    it raise UnknownSymbol (the CLI binds it to the companion automaton's
-    alphabet at load time).
+    ``alphabet`` may be None; when it is a set, cost lookups on symbols
+    outside it raise UnknownSymbol (the CLI binds it to the companion
+    automaton's alphabet at load time).  Build one with ``create``.
     """
 
-    entries: Mapping[tuple[str, str], float] = field(default_factory=dict)
-    default: float = 0.0
-    alphabet: frozenset[str] | None = None
+    entries: Mapping[tuple[str, str], float]
+    default: float
+    alphabet: frozenset[str] | None
 
     @staticmethod
     def create(
-        entries: Mapping[tuple[str, str], float] | Iterable[tuple[str, str, float]] = (),
+        entries: Mapping[tuple[str, str], float] = {},
         default: float = 0.0,
         alphabet: Iterable[str] | None = None,
     ) -> "PairCostFunction":
-        if isinstance(entries, Mapping):
-            table = {(a, b): float(c) for (a, b), c in entries.items()}
-        else:
-            table = {(a, b): float(c) for a, b, c in entries}
         return PairCostFunction(
-            entries=table,
+            entries={(a, b): float(c) for (a, b), c in entries.items()},
             default=float(default),
             alphabet=frozenset(alphabet) if alphabet is not None else None,
         )
@@ -246,13 +241,8 @@ def verify_implements(
     return ImplementsReport(True, max_len, None)
 
 
-def language_energy(
-    dfa: CostAutomaton,
-    u: PairCostFunction,
-    form: str = "compact",
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> EnergyReport:
-    """Free energy of (L(dfa), u): the computable route to the word-sum rate."""
-    machine = implement_construction(dfa, u)
-    return energy.free_energy(machine, form, tolerance, max_iterations)
+def language_energy(dfa: CostAutomaton, u: PairCostFunction) -> EnergyReport:
+    """Free energy of (L(dfa), u), the computable route to the word-sum rate,
+    by ``free_energy``'s defaults; for other settings call
+    ``free_energy(implement_construction(dfa, u), ...)``."""
+    return energy.free_energy(implement_construction(dfa, u))

@@ -62,6 +62,19 @@ DEFAULT_BLOCK_CAP = 20_000
 DEFAULT_LINLEN_STATE_CAP = 200_000
 
 
+def _integers(values, message: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; ValueError(message) when it is not
+    iterable or holds anything but Python and numpy integers (bool is an
+    int subclass, but no length)."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise ValueError(message) from None
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in items):
+        raise ValueError(message)
+    return tuple(int(x) for x in items)
+
+
 @dataclass(frozen=True)
 class LinearSet:
     """{offset + s_1 p_1 + ... + s_m p_m : s_i >= 0} over N^k.
@@ -77,8 +90,14 @@ class LinearSet:
 
     @staticmethod
     def create(offset: Sequence[int], periods: Iterable[Sequence[int]] = ()) -> "LinearSet":
-        off = tuple(int(x) for x in offset)
-        per = tuple(tuple(int(x) for x in p) for p in periods)
+        """Python or numpy integers only: int() would truncate 1.5 and
+        coerce "1" and True into lengths of another language."""
+        off = _integers(offset, "field 'offset' must be a list of integers")
+        message = "field 'periods' must be a list of lists of integers"
+        try:
+            per = tuple(_integers(p, message) for p in periods)
+        except TypeError:
+            raise ValueError(message) from None
         return LinearSet(k=len(off), offset=off, periods=per)
 
     def violations(self) -> list[str]:
@@ -98,7 +117,7 @@ class LinearSet:
 def linear_set_member(d: LinearSet, v: Sequence[int]) -> bool:
     """Exact membership by bounded search over the period coefficients;
     the last period's coefficient is settled by one division."""
-    vec = tuple(int(x) for x in v)
+    vec = tuple(v)
     if len(vec) != d.k:
         raise ValueError(f"vector arity {len(vec)}, linear set arity {d.k}")
     residual = tuple(a - b for a, b in zip(vec, d.offset))
@@ -176,16 +195,15 @@ def _label(key: tuple, names: tuple) -> str:
     return key[0] + _block_text(key[1], symbols) + ";" + ",".join([symbols[y] for y in key[2]]) + "]"
 
 
-def block_automaton(
-    spec: LinearLengthSpec,
-    block_cap: int = DEFAULT_BLOCK_CAP,
-    state_cap: int = DEFAULT_LINLEN_STATE_CAP,
-) -> CostAutomaton:
+def block_automaton(spec: LinearLengthSpec, state_cap: int = DEFAULT_LINLEN_STATE_CAP) -> CostAutomaton:
     """Cost NFA accepting the translated (block + stutter) language.
 
     Its free energy is the free energy of the linear-length language; see
     the module docstring for why the construction's bounded ambiguity does
-    not move the rate.  States and symbols are int-keyed while it runs and
+    not move the rate.  A length vector that needs more than
+    ``DEFAULT_BLOCK_CAP`` block tuples raises BlockAlphabetTooLarge, and a
+    translation that discovers more than ``state_cap`` states raises
+    StateCapExceeded.  States and symbols are int-keyed while it runs and
     named at the end; where two names would coincide, the state and symbol
     names inside just those get their backslashes and ``,+;~`` escaped.
     """
@@ -206,9 +224,9 @@ def block_automaton(
     tuple_sets: list[list[tuple[tuple[int, ...], ...]]] = []
     for vec in vectors:
         count = width ** sum(vec)
-        if count > block_cap:
+        if count > DEFAULT_BLOCK_CAP:
             raise BlockAlphabetTooLarge(
-                f"vector {vec} needs {count} block tuples, cap is {block_cap}",
+                f"vector {vec} needs {count} block tuples, cap is {DEFAULT_BLOCK_CAP}",
                 count=count,
             )
         per_coord = [list(itertools.product(range(width), repeat=length)) for length in vec]
@@ -326,27 +344,22 @@ def block_automaton(
 
 def linlen_energy(
     spec: LinearLengthSpec,
-    block_cap: int = DEFAULT_BLOCK_CAP,
-    state_cap: int = DEFAULT_LINLEN_STATE_CAP,
-    form: str = "compact",
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> EnergyReport:
-    """Free energy of the linear-length language via the block translation."""
-    a = block_automaton(spec, block_cap=block_cap, state_cap=state_cap)
-    return free_energy(a, form=form, tolerance=tolerance, max_iterations=max_iterations)
+    """Free energy of the linear-length language via the block translation,
+    in compact form; for the other form or a smaller state cap call
+    ``free_energy(block_automaton(spec, ...), ...)``."""
+    a = block_automaton(spec)
+    return free_energy(a, tolerance=tolerance, max_iterations=max_iterations)
 
 
-def linlen_union_energy(
-    specs: Iterable[LinearLengthSpec],
-    block_cap: int = DEFAULT_BLOCK_CAP,
-    state_cap: int = DEFAULT_LINLEN_STATE_CAP,
-) -> float:
+def linlen_union_energy(specs: Iterable[LinearLengthSpec]) -> float:
     """Free energy of a finite union: the max over the members (the union
     of the translated languages grows at the fastest member's rate)."""
     best = 0.0
     for spec in specs:
-        best = max(best, linlen_energy(spec, block_cap=block_cap, state_cap=state_cap).energy)
+        best = max(best, linlen_energy(spec).energy)
     return best
 
 
@@ -372,7 +385,7 @@ def linlen_word_oracle(
     they are counted first, by an exact sweep over the base DFA, and past
     the cap it raises StateCapExceeded before enumerating any.
     """
-    _check_max_n(max_n)
+    _check_max_n(max_n, math.inf)
     problems = validate_spec(spec)
     if problems:
         raise DocumentError("; ".join(problems))

@@ -20,12 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import automata, energy
-from .automata import CostAutomaton
+from .automata import DEFAULT_STATE_CAP, CostAutomaton
 from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 
-__all__ = ["NondetReport", "branching_costs", "lambda_plus", "lambda_exact", "DEFAULT_STATE_CAP"]
-
-DEFAULT_STATE_CAP = 2**20
+__all__ = ["NondetReport", "branching_costs", "lambda_plus", "lambda_exact"]
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ def _series(kind: str, sums: list[float]) -> PartitionSeries:
     return PartitionSeries(kind=kind, values=values, rates=rates)
 
 
-def _check_max_n(max_n: int, cap: float = math.inf) -> None:
+def _check_max_n(max_n: int, cap: float = DEFAULT_MAX_N_CAP) -> None:
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
     if max_n > cap:
@@ -137,7 +137,6 @@ def run_partition_series(
     a: CostAutomaton,
     kind: str,
     max_n: int,
-    cap: int = DEFAULT_MAX_N_CAP,
 ) -> PartitionSeries:
     """Run sums by a forward sweep over the transitions.
 
@@ -148,7 +147,7 @@ def run_partition_series(
     """
     if kind not in ("runs_all", "runs_accepting"):
         raise ValueError(f"unknown kind {kind!r}")
-    _check_max_n(max_n, cap)
+    _check_max_n(max_n)
     if not a.src.size:  # empty, or no run of length >= 1
         return _series(kind, [0.0] * max_n)
 
@@ -168,7 +167,6 @@ def word_partition_series(
     dfa: CostAutomaton,
     pair_cost: PairCostFunction,
     max_n: int,
-    cap: int = DEFAULT_MAX_N_CAP,
 ) -> PartitionSeries:
     """Word sums S_n = sum over accepted length-n words of e^{(U)(w)}.
 
@@ -185,7 +183,7 @@ def word_partition_series(
     when a single step leaves the range, i.e. for outsized individual pair
     costs.
     """
-    _check_max_n(max_n, cap)
+    _check_max_n(max_n)
     if not dfa.deterministic:
         raise NotDeterministic("word partition sums need a deterministic automaton")
     dfa = automata.trim(dfa)
@@ -255,11 +253,7 @@ def _count_sweep(
         yield total
 
 
-def count_series(
-    a: CostAutomaton,
-    max_n: int,
-    cap: int = DEFAULT_MAX_N_CAP,
-) -> tuple[list[int], list[int]]:
+def count_series(a: CostAutomaton, max_n: int) -> tuple[list[int], list[int]]:
     """Exact run and word counts for the nondeterminism rate.
 
     f[n] = number of initialized runs of length <= n whose input word is in
@@ -270,7 +264,7 @@ def count_series(
     of a, every state made accepting, with the determinized automaton, so a
     pair (NFA state, DFA state) accepts when its DFA side does.
     """
-    _check_max_n(max_n, cap)
+    _check_max_n(max_n)
     a = automata.trim(a)
     det = automata.determinize(a)
     if det.is_empty:

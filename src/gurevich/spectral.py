@@ -48,8 +48,8 @@ above, applied to itself alone:
 * a block that stalls takes its Noda steps on its own edges, from its
   current vector, while the other blocks go on sweeping.
 
-``spectral_radius`` takes one dense ndarray or scipy CSR matrix and solves
-it as a batch of one block.  scipy is imported only when a block above
+``spectral_radius`` takes one dense ndarray and solves it as a batch of
+one block.  scipy is imported only when a block above
 ``_DENSE_DIM`` nodes takes a Noda step.
 """
 
@@ -88,9 +88,8 @@ _DENSE_DIM = 160
 class NonnegativeMatrix:
     """Nonnegative square matrix with node labels for its indices.
 
-    entries is a dense ndarray or a scipy CSR matrix; ``create`` builds and
-    validates the dense kind.  labels is empty for the unlabelled
-    component matrices that the energy layer builds internally.
+    entries is a dense ndarray; ``create`` builds and validates it.
+    labels may be empty.
     """
 
     dim: int
@@ -244,13 +243,8 @@ def spectral_radius(
     should treat converged=False as an error, which is what the energy
     layer does).
     """
-    a = m.entries
-    if isinstance(a, np.ndarray):
-        rows, cols = a.nonzero()
-        values = a[rows, cols]
-    else:
-        a = a.tocoo()
-        rows, cols, values = a.row, a.col, a.data
+    rows, cols = m.entries.nonzero()
+    values = m.entries[rows, cols]
     if not values.any():
         return SpectralResult(radius=0.0, iterations=0, residual=0.0, converged=True)
     return block_radii([m.dim], rows, cols, values, tolerance, max_iterations)[0]

@@ -256,6 +256,44 @@ class TestImplementCommand:
         _, err = lines_of(capsys)
         assert "input must be deterministic" in err
 
+    @pytest.mark.parametrize("out_name", ["missing/machine.json", "."], ids=["no-directory", "directory"])
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys, ab_star, u_ab, out_name):
+        dfa_path = write_automaton(tmp_path, "dfa.json", ab_star)
+        u_path = write_pair_cost(tmp_path, "u.json", u_ab)
+        out_path = str(tmp_path / out_name)
+        assert main(["implement", dfa_path, u_path, out_path]) == 2
+        out, err = lines_of(capsys)
+        assert out == []
+        assert err.startswith(f"error: cannot write {out_path}: ")
+
+
+class TestPairCostDocument:
+    @pytest.mark.parametrize(
+        "pairs, problem",
+        [
+            ([("a", "c")], "pair 0: symbol 'c' is not in the alphabet"),
+            ([("a", "b"), ("b", "a"), ("a", "b")], "pair 2: pair ('a', 'b') is listed twice"),
+        ],
+        ids=["foreign-symbol", "duplicate-pair"],
+    )
+    @pytest.mark.parametrize("command", ["implement", "oracle"])
+    def test_foreign_or_duplicate_pair_is_input_error(
+        self, tmp_path, capsys, ab_star, pairs, problem, command
+    ):
+        dfa_path = write_automaton(tmp_path, "dfa.json", ab_star)
+        doc = {"pairs": [{"first": x, "second": y, "cost": 1.0} for x, y in pairs]}
+        u_path = write_json(tmp_path, "u.json", doc)
+        out_path = str(tmp_path / "machine.json")
+        argv = {
+            "implement": ["implement", dfa_path, u_path, out_path],
+            "oracle": ["oracle", dfa_path, "--kind", "words", "--pair-costs", u_path],
+        }[command]
+        assert main(argv) == 2
+        out, err = lines_of(capsys)
+        assert out == []
+        assert err == f"error: {u_path} {problem}\n"
+        assert not os.path.exists(out_path)
+
 
 class TestOracleCommand:
     def test_word_series_long_horizon(self, tmp_path, capsys, ab_star, u_ab):

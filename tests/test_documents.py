@@ -161,12 +161,11 @@ class TestPairCostDocuments:
         assert again.default == u.default
 
     def test_alphabet_binding(self):
+        # a foreign symbol is refused at load; the lookup-time UnknownSymbol
+        # of a bound function is test_langcost's
         doc = {"pairs": [{"first": "a", "second": "z", "cost": 1.0}]}
-        u = pair_cost_from_document(doc, alphabet=frozenset({"a", "b"}))
-        from gurevich import UnknownSymbol
-
-        with pytest.raises(UnknownSymbol):
-            u.cost("a", "z")
+        with pytest.raises(DocumentError, match="pair 0: symbol 'z' is not in the alphabet"):
+            pair_cost_from_document(doc, alphabet=frozenset({"a", "b"}))
 
     def test_errors(self):
         with pytest.raises(DocumentError, match="missing field 'pairs'"):

@@ -350,7 +350,7 @@ class TestSparsePathAgreement:
                     continue
                 sub = induced(a, states)
                 shift = 0.0 if offset == 0.0 else max(t.cost for t in sub.transitions)
-                want = spectral_radius(build(sub, shift=shift), 1e-13)
+                want = spectral_radius(build(map_costs(sub, lambda t: t.cost - shift)), 1e-13)
                 want_energy = steps * math.log(want.radius) + shift
                 assert abs(energy - want_energy) <= 1e-12 * max(1.0, abs(want_energy))
         # one batch per call, with blocks above the dense dimension in both
@@ -420,7 +420,7 @@ class TestBatchedComponents:
             sub = induced(a, states)
             top = max(t.cost for t in sub.transitions)
             shift = top if abs(top) > 700.0 else 0.0
-            want = spectral_radius(build(sub, shift=shift), 1e-13)
+            want = spectral_radius(build(map_costs(sub, lambda t: t.cost - shift)), 1e-13)
             want_energy = steps * math.log(want.radius) + shift
             assert abs(energy - want_energy) <= 1e-12 * max(1.0, abs(want_energy))
             if len(states) in (40, 170):

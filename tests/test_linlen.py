@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gurevich import (
@@ -126,6 +127,16 @@ class TestValidation:
         )
         with pytest.raises(DocumentError, match="offset must be positive"):
             linlen_energy(spec)
+
+    def test_lengths_must_be_integers(self):
+        # int() would read these as offset (1, 2, 3) and period (1, 1, 3)
+        with pytest.raises(ValueError, match="field 'offset' must be a list of integers"):
+            LinearSet.create([1.5, 2, 3], [[1, 1, 3]])
+        for period in ([1.9, True, "3"], [True, 1, 3], ["1", 1, 3], 3):
+            with pytest.raises(ValueError, match="field 'periods' must be a list of lists"):
+                LinearSet.create([1, 2, 3], [period])
+        numpy_ints = LinearSet.create(np.array([1, 2, 3]), np.array([[1, 1, 3]]))
+        assert numpy_ints == LinearSet.create((1, 2, 3), [(1, 1, 3)])
 
     def test_period_shape(self):
         assert LinearSet.create((1,), [(0,)]).violations()

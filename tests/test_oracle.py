@@ -19,6 +19,7 @@ from gurevich import (
     word_partition_series,
 )
 from gurevich.cli import main
+from gurevich.oracle import DEFAULT_MAX_N_CAP
 
 from conftest import (
     BRANCHY_LAMBDA_EXACT,
@@ -69,7 +70,7 @@ class TestRunSeries:
         with pytest.raises(ValueError, match="must be positive"):
             run_partition_series(two_cycle, "runs_all", 0)
         with pytest.raises(ValueError, match="exceeds the cap"):
-            run_partition_series(two_cycle, "runs_all", 50, cap=10)
+            run_partition_series(two_cycle, "runs_all", DEFAULT_MAX_N_CAP + 1)
 
     def test_first_reference_machine_rate(self, dna_m1):
         # Every cycle of M1 has even length and its accepting states 2, 3

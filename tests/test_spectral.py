@@ -396,7 +396,6 @@ class TestSparseSolver:
     @pytest.mark.parametrize("failure", ["singular", "memory", "negative", "nan"])
     def test_failed_sparse_solve_falls_back_to_power(self, monkeypatch, failure):
         import scipy.sparse.linalg
-        from scipy.sparse import csr_matrix
 
         calls = []
 
@@ -421,7 +420,7 @@ class TestSparseSolver:
         entries = np.full((dim, dim), 1e-4)
         entries[np.diag_indices(dim)] += np.r_[np.full(dim - 1, 0.9), 1.0]
         exact = max(np.linalg.eigvals(entries).real)
-        r = spectral_radius(NonnegativeMatrix(dim=dim, entries=csr_matrix(entries)), 1e-12, 10**6)
+        r = spectral_radius(NonnegativeMatrix(dim=dim, entries=entries), 1e-12, 10**6)
         assert calls == [(dim, dim)]  # one attempt, then power sweeps only
         assert r.converged
         assert r.method == "power"
