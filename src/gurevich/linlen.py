@@ -40,7 +40,7 @@ import numpy as np
 from . import automata
 from .automata import CostAutomaton
 from .energy import EnergyReport, free_energy
-from .errors import BlockAlphabetTooLarge, DocumentError, StateCapExceeded
+from .errors import BlockAlphabetTooLarge, DocumentError, Overflow, StateCapExceeded
 from .langcost import PairCostFunction, word_cost
 from .oracle import PartitionSeries, _check_max_n, _count_sweep, _series
 from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
@@ -102,6 +102,8 @@ class LinearSet:
 
     def violations(self) -> list[str]:
         out = []
+        if self.k == 0:
+            out.append("offset must have at least one coordinate")
         if not all(x >= 1 for x in self.offset):
             out.append("offset must be positive")
         for p in self.periods:
@@ -116,7 +118,11 @@ class LinearSet:
 
 def linear_set_member(d: LinearSet, v: Sequence[int]) -> bool:
     """Exact membership by bounded search over the period coefficients;
-    the last period's coefficient is settled by one division."""
+    the last period's coefficient is settled by one division.  An invalid
+    ``d`` raises ValueError listing its violations."""
+    problems = d.violations()
+    if problems:
+        raise ValueError("invalid linear set: " + "; ".join(problems))
     vec = tuple(v)
     if len(vec) != d.k:
         raise ValueError(f"vector arity {len(vec)}, linear set arity {d.k}")
@@ -140,6 +146,42 @@ def linear_set_member(d: LinearSet, v: Sequence[int]) -> bool:
         return False
 
     return solve(0, residual)
+
+
+def _last_lengths(d: LinearSet, head: tuple[int, ...], limit: int) -> frozenset[int]:
+    """Every x in 0..limit with head + (x,) in D, for a valid ``d`` and
+    ``head`` of k - 1 lengths.
+
+    The search of linear_set_member runs on the head coordinates only and
+    collects the last coordinate each solution reaches.  The tail periods,
+    zero on every head coordinate, then extend that set by a sieve over
+    0..limit, one pass each.
+    """
+    h = d.k - 1
+    residual = tuple(a - b for a, b in zip(head, d.offset))
+    if any(x < 0 for x in residual):
+        return frozenset()
+    head_periods = [p for p in d.periods if any(p[:h])]
+    reach = [False] * (limit + 1)
+
+    def solve(idx: int, rem: tuple[int, ...], last: int) -> None:
+        if last > limit:
+            return
+        if not any(rem):  # every remaining head period takes coefficient 0
+            reach[last] = True
+            return
+        if idx == len(head_periods):
+            return
+        p = head_periods[idx]
+        bound = min(r // x for r, x in zip(rem, p) if x > 0)
+        for s in range(bound + 1) if idx < len(head_periods) - 1 else (bound,):
+            solve(idx + 1, tuple(r - s * x for r, x in zip(rem, p)), last + s * p[h])
+
+    solve(0, residual, d.offset[h])
+    for t in (p[h] for p in d.periods if not any(p[:h])):
+        for x in range(t, limit + 1):
+            reach[x] = reach[x] or reach[x - t]
+    return frozenset(x for x, hit in enumerate(reach) if hit)
 
 
 @dataclass(frozen=True)
@@ -377,15 +419,21 @@ def linlen_word_oracle(
     down the walk as live configurations (part index, part DFA state,
     start of the current part, lengths of the finished parts): each symbol
     advances every configuration and drops the dead ones, and a part whose
-    state accepts may close there, opening the next part.  A word has a
-    split when a last-part configuration accepts and its length vector is
-    in D.  The cost is carried as prefix cost + U(last, symbol), so no word
-    is rescanned.  Practical only on small instances (narrow base
-    language, short max_n); ``word_cap`` bounds the enumerated prefixes:
-    they are counted first, by an exact sweep over the base DFA, and past
-    the cap it raises StateCapExceeded before enumerating any.
+    state accepts may close there, opening the next part.  Opening the
+    last part fixes its head, the lengths of the k - 1 finished parts, so
+    the configuration carries the set of admissible last-part lengths in
+    their place: those x with head + (x,) in D and x <= max_n - start,
+    found once per head by a search over the period coefficients.  A word
+    of length n has a split when a last-part configuration accepts and
+    n - start is admissible.  The cost is carried as prefix cost +
+    U(last, symbol), so no word is rescanned; a sum past the double range
+    raises Overflow naming n.  Practical only on small instances (narrow
+    base language, short max_n, at most ``DEFAULT_MAX_N_CAP``);
+    ``word_cap`` bounds the enumerated prefixes: they are counted first,
+    by an exact sweep over the base DFA, and past the cap it raises
+    StateCapExceeded before enumerating any.
     """
-    _check_max_n(max_n, math.inf)
+    _check_max_n(max_n)
     problems = validate_spec(spec)
     if problems:
         raise DocumentError("; ".join(problems))
@@ -418,29 +466,41 @@ def linlen_word_oracle(
     edges = list(zip(base.dst[order].tolist(), base.sym[order].tolist()))
     children = [edges[indptr[s] : indptr[s + 1]] for s in range(n_base)]
 
-    # a configuration: (part index, part state, start of the part, finished lengths)
+    @functools.cache
+    def admissible(head: tuple[int, ...]) -> frozenset[int]:
+        """Last-part lengths that complete ``head``; the part starts at sum(head)."""
+        return _last_lengths(spec.lengths, head, max_n - sum(head))
+
+    # a configuration: (part index, part state, start of the part, finished
+    # lengths, or for the last part its admissible lengths)
     def close(configs: list[tuple], pos: int) -> list[tuple]:
         """``configs`` plus every part opened by closing an accepting one at pos."""
         for part, state, start, lens in configs:  # also visits the appended ones
             if part + 1 < k and accepting[part][state]:
-                configs.append((part + 1, initials[part + 1], pos, lens + (pos - start,)))
+                head = lens + (pos - start,)
+                opened = admissible(head) if part + 2 == k else head
+                configs.append((part + 1, initials[part + 1], pos, opened))
         return configs
 
     def has_split(configs: list[tuple], n: int) -> bool:
         return any(
-            part == k - 1
-            and accepting[part][state]
-            and linear_set_member(spec.lengths, lens + (n - start,))
-            for part, state, start, lens in configs
+            part == k - 1 and accepting[part][state] and n - start in allowed
+            for part, state, start, allowed in configs
         )
 
-    root = close([(0, initials[0], 0, ())], 0)
+    root = close([(0, initials[0], 0, admissible(()) if k == 1 else ())], 0)
     # (base state, prefix length, last symbol, prefix cost, configurations)
     stack: list[tuple[int, int, int, float, list[tuple]]] = [(base.start, 0, -1, 0.0, root)]
     while stack:
         state, n, last, cost, configs = stack.pop()
         if n and base_accepting[state] and has_split(configs, n):
-            sums[n] += math.exp(cost)
+            try:
+                sums[n] += math.exp(cost)
+            except OverflowError:
+                sums[n] = math.inf
+            if sums[n] == math.inf:
+                message = f"words partition sum left the double range at n={n}; rescale costs"
+                raise Overflow(message, n=n)
         if n < max_n:
             for target, sym in children[state]:
                 stepped = []

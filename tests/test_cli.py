@@ -367,6 +367,31 @@ class TestLinlenCommand:
         assert out == []
         assert err == f"error: max_n must be positive, got {n}\n"
 
+    def test_oracle_check_cap(self, tmp_path, capsys):
+        path = write_json(tmp_path, "spec.json", linlen_doc())
+        assert main(["linlen", path, "--oracle-check", "10001"]) == 2
+        out, err = lines_of(capsys)
+        assert out == []
+        assert err == "error: max_n 10001 exceeds the cap 10000\n"
+
+    def test_oracle_overflow_is_numerical_error(self, tmp_path, capsys):
+        # the energy is 100; the word a^2 b^4 a^6 weighs e^900
+        path = write_json(tmp_path, "spec.json", linlen_doc(diag_cost=100.0))
+        assert main(["linlen", path, "--oracle-check", "12"]) == 3
+        out, err = lines_of(capsys)
+        assert out == []
+        assert err == "error: words partition sum left the double range at n=12; rescale costs\n"
+
+    def test_empty_linear_set_is_input_error(self, tmp_path, capsys):
+        doc = linlen_doc()
+        doc["parts"] = []
+        doc["lengths"] = {"offset": [], "periods": []}
+        path = write_json(tmp_path, "spec.json", doc)
+        assert main(["linlen", path]) == 2
+        out, err = lines_of(capsys)
+        assert out == []
+        assert "offset must have at least one coordinate" in err
+
     def test_oracle_prefix_cap_is_resource_error(self, tmp_path, capsys):
         # base and the one part are both {a, b}*: 2^23 - 1 prefixes up to
         # length 22, past the default cap of 10^6, which the oracle counts

@@ -10,6 +10,7 @@ from gurevich import (
     DocumentError,
     LinearLengthSpec,
     LinearSet,
+    Overflow,
     PairCostFunction,
     StateCapExceeded,
     block_automaton,
@@ -25,6 +26,8 @@ from gurevich import (
     validate_spec,
     word_cost,
 )
+
+from gurevich.linlen import _last_lengths
 
 from conftest import aut, dfa_successors, edges_by_source
 
@@ -116,6 +119,40 @@ class TestLinearSetMember:
         with pytest.raises(ValueError, match="arity"):
             linear_set_member(d, (1, 2))
 
+    def test_invalid_set_lists_its_violations(self):
+        d = LinearSet.create([1], [[0]])
+        with pytest.raises(ValueError, match=r"invalid linear set: period must be nonzero"):
+            linear_set_member(d, (3,))
+
+
+def last_length_family():
+    """Linear sets for k = 1, 2, 3, each with 0 to 2 periods, under two
+    offsets: for k <= 2 every period with entries 0..2, for k = 3 a list
+    with head periods, tail periods (zero on both head coordinates) and
+    periods along one direction."""
+    candidates = {
+        1: [(1,), (2,), (3,)],
+        2: [p for p in itertools.product(range(3), repeat=2) if any(p)],
+        3: [(1, 2, 0), (0, 0, 2), (0, 0, 1), (1, 2, 3), (2, 4, 6), (1, 0, 0), (0, 1, 1)],
+    }
+    for k, periods in candidates.items():
+        for offset in ((1,) * k, (2, 1, 2)[:k]):
+            for m in range(3):
+                for chosen in itertools.combinations(periods, m):
+                    yield LinearSet.create(offset, chosen)
+
+
+class TestLastLengths:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_membership(self, k):
+        for d in (d for d in last_length_family() if d.k == k):
+            for head in itertools.product(range(13), repeat=k - 1):
+                if sum(head) > 12:
+                    continue
+                limit = 12 - sum(head)
+                want = {x for x in range(limit + 1) if linear_set_member(d, head + (x,))}
+                assert _last_lengths(d, head, limit) == want, (d, head)
+
 
 class TestValidation:
     def test_offset_must_be_positive(self):
@@ -137,6 +174,15 @@ class TestValidation:
                 LinearSet.create([1, 2, 3], [period])
         numpy_ints = LinearSet.create(np.array([1, 2, 3]), np.array([[1, 1, 3]]))
         assert numpy_ints == LinearSet.create((1, 2, 3), [(1, 1, 3)])
+
+    def test_arity_must_be_positive(self):
+        assert LinearSet.create([], []).violations() == ["offset must have at least one coordinate"]
+        spec = LinearLengthSpec(
+            base=a_b_a_base(), parts=(), lengths=LinearSet.create([]), pair_cost=ZERO_U,
+        )
+        for run in (linlen_energy, lambda s: linlen_word_oracle(s, 5)):
+            with pytest.raises(DocumentError, match="offset must have at least one coordinate"):
+                run(spec)
 
     def test_period_shape(self):
         assert LinearSet.create((1,), [(0,)]).violations()
@@ -327,6 +373,30 @@ class TestOracle:
         with pytest.raises(ValueError, match=f"max_n must be positive, got {max_n}"):
             linlen_word_oracle(abba_spec(ZERO_U), max_n)
 
+    def test_max_n_cap(self):
+        # a finite base never meets the prefix cap, so only this bounds the horizon
+        only_a = aut(["a"], ["s", "t"], "s", ["t"], [("s", "a", "t")])
+        spec = LinearLengthSpec(
+            base=only_a, parts=(only_a,), lengths=LinearSet.create((1,)), pair_cost=ZERO_U,
+        )
+        assert len(linlen_word_oracle(spec, 10_000).values) == 10_000
+        with pytest.raises(ValueError, match="max_n 10001 exceeds the cap 10000"):
+            linlen_word_oracle(spec, 10_001)
+
+    def test_word_weight_overflow(self):
+        # a^2 b^4 a^6 costs 900, past e^709.78
+        hot = PairCostFunction.create({("a", "a"): 100.0, ("b", "b"): 100.0})
+        with pytest.raises(Overflow, match="left the double range at n=12") as caught:
+            linlen_word_oracle(abba_spec(hot), 12)
+        assert caught.value.n == 12
+
+    def test_sum_overflow(self):
+        # every word of length 2 weighs e^709, finite; the four of them are not
+        hot = PairCostFunction.create({(x, y): 709.0 for x in "ab" for y in "ab"})
+        with pytest.raises(Overflow, match="left the double range at n=2") as caught:
+            linlen_word_oracle(sigma_star_spec(hot), 2)
+        assert caught.value.n == 2
+
 
 class TestAgainstOracle:
     @pytest.mark.parametrize(
@@ -455,6 +525,15 @@ def empty_part_spec():
     )
 
 
+def head_and_tail_period_spec():
+    """Parts a*, b*, a* with D = (1,1,1) + s(1,2,0) + t(0,0,2): a head
+    period and a tail period, zero on both head coordinates."""
+    return LinearLengthSpec(
+        base=a_b_a_base(), parts=(a_star(), b_star(), a_star()),
+        lengths=LinearSet.create((1, 1, 1), [(1, 2, 0), (0, 0, 2)]), pair_cost=MIXED_U,
+    )
+
+
 def unread_symbol_spec():
     """Base (a|b|c)*; parts a* and b* never read c, so no word with c splits."""
     abc = aut(["a", "b", "c"], ["A"], "A", ["A"], [("A", x, "A") for x in "abc"])
@@ -480,9 +559,11 @@ class TestOracleAgainstSplitSearch:
             (two_part_sigma_spec(), 11),
             (empty_part_spec(), 20),
             (unread_symbol_spec(), 8),
+            (head_and_tail_period_spec(), 24),
         ],
         ids=["abba-zero", "abba-diagonal", "abba-mixed", "even-b", "even-b-periods",
-             "even-last-part", "k1-full", "two-periods", "empty-parts", "unread-symbol"],
+             "even-last-part", "k1-full", "two-periods", "empty-parts", "unread-symbol",
+             "head-and-tail-periods"],
     )
     def test_values_bit_for_bit(self, spec, horizon):
         values = [v for _, v in linlen_word_oracle(spec, horizon).values]
