@@ -9,11 +9,13 @@ An automaton is stored as int arrays: its state names and its symbols are
 sorted tuples, and its transitions are the columns ``src``, ``sym``, ``dst``
 (indices into those tuples) and ``cost``, in input order.  Every algorithm
 here runs on the columns, and a construction names its new states once, at
-the end.  The start state is an index, ``start``, and the accepting set a
-bool column over the states, ``accepting_mask``.  ``Transition`` objects,
-the ``states``/``alphabet`` sets and the ``initial``/``accepting`` names
-are views built on first use; of the algorithms, only ``map_costs`` walks
-named edges, for its callback.
+the end.  Every walk over edges groups them with ``rows``; the graph
+kernels build their own rows and return arrays: ``_reach`` a bool mask over
+the nodes, ``tarjan`` a component label per node, in root-discovery order.
+The start state is an index, ``start``, and the accepting set a bool column
+over the states, ``accepting_mask``.  ``Transition`` objects, the
+``states``/``alphabet`` sets and the ``initial``/``accepting`` names are
+views built on first use; only ``map_costs`` walks named edges.
 
 All values are immutable; operations return new automata.  The empty
 automaton (zero states, ``start`` is -1) is a first-class value: trim and
@@ -293,12 +295,13 @@ def spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return positions
 
 
-def by_source_rows(n: int, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edge positions grouped by source node (input order inside a group)
-    and the row pointers: node p's edges are order[indptr[p]:indptr[p + 1]]."""
-    order = np.argsort(src, kind="stable")
+def rows(n: int, key: np.ndarray, *ties: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions grouped by ``key`` (values 0..n-1) and the row pointers:
+    group g is order[indptr[g]:indptr[g + 1]].  Inside a group the
+    positions are ordered by ``ties``, first tie first, then by position."""
+    order = np.lexsort(ties[::-1] + (key,)) if ties else key.argsort(kind="stable")
     indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    np.bincount(key, minlength=n).cumsum(out=indptr[1:])
     return order, indptr
 
 
@@ -310,16 +313,11 @@ def successors(a: CostAutomaton, width: int) -> list[int]:
     return table.tolist()
 
 
-def adjacency(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[list[int], list[int]]:
-    """Row pointers and targets of the int graph on n nodes, every row
-    sorted by target index."""
-    order = np.lexsort((dst, src))
-    indptr = np.searchsorted(src[order], np.arange(n + 1))
-    return indptr.tolist(), dst[order].tolist()
-
-
-def _reach(indptr: list[int], targets: list[int], starts: Iterable[int]) -> bytearray:
-    seen = bytearray(len(indptr) - 1)
+def _reach(n: int, src: np.ndarray, dst: np.ndarray, starts: Iterable[int]) -> np.ndarray:
+    """Mask of the nodes reachable from ``starts`` over the edges src -> dst."""
+    order, indptr = rows(n, src)
+    indptr, targets = indptr.tolist(), dst[order].tolist()
+    seen = bytearray(n)
     stack = []
     for s in starts:
         if not seen[s]:
@@ -331,16 +329,15 @@ def _reach(indptr: list[int], targets: list[int], starts: Iterable[int]) -> byte
             if not seen[t]:
                 seen[t] = 1
                 stack.append(t)
-    return seen
+    return np.frombuffer(seen, dtype=bool)
 
 
 def live_states(a: CostAutomaton) -> np.ndarray:
     """Mask over ``a.state_names`` of the states reachable from the initial
     state and co-reachable to an accepting state."""
     n = len(a.state_names)
-    forward = _reach(*adjacency(n, a.src, a.dst), [a.start] if a.start >= 0 else [])
-    backward = _reach(*adjacency(n, a.dst, a.src), np.flatnonzero(a.accepting_mask).tolist())
-    return (np.frombuffer(forward, dtype=np.uint8) & np.frombuffer(backward, dtype=np.uint8)) > 0
+    forward = _reach(n, a.src, a.dst, [a.start] if a.start >= 0 else [])
+    return forward & _reach(n, a.dst, a.src, np.flatnonzero(a.accepting_mask).tolist())
 
 
 def keep_states(a: CostAutomaton, keep: np.ndarray) -> CostAutomaton:
@@ -390,27 +387,29 @@ class SccPartition:
     is_singleton_without_loop: tuple[bool, ...]
 
 
-def tarjan(indptr: list[int], targets: list[int]) -> list[list[int]]:
-    """Maximal strongly connected components of an int graph (iterative
-    Tarjan), ordered by the discovery index of each component's root.
+def tarjan(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Component label of each node of the graph with edges src -> dst
+    (iterative Tarjan): components are numbered by the discovery index of
+    their root.
 
-    The DFS starts from nodes in index order and follows each row in the
-    order given, so sorted rows make the output deterministic.
+    The DFS starts from nodes in index order and follows each node's edges
+    in target order, so the labels are deterministic.
     """
-    n = len(indptr) - 1
+    order, indptr = rows(n, src, dst)
+    indptr, targets = indptr.tolist(), dst[order].tolist()
+    # a node's index is its discovery index until its component completes,
+    # then n + the completion number, which no low-link reaches
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     counter = 0
-    found: list[tuple[int, list[int]]] = []  # (root discovery index, members)
+    roots: list[int] = []  # root discovery index, by completion number
     for start in range(n):
         if index[start] >= 0:
             continue
         index[start] = low[start] = counter
         counter += 1
         stack.append(start)
-        on_stack[start] = True
         work = [(start, indptr[start])]  # frames of (node, next row position)
         while work:
             node, pos = work[-1]
@@ -424,27 +423,24 @@ def tarjan(indptr: list[int], targets: list[int]) -> list[list[int]]:
                     index[nxt] = low[nxt] = counter
                     counter += 1
                     stack.append(nxt)
-                    on_stack[nxt] = True
                     break
-                if on_stack[nxt] and index[nxt] < low[node]:
+                if index[nxt] < low[node]:
                     low[node] = index[nxt]
             else:
                 work.pop()
                 if low[node] == index[node]:
-                    members = []
+                    done = n + len(roots)
+                    roots.append(index[node])
                     while True:
                         q = stack.pop()
-                        on_stack[q] = False
-                        members.append(q)
+                        index[q] = done
                         if q == node:
                             break
-                    found.append((index[node], members))
                 if work:
                     parent = work[-1][0]
                     if low[node] < low[parent]:
                         low[parent] = low[node]
-    found.sort(key=lambda item: item[0])
-    return [members for _, members in found]
+    return np.array(roots).argsort().argsort()[np.array(index, dtype=np.intp) - n]
 
 
 def scc(a: CostAutomaton) -> SccPartition:
@@ -457,13 +453,15 @@ def scc(a: CostAutomaton) -> SccPartition:
     if a.is_empty:
         return SccPartition((), {}, ())
     names = a.state_names
-    comps = tarjan(*adjacency(len(names), a.src, a.dst))
-    components = tuple(frozenset(names[i] for i in members) for members in comps)
-    component_of = {q: i for i, comp in enumerate(components) for q in comp}
-    looped = np.zeros(len(names), dtype=bool)
-    looped[a.src[a.src == a.dst]] = True
-    flags = tuple(len(members) == 1 and not looped[members[0]] for members in comps)
-    return SccPartition(components, component_of, flags)
+    labels = tarjan(len(names), a.src, a.dst)
+    k = int(labels.max()) + 1
+    members, bounds = (column.tolist() for column in rows(k, labels))
+    components = tuple(
+        frozenset([names[i] for i in members[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])
+    )
+    ends = labels[a.src]
+    acyclic = np.bincount(ends[ends == labels[a.dst]], minlength=k) == 0  # no inside edge
+    return SccPartition(components, dict(zip(names, labels.tolist())), tuple(acyclic.tolist()))
 
 
 def _escape(name: str, special: str) -> str:
@@ -531,11 +529,9 @@ def determinize(a: CostAutomaton, state_cap: int = DEFAULT_STATE_CAP) -> CostAut
         raise ValueError(f"state_cap must be positive, got {state_cap}")
     if a.is_empty or a.start < 0:
         return EMPTY
-    k = len(a.symbols)
-    order = np.lexsort((a.dst, a.sym, a.src))
-    successors: dict[int, list[int]] = {}
-    for key, target in zip((a.src * k + a.sym)[order].tolist(), a.dst[order].tolist()):
-        successors.setdefault(key, []).append(target)
+    order, indptr = rows(len(a.state_names), a.src)
+    indptr = indptr.tolist()
+    edges = list(zip(a.sym[order].tolist(), a.dst[order].tolist()))
 
     start = (a.start,)
     ids = {start: 0}
@@ -544,14 +540,12 @@ def determinize(a: CostAutomaton, state_cap: int = DEFAULT_STATE_CAP) -> CostAut
     sym: list[int] = []
     dst: list[int] = []
     for i, current in enumerate(subsets):  # grows while the loop runs
-        bases = [s * k for s in current]
-        for y in range(k):
-            nxt: set[int] = set()
-            for base in bases:
-                nxt.update(successors.get(base + y, ()))
-            if not nxt:
-                continue
-            key = tuple(sorted(nxt))
+        targets: dict[int, set[int]] = {}  # symbol -> the members' targets on it
+        for s in current:
+            for y, t in edges[indptr[s] : indptr[s + 1]]:
+                targets.setdefault(y, set()).add(t)
+        for y in sorted(targets):
+            key = tuple(sorted(targets[y]))
             j = ids.get(key)
             if j is None:
                 if len(ids) >= state_cap:
@@ -608,7 +602,7 @@ def product(a1: CostAutomaton, a2: CostAutomaton) -> CostAutomaton:
     sym2 = np.array([index[s] for s in a2.symbols], dtype=np.intp)[a2.sym]
     # a1's edges grouped by source in input order; a2's sorted by (source,
     # symbol, target), so an a1 edge on a symbol a2 lacks finds no partner
-    edges1, indptr1 = by_source_rows(len(a1.state_names), a1.src)
+    edges1, indptr1 = rows(len(a1.state_names), a1.src)
     edges2 = np.lexsort((a2.dst, sym2, a2.src))
     keys2 = (a2.src * width + sym2)[edges2]
 

@@ -16,7 +16,9 @@ import functools
 import math
 import os
 import sys
+from dataclasses import replace
 
+from . import automata
 from . import linlen as linlen_mod
 from . import nondet as nondet_mod
 from . import oracle as oracle_mod
@@ -126,11 +128,14 @@ def _out_of_memory(args) -> str:
 
 def cmd_energy(args) -> int:
     a = _load(args, args.path)
+    solver = dict(form=args.form, tolerance=args.tolerance, max_iterations=args.max_iterations)
     if args.branching_costs:
-        a = nondet_mod.branching_costs(a)
-    report = free_energy(
-        a, form=args.form, tolerance=args.tolerance, max_iterations=args.max_iterations
-    )
+        # k(p, a) counts live successors only, as in lambda_plus
+        trimmed = automata.trim(a)
+        report = free_energy(nondet_mod.branching_costs(trimmed), **solver)
+        report = replace(report, trim_changed=trimmed is not a and not a.is_empty)
+    else:
+        report = free_energy(a, **solver)
     return _show(args, _energy_report_doc(report), ["energy"])
 
 

@@ -258,6 +258,8 @@ def _load_json(path: str) -> Any:
         raise DocumentError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise DocumentError(f"{path} is not valid JSON: {e}") from e
+    except DocumentError as e:  # from _reject_constant
+        raise DocumentError(f"{path}: {e}") from e
 
 
 def load_automaton(path: str) -> CostAutomaton:

@@ -228,30 +228,26 @@ def free_energy(
     transition-structure-only definition of the energy.
     """
     _check_form(form)
-    if a.is_empty:
-        return EnergyReport(energy=0.0, per_component=(), solver=(), form_used=form)
     trimmed = automata.trim(a)
     if trimmed.is_empty:
-        return EnergyReport(0.0, (), (), form, None, trim_changed=True)
+        return EnergyReport(0.0, (), (), form, None, trim_changed=not a.is_empty)
     trim_changed = trimmed is not a  # trim returns its input when every state is live
     a = trimmed
     names, src, dst, cost = a.state_names, a.src, a.dst, a.cost
     n = len(names)
 
-    comps = automata.tarjan(*automata.adjacency(n, src, dst))
-    comp_of = np.empty(n, dtype=np.intp)
-    local = np.empty(n, dtype=np.intp)  # position within the component, in name order
-    for c, members in enumerate(comps):
-        members.sort()
-        comp_of[members] = c
-        local[members] = np.arange(len(members))
+    labels = automata.tarjan(n, src, dst)
+    k = int(labels.max()) + 1
+    members, starts = automata.rows(k, labels)  # each component's states in name order
+    local = np.empty(n, dtype=np.intp)  # position within the component
+    local[members] = np.arange(n) - starts[labels[members]]
     # the edges inside components, grouped by component
-    inside = np.flatnonzero(comp_of[src] == comp_of[dst])
-    order = inside[np.argsort(comp_of[src[inside]], kind="stable")]
-    bounds = np.searchsorted(comp_of[src[order]], np.arange(len(comps) + 1))
+    inside = np.flatnonzero(labels[src] == labels[dst])
+    order, bounds = automata.rows(k, labels[src[inside]])
+    order = inside[order]
     local_src, local_dst, comp_cost = local[src[order]], local[dst[order]], cost[order]
 
-    sizes = np.array([len(members) for members in comps], dtype=np.intp)
+    sizes = starts[1:] - starts[:-1]
     counts = bounds[1:] - bounds[:-1]
     cyclic = counts > 0  # a loop-free singleton has no edge inside and needs no solve
     solved = iter(_solve_cyclic(
@@ -259,9 +255,10 @@ def free_energy(
     ))
     per_component: list[tuple[frozenset[str], float]] = []
     solver: list[SpectralResult | None] = []
-    for members, has_cycle in zip(comps, cyclic.tolist()):
+    members, starts = members.tolist(), starts.tolist()
+    for lo, hi, has_cycle in zip(starts, starts[1:], cyclic.tolist()):
         energy, result = next(solved) if has_cycle else (0.0, None)
-        per_component.append((frozenset(names[i] for i in members), energy))
+        per_component.append((frozenset([names[i] for i in members[lo:hi]]), energy))
         solver.append(result)
     # max keeps the earliest of equal energies; with no cyclic component
     # this is component 0, whose energy is the conventional 0

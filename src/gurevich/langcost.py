@@ -101,7 +101,7 @@ def word_cost(u: PairCostFunction, w: Sequence[str]) -> float:
     """Total cost of a word: sum of U over adjacent pairs; 0 for |w| <= 1."""
     for s in w:
         u._check(s)
-    return sum(u.cost(w[i], w[i + 1]) for i in range(len(w) - 1))
+    return sum((u.cost(w[i], w[i + 1]) for i in range(len(w) - 1)), 0.0)
 
 
 def implement_construction(dfa: CostAutomaton, u: PairCostFunction) -> CostAutomaton:
@@ -140,7 +140,7 @@ def implement_construction(dfa: CostAutomaton, u: PairCostFunction) -> CostAutom
 
     # entry edges: start -> (start, a, q) at cost 0; then (p, a, q) -> (q, b, r)
     # for every transition q -b-> r, charging U(a, b); both in input order
-    order, indptr = automata.by_source_rows(len(names), dfa.src)
+    order, indptr = automata.rows(len(names), dfa.src)
     entry = order[indptr[start] : indptr[start + 1]]
     fanout = indptr[dfa.dst + 1] - indptr[dfa.dst]
     first = np.repeat(np.arange(len(dfa.src)), fanout)

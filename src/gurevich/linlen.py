@@ -461,8 +461,8 @@ def linlen_word_oracle(
     base_accepting = base.accepting_mask.tolist()
     pair_cost = functools.cache(lambda x, y: u.cost(base.symbols[x], base.symbols[y]))
     # each base state's (target, symbol) edges, by symbol then target index
-    order = np.lexsort((base.dst, base.sym, base.src))
-    indptr = np.searchsorted(base.src[order], np.arange(n_base + 1)).tolist()
+    order, indptr = automata.rows(n_base, base.src, base.sym, base.dst)
+    indptr = indptr.tolist()
     edges = list(zip(base.dst[order].tolist(), base.sym[order].tolist()))
     children = [edges[indptr[s] : indptr[s + 1]] for s in range(n_base)]
 

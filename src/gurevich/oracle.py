@@ -61,11 +61,11 @@ def _series(kind: str, sums: list[float]) -> PartitionSeries:
     return PartitionSeries(kind=kind, values=values, rates=rates)
 
 
-def _check_max_n(max_n: int, cap: float = DEFAULT_MAX_N_CAP) -> None:
+def _check_max_n(max_n: int) -> None:
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
-    if max_n > cap:
-        raise ValueError(f"max_n {max_n} exceeds the cap {cap}")
+    if max_n > DEFAULT_MAX_N_CAP:
+        raise ValueError(f"max_n {max_n} exceeds the cap {DEFAULT_MAX_N_CAP}")
 
 
 def _weights(cost: np.ndarray) -> np.ndarray:
@@ -95,7 +95,8 @@ def _sweep(
     state vector is divided by its peak once it nears the double range and
     the scale is carried in log form, so the rates stay exact past the
     range (values past it read inf); without it a sum that leaves the range
-    raises Overflow.  Either way a non-finite state vector raises Overflow.
+    raises Overflow.  Either way a non-finite state vector raises Overflow:
+    an inf entry makes the sum inf, or NaN where it meets a 0.
     """
     rescale_at = 1e250  # far under DBL_MAX, far over any desk-scale exact sum
     log_scale = 0.0
@@ -113,8 +114,6 @@ def _sweep(
                     f"{kind} partition sum left the double range at n={n}; rescale costs",
                     n=n,
                 )
-            if not np.isfinite(v).all():
-                raise Overflow(f"{kind} DP state overflowed at n={n}; rescale costs", n=n)
             if s > 0.0:
                 log_s = math.log(s) + log_scale
                 rates.append((n, log_s / n))
@@ -202,7 +201,7 @@ def word_partition_series(
     pair_state, pair_sym = np.divmod(pair_keys, width)
 
     # edges: pair (p, a) times every transition out of p, in input order
-    order, indptr = automata.by_source_rows(n, src)
+    order, indptr = automata.rows(n, src)
     fanout = indptr[pair_state + 1] - indptr[pair_state]
     edge_src = np.repeat(np.arange(len(pair_keys)), fanout)
     trans = order[automata.spans(indptr[pair_state], fanout)]

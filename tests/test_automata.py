@@ -1,11 +1,15 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from gurevich import (
     EMPTY,
     CostAutomaton,
+    SccPartition,
     accepts,
+    automaton_to_document,
     determinize,
     free_energy,
     lambda_exact,
@@ -14,6 +18,7 @@ from gurevich import (
     trim,
     validate,
 )
+from gurevich.automata import rows
 
 from conftest import (
     DNA_PRODUCT_EDGES,
@@ -55,6 +60,48 @@ def name_tarjan(a):
     return tuple(comp for _, comp in sorted(found, key=lambda item: item[0]))
 
 
+def random_graph(rng, n):
+    """Random automaton on n states s00, s01, ...: self-loops, isolated
+    states (no edge at all) and states that trim removes."""
+    states = [f"s{i:02d}" for i in range(n)]
+    wired = [q for q in states if rng.random() < 0.8] or states[:1]
+    edges = set()
+    for _ in range(rng.randint(0, 3 * n)):
+        p = rng.choice(wired)
+        q = p if rng.random() < 0.15 else rng.choice(wired)
+        edges.add((p, rng.choice("ab"), q))
+    accepting = rng.sample(states, rng.randint(0, min(n, 3)))
+    return aut(
+        ["a", "b"], states, rng.choice(states), accepting,
+        [(p, y, q, round(rng.uniform(-1.0, 1.0), 3)) for p, y, q in sorted(edges)],
+    )
+
+
+def naive_determinize(a):
+    """Subset construction over names: subsets are frozensets, symbols are
+    tried in sorted order, and the result is trimmed by the library."""
+    succ = {}
+    for t in a.transitions:
+        succ.setdefault((t.source, t.symbol), set()).add(t.target)
+
+    def name(subset):
+        return "{" + ",".join(sorted(subset)) + "}"
+
+    start = frozenset([a.initial])
+    seen, todo, edges = {start}, [start], []
+    while todo:
+        current = todo.pop()
+        for y in sorted(a.alphabet):
+            nxt = frozenset(q for p in current for q in succ.get((p, y), ()))
+            if nxt:
+                edges.append((name(current), y, name(nxt), 0.0))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+    accepting = [name(s) for s in seen if s & a.accepting]
+    return trim(aut(sorted(a.alphabet), [name(s) for s in seen], name(start), accepting, edges))
+
+
 def words_up_to(alphabet, n):
     for k in range(n + 1):
         yield from itertools.product(sorted(alphabet), repeat=k)
@@ -82,6 +129,24 @@ class TestValidate:
         assert any("z" in p for p in validate(a))
         b = CostAutomaton.create(["a"], ["A"], "A", ["A"], [("A", "a", "Q")])
         assert any("Q" in p for p in validate(b))
+
+    def test_error_paths(self):
+        def problems(*args):
+            return validate(CostAutomaton.create(*args))
+
+        assert problems(["a"], [], "q", ["r"], [("x", "a", "y")]) == [
+            "unknown initial 'q' (zero-state automaton)",
+            "accepting states present in zero-state automaton",
+            "transitions present in zero-state automaton",
+        ]
+        assert problems(["a b"], ["p q"], "p q", [], []) == [
+            "bad state name 'p q'", "bad symbol name 'a b'",
+        ]
+        assert problems(["a"], ["p"], None, [], []) == ["missing initial state"]
+        assert problems(["a"], ["p"], "p", ["z"], []) == ["unknown accepting state 'z'"]
+        assert problems(["a"], ["p"], "p", [], [("z", "a", "p")]) == [
+            "transition from unknown state 'z'",
+        ]
 
 
 class TestTrim:
@@ -188,6 +253,28 @@ class TestScc:
         for a in fixtures:
             assert scc(a).components == name_tarjan(a)
 
+    def test_discovery_order_on_random_graphs(self):
+        rng = random.Random(7)
+        # a chain of 2-cycles, each leading into the next: 200 components,
+        # within name_tarjan's recursion depth
+        pairs = [(f"c{i:03d}", f"d{i:03d}") for i in range(200)]
+        chain_edges = [(c, "a", d) for c, d in pairs] + [(d, "a", c) for c, d in pairs]
+        chain_edges += [(pairs[i][1], "b", pairs[i + 1][0]) for i in range(len(pairs) - 1)]
+        chain_states = [q for pair in pairs for q in pair]
+        chain = aut(["a", "b"], chain_states, "c000", ["d199"], chain_edges)
+        for a in [random_graph(rng, rng.randint(1, 40)) for _ in range(300)] + [chain]:
+            parts = scc(a)
+            assert parts.components == name_tarjan(a)
+            looped = {t.source for t in a.transitions if t.source == t.target}
+            assert parts.is_singleton_without_loop == tuple(
+                len(c) == 1 and not c & looped for c in parts.components
+            )
+            assert all(parts.components[parts.component_of[q]] >= {q} for q in a.states)
+            # free_energy lists its components in the same order
+            states = [states for states, _ in free_energy(a).per_component]
+            assert tuple(states) == scc(trim(a)).components
+        assert len(scc(chain).components) == 200
+
     def test_condensation_acyclic(self):
         for seed in range(20):
             a = random_automaton(seed)
@@ -260,6 +347,21 @@ class TestDeterminize:
                 d = determinize(a)
                 assert d.deterministic
                 assert validate(d) == []
+
+    def test_matches_naive_subset_construction(self, branchy_nfa):
+        # separator-free names, so the library's subset names need no escapes
+        corpus = [branchy_nfa] + [
+            a
+            for seed in range(40)
+            for a in (
+                random_automaton(seed, max_states=4, costs="zero"),
+                random_automaton(200 + seed, max_states=12, costs="zero"),
+            )
+        ]
+        for a in corpus:
+            assert automaton_to_document(determinize(a)) == automaton_to_document(
+                naive_determinize(a)
+            )
 
     @pytest.mark.parametrize("cap", [0, -3])
     def test_state_cap_must_be_positive(self, cap, branchy_nfa):
@@ -372,3 +474,30 @@ class TestEmptyValue:
 
     def test_trim_of_empty(self):
         assert trim(EMPTY).is_empty
+
+    def test_structural_functions_on_empty(self, ab_star):
+        assert scc(EMPTY) == SccPartition((), {}, ())
+        assert determinize(EMPTY) is EMPTY
+        assert product(EMPTY, ab_star) is EMPTY
+        assert product(ab_star, EMPTY) is EMPTY
+        assert not accepts(EMPTY, ())
+        assert not accepts(EMPTY, ("a",))
+
+
+class TestRows:
+    def test_stable_within_a_key_and_ordered_by_ties(self):
+        key = np.array([2, 0, 2, 1, 0, 2, 2])
+        first = np.array([1, 5, 0, 3, 5, 1, 0])
+        second = np.array([0, 1, 1, 0, 0, 0, 0])
+        order, indptr = rows(4, key)
+        assert indptr.tolist() == [0, 2, 3, 7, 7]  # group 3 is empty
+        assert order.tolist() == [1, 4, 3, 0, 2, 5, 6]
+        assert rows(4, key, first)[0].tolist() == [1, 4, 3, 2, 6, 0, 5]
+        assert rows(4, key, first, second)[0].tolist() == [4, 1, 3, 6, 2, 0, 5]
+        rng = np.random.default_rng(3)
+        for size in (0, 1, 50):
+            key, first, second = rng.integers(0, 5, size=(3, size))
+            order, indptr = rows(6, key, first, second)
+            want = sorted(range(size), key=lambda i: (key[i], first[i], second[i], i))
+            assert order.tolist() == want
+            assert indptr.tolist() == np.searchsorted(key[order], np.arange(7)).tolist()

@@ -118,6 +118,24 @@ class TestEnergyCommand:
         assert "component of 6 states" in err
         assert "-800.0 to 700.0" in err
 
+    def test_branching_costs_count_live_successors_only(self, tmp_path, capsys):
+        # p -a-> d leads nowhere, so k(p, a) is 1 after the clean-up, as in nondet
+        a = aut(["a"], ["d", "p"], "p", ["p"], [("p", "a", "p"), ("p", "a", "d")])
+        path = write_automaton(tmp_path, "m.json", a)
+        assert main(["energy", path, "--branching-costs"]) == 0
+        assert lines_of(capsys)[0] == ["energy 0.000000"]
+        assert main(["nondet", path]) == 0
+        assert "energy_v 0.000000" in lines_of(capsys)[0]
+        assert main(["energy", path, "--branching-costs", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["trim_changed"] is True
+        assert doc["per_component"] == [{"states": ["p"], "energy": 0.0}]
+        empty = write_json(tmp_path, "empty.json", {
+            "alphabet": [], "states": [], "accepting": [], "transitions": [],
+        })
+        assert main(["energy", empty, "--branching-costs", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["trim_changed"] is False
+
 
 class TestNondetCommand:
     def test_plain_estimate(self, tmp_path, capsys, branchy_nfa):
@@ -265,6 +283,53 @@ class TestImplementCommand:
         out, err = lines_of(capsys)
         assert out == []
         assert err.startswith(f"error: cannot write {out_path}: ")
+
+
+AB_DOC = {
+    "alphabet": ["a"], "states": ["p"], "initial": "p", "accepting": ["p"],
+    "transitions": [{"from": "p", "symbol": "a", "to": "p"}],
+}
+
+
+class TestDocumentErrors:
+    """Each malformed document exits 2 with one line naming its file."""
+
+    @pytest.mark.parametrize(
+        "command, text, problem",
+        [
+            ("energy", {**AB_DOC, "alphabet": "a"}, ": field 'alphabet' must be list"),
+            ("energy", {**AB_DOC, "transitions": ["p a p"]}, ": transition 0 must be an object"),
+            ("energy", {**AB_DOC, "states": ["p", 1]}, ": field 'states' must be a list of strings"),
+            ("energy", {**AB_DOC, "initial": 0}, ": field 'initial' must be a string"),
+            ("energy", {k: v for k, v in AB_DOC.items() if k != "initial"},
+             ": missing field 'initial'"),
+            ("implement", [], ": expected a JSON object"),
+            ("implement", {"pairs": [["a", "a", 1.0]]}, ": pair 0 must be an object"),
+            ("linlen", [AB_DOC], ": expected a JSON object"),
+            ("energy", dump_json(AB_DOC).replace('"to": "p"', '"to": "p", "cost": Infinity'),
+             ": non-finite number Infinity is not valid JSON"),
+        ],
+        ids=[
+            "alphabet-not-list", "row-not-object", "state-not-string", "initial-not-string",
+            "initial-missing", "pair-costs-not-object", "pair-not-object", "spec-not-object",
+            "infinity",
+        ],
+    )
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, command, text, problem):
+        path = tmp_path / "doc.json"
+        path.write_text(text if isinstance(text, str) else json.dumps(text), encoding="utf-8")
+        argv = {
+            "energy": ["energy", str(path)],
+            "implement": [
+                "implement", write_json(tmp_path, "dfa.json", AB_DOC), str(path),
+                str(tmp_path / "machine.json"),
+            ],
+            "linlen": ["linlen", str(path)],
+        }[command]
+        assert main(argv) == 2
+        out, err = lines_of(capsys)
+        assert out == []
+        assert err == f"error: {path}{problem}\n"
 
 
 class TestPairCostDocument:

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from gurevich import (
@@ -261,6 +262,15 @@ class TestFiles:
     def test_non_finite_cost_refused(self):
         with pytest.raises(DocumentError, match="non-finite"):
             dump_json({"cost": math.inf})
+
+    def test_other_document_paths(self):
+        with pytest.raises(DocumentError, match="^cannot serialize set$"):
+            dump_json({"states": {"p"}})
+        # a numpy float is not a plain JSON number, so the row takes the general checks
+        doc = branchy_doc()
+        doc["transitions"][0]["cost"] = np.float64(0.5)
+        a = automaton_from_document(doc)
+        assert a.transitions[0].cost == 0.5 and type(a.transitions[0].cost) is float
 
 
 class TestEscapedNames:

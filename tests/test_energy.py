@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from gurevich import (
+    EMPTY,
     CostAutomaton,
     NotConverged,
     NotStronglyConnected,
+    Overflow,
     branching_costs,
     estimate_limit,
     free_energy,
@@ -113,6 +115,16 @@ class TestCompactMatrix:
         row_f = m.entries[idx["F"]]
         assert row_f.sum() == 2.0
 
+    def test_error_paths(self):
+        with pytest.raises(NotStronglyConnected, match="^component is empty$"):
+            gurevich_matrix_compact(EMPTY)
+        with pytest.raises(NotStronglyConnected, match="^component has no transitions$"):
+            gurevich_matrix_compact(aut(["a"], ["A"], "A", ["A"], []))
+        with pytest.raises(Overflow, match=r"^e\^800\.0 exceeds the double range"):
+            gurevich_matrix_compact(aut(["a"], ["A"], "A", ["A"], [("A", "a", "A", 800.0)]))
+        with pytest.raises(ValueError, match="^unknown form 'x'$"):
+            free_energy(EMPTY, form="x")
+
 
 class TestComponentEnergy:
     def test_two_cycle_both_forms(self, two_cycle):
@@ -155,6 +167,17 @@ class TestFreeEnergy:
         assert rep.energy == 0.0
         assert rep.per_component == ()
         assert rep.trim_changed
+
+    def test_empty_reports(self):
+        # the empty value and a document whose names are all undeclared have
+        # nothing to trim; an automaton whose states are all dead has
+        undeclared = CostAutomaton.create([], [], "q", ["r"], [])
+        dead = aut(["a"], ["A", "B"], "A", ["B"], [("B", "a", "B")])
+        for a, changed in ((EMPTY, False), (undeclared, False), (dead, True)):
+            for form in ("compact", "bipartite"):
+                rep = free_energy(a, form)
+                assert (rep.energy, rep.per_component, rep.solver) == (0.0, (), ())
+                assert (rep.form_used, rep.max_component, rep.trim_changed) == (form, None, changed)
 
     def test_zero_iterations_not_converged(self, ab_cycle_machine):
         with pytest.raises(NotConverged, match="after 0 iterations"):

@@ -28,6 +28,7 @@ class TestWordCost:
         assert word_cost(u_ab, ("a", "b", "a", "b")) == 9.0
         assert word_cost(u_ab, ("a",)) == 0.0
         assert word_cost(u_ab, ()) == 0.0
+        assert type(word_cost(u_ab, ())) is float and type(word_cost(u_ab, ("a",))) is float
 
     def test_default_fills_gaps(self):
         u = PairCostFunction.create({("a", "a"): 1.0}, default=-2.0)
@@ -159,6 +160,20 @@ class TestVerifyImplements:
         # accepted by the candidate but not in (ab)*
         assert ce.word == ("a",)
         assert ce.word_cost is None
+
+    def test_error_paths(self, ab_star, u_ab):
+        # an empty language implements to the empty value
+        nothing = aut(["a", "b"], ["p"], "p", [], [("p", "a", "p")])
+        assert implement_construction(nothing, u_ab) is automata.EMPTY
+        # a nondeterministic reference is determinized first
+        nfa = aut(["a", "b"], ["p", "q", "r"], "p", ["p"],
+                  [("p", "a", "q"), ("p", "a", "r"), ("q", "b", "p"), ("r", "b", "p")])
+        assert verify_implements(implement_construction(ab_star, u_ab), nfa, u_ab, 6).holds
+        # the empty word is in (ab)* but not accepted by m; its word cost is a float 0
+        report = verify_implements(nothing, ab_star, u_ab, 3)
+        assert not report.holds
+        assert report.counterexample == ((), None, 0.0, None)
+        assert type(report.counterexample.word_cost) is float
 
     def test_negative_max_len_rejected(self, ab_star, u_ab):
         a_star = aut(["a", "b"], ["A"], "A", ["A"], [("A", "a", "A")])

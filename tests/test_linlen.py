@@ -175,6 +175,10 @@ class TestValidation:
         numpy_ints = LinearSet.create(np.array([1, 2, 3]), np.array([[1, 1, 3]]))
         assert numpy_ints == LinearSet.create((1, 2, 3), [(1, 1, 3)])
 
+    def test_periods_must_be_a_list(self):
+        with pytest.raises(ValueError, match="^field 'periods' must be a list of lists of integers$"):
+            LinearSet.create([1], 5)
+
     def test_arity_must_be_positive(self):
         assert LinearSet.create([], []).violations() == ["offset must have at least one coordinate"]
         spec = LinearLengthSpec(
@@ -389,6 +393,13 @@ class TestOracle:
         with pytest.raises(Overflow, match="left the double range at n=12") as caught:
             linlen_word_oracle(abba_spec(hot), 12)
         assert caught.value.n == 12
+
+    def test_empty_base(self):
+        nothing = aut(["a", "b"], ["A"], "A", [], [("A", "a", "A")])
+        spec = LinearLengthSpec(
+            base=nothing, parts=(a_star(),), lengths=LinearSet.create((1,), [(1,)]), pair_cost=ZERO_U,
+        )
+        assert linlen_word_oracle(spec, 4).values == ((1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0))
 
     def test_sum_overflow(self):
         # every word of length 2 weighs e^709, finite; the four of them are not

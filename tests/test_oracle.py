@@ -72,6 +72,13 @@ class TestRunSeries:
         with pytest.raises(ValueError, match="exceeds the cap"):
             run_partition_series(two_cycle, "runs_all", DEFAULT_MAX_N_CAP + 1)
 
+    def test_inf_state_raises_the_sum_message(self):
+        # the non-accepting loop's entry reaches inf at n = 2 while the sum
+        # reads e^700 * 0 + ...; inf * 0 is NaN, so the sum guard fires
+        a = aut(["a", "b"], ["p", "s"], "s", ["p"], [("s", "a", "s", 700.0), ("s", "b", "p", 0.0)])
+        with pytest.raises(Overflow, match="^runs_accepting partition sum left the double range at n=2;"):
+            run_partition_series(a, "runs_accepting", 5)
+
     def test_first_reference_machine_rate(self, dna_m1):
         # Every cycle of M1 has even length and its accepting states 2, 3
         # are one step from 1, so only odd lengths carry weight.  The rate at
@@ -130,6 +137,10 @@ class TestWordSeries:
 
 
 class TestCountSeries:
+    def test_empty_language(self):
+        nothing = aut(["a"], ["p"], "p", [], [("p", "a", "p")])
+        assert count_series(nothing, 3) == ([0, 0, 0, 0], [0, 0, 0, 0])
+
     def test_dfa_runs_equal_words(self):
         for seed in range(6):
             dfa = determinize(random_automaton(seed, max_states=4, costs="zero"))

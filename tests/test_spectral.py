@@ -82,6 +82,10 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             NonnegativeMatrix.create(np.ones((2, 3)), ["x", "y"])
 
+    def test_label_count_must_match_dimension(self):
+        with pytest.raises(ValueError, match="^2 labels for dim 1$"):
+            NonnegativeMatrix.create([[1.0]], ["x", "y"])
+
 
 class TestScaleCheck:
     def test_permutation_doubled(self):
