@@ -16,7 +16,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import replace
 
 from . import automata
 from . import linlen as linlen_mod
@@ -31,7 +30,7 @@ from .documents import (
     load_pair_cost,
     save_document,
 )
-from .energy import EnergyReport, free_energy
+from .energy import EnergyReport, _solve, _structure, free_energy
 from .errors import (
     BlockAlphabetTooLarge,
     DocumentError,
@@ -131,9 +130,8 @@ def cmd_energy(args) -> int:
     solver = dict(form=args.form, tolerance=args.tolerance, max_iterations=args.max_iterations)
     if args.branching_costs:
         # k(p, a) counts live successors only, as in lambda_plus
-        trimmed = automata.trim(a)
-        report = free_energy(nondet_mod.branching_costs(trimmed), **solver)
-        report = replace(report, trim_changed=trimmed is not a and not a.is_empty)
+        s = _structure(automata.trim(a), a)
+        (report,) = _solve([(s, nondet_mod.branching_costs(s.automaton).cost)], **solver)
     else:
         report = free_energy(a, **solver)
     return _show(args, _energy_report_doc(report), ["energy"])

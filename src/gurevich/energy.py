@@ -19,13 +19,16 @@ energy 0 (ln 0 = 0 convention).
 
 Inside ``free_energy`` states are ints in sorted-name order: trimming, the
 SCC split and the grouping of each component's edges all run on int
-arrays, and names reappear only in the report.  Every cyclic component,
-whatever its size, is one block of a single block-diagonal matrix, held as
-edge arrays and solved by one batched sweep (``spectral.block_radii``):
-each block is certified, stalls into Noda steps and spends its iteration
-budget on its own, as if solved alone.  Only a block of at most 160 nodes
-that takes Noda steps is ever made dense, so memory grows with
-transitions, not states^2.  The public builders
+arrays, and names reappear only in the report.  Each graph gets one
+structure (``_structure``: its components and their edges, one Tarjan
+run), and ``_solve`` takes every (structure, cost column) pair a command
+needs.  Every cyclic component of every pair, whatever its size, is one
+block of a single block-diagonal matrix, held as edge arrays and solved
+by one batched sweep (``spectral.block_radii``): each block is certified,
+stalls into Noda steps and spends its iteration budget on its own, as if
+solved alone.  Only a block of at most 160 nodes that takes Noda steps
+is ever made dense, so memory grows with transitions, not states^2.  The
+public builders
 ``gurevich_matrix_compact`` and ``gurevich_matrix_bipartite`` return dense
 labelled matrices.
 
@@ -93,21 +96,32 @@ class EnergyReport:
     trim_changed: bool = False
 
 
+@dataclass(frozen=True)
+class _Structure:
+    """What every energy of one trimmed automaton shares: its components in
+    Tarjan order, the edges inside them (``order`` into the automaton's
+    edges) grouped by component, with their ends as positions within it,
+    and the states and inside edges of each cyclic component."""
+
+    automaton: CostAutomaton
+    components: tuple[frozenset[str], ...]
+    order: np.ndarray
+    local_src: np.ndarray
+    local_dst: np.ndarray
+    sizes: np.ndarray
+    counts: np.ndarray
+    cyclic: list[bool]  # per component
+    trim_changed: bool  # whether trimming the source removed anything
+
+
 def _check_component(a: CostAutomaton) -> None:
     if a.is_empty:
         raise NotStronglyConnected("component is empty")
     if not a.src.size:
         raise NotStronglyConnected("component has no transitions")
-    parts = automata.scc(a)
-    if len(parts.components) != 1:
-        raise NotStronglyConnected(
-            f"input splits into {len(parts.components)} components"
-        )
-
-
-def _check_form(form: str) -> None:
-    if form not in _STEPS:
-        raise ValueError(f"unknown form {form!r}")
+    k = int(automata.tarjan(len(a.state_names), a.src, a.dst).max()) + 1
+    if k != 1:
+        raise NotStronglyConnected(f"input splits into {k} components")
 
 
 def _layout(
@@ -172,27 +186,49 @@ def gurevich_matrix_compact(a: CostAutomaton) -> NonnegativeMatrix:
     return _public_matrix(a, "compact")
 
 
-def _solve_cyclic(
-    sizes: np.ndarray,
-    counts: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    cost: np.ndarray,
+def _structure(a: CostAutomaton, source: CostAutomaton | None = None) -> _Structure:
+    """Components of the trimmed automaton ``a`` and the edges inside them;
+    ``source``, when given, is what ``a`` was trimmed from."""
+    names, src, dst = a.state_names, a.src, a.dst
+    n = len(names)
+    labels = automata.tarjan(n, src, dst)
+    k = int(labels.max(initial=-1)) + 1
+    members, starts = automata.rows(k, labels)  # each component's states in name order
+    local = np.empty(n, dtype=np.intp)  # position within the component
+    local[members] = np.arange(n) - starts[labels[members]]
+    # the edges inside components, grouped by component
+    inside = np.flatnonzero(labels[src] == labels[dst])
+    order, bounds = automata.rows(k, labels[src[inside]])
+    order = inside[order]
+    counts = bounds[1:] - bounds[:-1]
+    cyclic = counts > 0  # a loop-free singleton has no edge inside and needs no solve
+    sizes = starts[1:] - starts[:-1]
+    members, starts = members.tolist(), starts.tolist()
+    components = tuple(frozenset([names[i] for i in members[lo:hi]]) for lo, hi in zip(starts, starts[1:]))
+    trim_changed = source is not None and a is not source and not source.is_empty
+    return _Structure(a, components, order, local[src[order]], local[dst[order]],
+                      sizes[cyclic], counts[cyclic], cyclic.tolist(), trim_changed)
+
+
+def _solve(
+    columns: list[tuple[_Structure, np.ndarray]],
     form: str,
     tolerance: float,
     max_iterations: int,
-) -> list[tuple[float, SpectralResult]]:
-    """Energy and certified solve of each cyclic component: component b
-    has sizes[b] states and the next counts[b] edges of the local edge
-    arrays.  Every component is one block of a single batched solve."""
-    if not len(sizes):
-        return []
+) -> list[EnergyReport]:
+    """One report per (structure, cost column) pair, the column giving a
+    cost to each edge of the structure's automaton.  The cyclic components
+    of every pair, pair by pair, are the blocks of one batched solve."""
+    if form not in _STEPS:
+        raise ValueError(f"unknown form {form!r}")
+    parts = [(s.sizes, s.counts, s.local_src, s.local_dst, column[s.order]) for s, column in columns]
+    sizes, counts, src, dst, cost = (np.concatenate(part) for part in zip(*parts))
     firsts = counts.cumsum() - counts
     top = np.maximum.reduceat(cost, firsts)
     shifts = np.where(np.abs(top) <= _COST_RANGE, 0.0, top)
     weights = np.exp(cost - shifts.repeat(counts))
     dims, rows, cols, values = _layout(sizes, counts, src, dst, weights, form)
-    results = block_radii(dims, rows, cols, values, tolerance, max_iterations)
+    results = block_radii(dims, rows, cols, values, tolerance, max_iterations) if len(dims) else []
     energies = []
     for c, (result, shift) in enumerate(zip(results, shifts.tolist())):
         if not result.converged:
@@ -211,7 +247,21 @@ def _solve_cyclic(
                 "too wide for one shift"
             )
         energies.append((_STEPS[form] * math.log(result.radius) + shift, result))
-    return energies
+    solved = iter(energies)
+    reports = []
+    for s, _ in columns:
+        if not s.cyclic:  # the empty automaton
+            reports.append(EnergyReport(0.0, (), (), form, None, s.trim_changed))
+            continue
+        per = [next(solved) if has_cycle else (0.0, None) for has_cycle in s.cyclic]
+        # max keeps the earliest of equal energies; with no cyclic component
+        # this is component 0, whose energy is the conventional 0
+        cyclic = [c for c, has_cycle in enumerate(s.cyclic) if has_cycle]
+        best = max(cyclic, key=lambda c: per[c][0], default=0)
+        per_component = tuple((states, e) for states, (e, _) in zip(s.components, per))
+        solver = tuple(result for _, result in per)
+        reports.append(EnergyReport(per[best][0], per_component, solver, form, best, s.trim_changed))
+    return reports
 
 
 def free_energy(
@@ -227,47 +277,6 @@ def free_energy(
     initial and accepting states play no further role, matching the
     transition-structure-only definition of the energy.
     """
-    _check_form(form)
-    trimmed = automata.trim(a)
-    if trimmed.is_empty:
-        return EnergyReport(0.0, (), (), form, None, trim_changed=not a.is_empty)
-    trim_changed = trimmed is not a  # trim returns its input when every state is live
-    a = trimmed
-    names, src, dst, cost = a.state_names, a.src, a.dst, a.cost
-    n = len(names)
-
-    labels = automata.tarjan(n, src, dst)
-    k = int(labels.max()) + 1
-    members, starts = automata.rows(k, labels)  # each component's states in name order
-    local = np.empty(n, dtype=np.intp)  # position within the component
-    local[members] = np.arange(n) - starts[labels[members]]
-    # the edges inside components, grouped by component
-    inside = np.flatnonzero(labels[src] == labels[dst])
-    order, bounds = automata.rows(k, labels[src[inside]])
-    order = inside[order]
-    local_src, local_dst, comp_cost = local[src[order]], local[dst[order]], cost[order]
-
-    sizes = starts[1:] - starts[:-1]
-    counts = bounds[1:] - bounds[:-1]
-    cyclic = counts > 0  # a loop-free singleton has no edge inside and needs no solve
-    solved = iter(_solve_cyclic(
-        sizes[cyclic], counts[cyclic], local_src, local_dst, comp_cost, form, tolerance, max_iterations
-    ))
-    per_component: list[tuple[frozenset[str], float]] = []
-    solver: list[SpectralResult | None] = []
-    members, starts = members.tolist(), starts.tolist()
-    for lo, hi, has_cycle in zip(starts, starts[1:], cyclic.tolist()):
-        energy, result = next(solved) if has_cycle else (0.0, None)
-        per_component.append((frozenset([names[i] for i in members[lo:hi]]), energy))
-        solver.append(result)
-    # max keeps the earliest of equal energies; with no cyclic component
-    # this is component 0, whose energy is the conventional 0
-    best = max(cyclic.nonzero()[0].tolist(), key=lambda c: per_component[c][1], default=0)
-    return EnergyReport(
-        energy=per_component[best][1],
-        per_component=tuple(per_component),
-        solver=tuple(solver),
-        form_used=form,
-        max_component=best,
-        trim_changed=trim_changed,
-    )
+    s = _structure(automata.trim(a), a)
+    (report,) = _solve([(s, s.automaton.cost)], form, tolerance, max_iterations)
+    return report

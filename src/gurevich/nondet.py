@@ -10,12 +10,16 @@ Two quantities, both free-energy differences on the cleaned-up automaton:
 
 Both are provably nonnegative and lambda_exact <= lambda_plus; tiny
 negative solver noise is clamped to 0 with the raw value retained.
+
+lambda_plus solves V and 0 on one trimmed structure in one batch;
+lambda_exact determinizes before any solve, then solves the subset
+automaton on its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,19 +54,15 @@ def branching_costs(a: CostAutomaton) -> CostAutomaton:
     return a.with_costs(logs[pair])
 
 
-def _zeroed(a: CostAutomaton) -> CostAutomaton:
-    return a.with_costs(np.zeros(a.cost.size))
-
-
 def lambda_plus(
     a: CostAutomaton,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> NondetReport:
     """Free-energy upper estimate of nondeterminism; 0 for any DFA."""
-    a = automata.trim(a)  # clean-up before measurement is mandatory
-    energy_v = energy.free_energy(branching_costs(a), tolerance=tolerance, max_iterations=max_iterations).energy
-    energy_zero = energy.free_energy(_zeroed(a), tolerance=tolerance, max_iterations=max_iterations).energy
+    s = energy._structure(automata.trim(a))  # clean-up before measurement is mandatory
+    columns = [(s, branching_costs(s.automaton).cost), (s, np.zeros(s.automaton.cost.size))]
+    energy_v, energy_zero = (r.energy for r in energy._solve(columns, "compact", tolerance, max_iterations))
     raw = energy_v - energy_zero
     return NondetReport(
         lambda_plus=max(raw, 0.0),
@@ -84,14 +84,6 @@ def lambda_exact(
     a = automata.trim(a)
     det = automata.determinize(a, state_cap=state_cap)
     base = lambda_plus(a, tolerance, max_iterations)
-    energy_det = energy.free_energy(det, tolerance=tolerance, max_iterations=max_iterations).energy
-    raw = base.energy_zero - energy_det
-    return NondetReport(
-        lambda_plus=base.lambda_plus,
-        energy_v=base.energy_v,
-        energy_zero=base.energy_zero,
-        lambda_exact=max(raw, 0.0),
-        dfa_states=len(det.state_names),
-        lambda_plus_raw=base.lambda_plus_raw,
-        lambda_exact_raw=raw,
-    )
+    (det_report,) = energy._solve([(energy._structure(det), det.cost)], "compact", tolerance, max_iterations)
+    raw = base.energy_zero - det_report.energy
+    return replace(base, lambda_exact=max(raw, 0.0), dfa_states=len(det.state_names), lambda_exact_raw=raw)

@@ -37,13 +37,13 @@ def similarity(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> SimilarityReport:
-    """Delta plus the individual energies; all three solves are independent."""
+    """Delta plus the individual energies, solved in one batch on the
+    trimmed inputs and their product; each is trimmed once."""
     a1 = automata.trim(a1)
     a2 = automata.trim(a2)
     prod = automata.product(a1, a2)
-    delta = energy.free_energy(prod, tolerance=tolerance, max_iterations=max_iterations).energy
-    energy_1 = energy.free_energy(a1, tolerance=tolerance, max_iterations=max_iterations).energy
-    energy_2 = energy.free_energy(a2, tolerance=tolerance, max_iterations=max_iterations).energy
+    columns = [(s, s.automaton.cost) for s in map(energy._structure, (prod, a1, a2))]
+    delta, energy_1, energy_2 = (r.energy for r in energy._solve(columns, "compact", tolerance, max_iterations))
     total = energy_1 + energy_2
     normalized = min(max(delta / total, 0.0), 1.0) if total > 0 else None
     return SimilarityReport(

@@ -13,6 +13,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gurevich import (
     CostAutomaton,
@@ -25,6 +26,14 @@ from gurevich import (
     trim,
     word_cost,
 )
+
+# ---------------------------------------------------------------------------
+# property tests: the same examples on every run, no example database, and a
+# budget of a few seconds in all
+
+settings.register_profile("tier1", derandomize=True, database=None, max_examples=100, deadline=None)
+settings.load_profile("tier1")
+
 
 # ---------------------------------------------------------------------------
 # acceptance-criterion reporting: one line per criterion in the terminal

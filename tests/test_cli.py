@@ -15,7 +15,6 @@ from gurevich import (
     save_document,
 )
 from gurevich import energy as energy_mod
-from gurevich import free_energy
 from gurevich.cli import main
 
 from conftest import aut, colliding_dfa, linlen_doc, many_components
@@ -172,18 +171,19 @@ class TestNondetCommand:
 
     def test_state_cap_solves_lambda_plus_once(self, tmp_path, capsys, monkeypatch, branchy_nfa):
         # determinization hits the cap before any solve, so only the
-        # fallback's two energies are computed
+        # fallback's two energies are computed, in one batch
         path = write_automaton(tmp_path, "m.json", branchy_nfa)
         calls = []
+        solve = energy_mod._solve
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return free_energy(*args, **kwargs)
+        def spy(columns, *args, **kwargs):
+            calls.append(len(columns))
+            return solve(columns, *args, **kwargs)
 
-        monkeypatch.setattr(energy_mod, "free_energy", spy)
+        monkeypatch.setattr(energy_mod, "_solve", spy)
         assert main(["nondet", path, "--exact", "--state-cap", "3"]) == 4
         out, err = lines_of(capsys)
-        assert len(calls) == 2
+        assert calls == [2]
         assert out == ["lambda_plus 0.499249", "energy_v 1.084990", "energy_zero 0.585741"]
         assert err == "error: determinization exceeded the state cap (3)\n"
 

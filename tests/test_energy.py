@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -10,19 +11,26 @@ from gurevich import (
     NotConverged,
     NotStronglyConnected,
     Overflow,
+    automaton_to_document,
     branching_costs,
     estimate_limit,
     free_energy,
     gurevich_matrix_bipartite,
     gurevich_matrix_compact,
+    lambda_exact,
+    lambda_plus,
     map_costs,
     run_partition_series,
+    save_document,
     scc,
+    similarity,
     spectral_radius,
     trim,
 )
+from gurevich import automata as automata_mod
 from gurevich import energy as energy_mod
 from gurevich import spectral as spectral_mod
+from gurevich.cli import main
 from gurevich.spectral import block_radii
 
 from conftest import (
@@ -482,3 +490,53 @@ class TestBatchedComponents:
         )
         with pytest.raises(NotConverged, match=rf"after 1 iterations \(component of {first} states"):
             free_energy(a, max_iterations=1)
+
+
+class TestStructureOncePerGraph:
+    """Each graph a command solves is trimmed once and split by Tarjan
+    once, and all of the command's energies share one batched solve.
+    Counts are (trims, Tarjan runs, batched solves)."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = collections.Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count(automata_mod, "trim")
+        count(automata_mod, "tarjan")
+        count(energy_mod, "block_radii")
+        return lambda: (calls["trim"], calls["tarjan"], calls["block_radii"])
+
+    def test_free_energy(self, counted, branchy_nfa):
+        free_energy(branchy_nfa)
+        assert counted() == (1, 1, 1)
+
+    def test_lambda_plus(self, counted, branchy_nfa):
+        lambda_plus(branchy_nfa)
+        assert counted() == (1, 1, 1)
+
+    def test_lambda_exact(self, counted, branchy_nfa):
+        # the input, determinize's result, and lambda_plus's own clean-up;
+        # the input and the DFA are solved apart, since the DFA is built first
+        lambda_exact(branchy_nfa)
+        assert counted() == (3, 2, 2)
+
+    def test_similarity(self, counted, dna_m1, dna_m2):
+        # the two inputs and the product, whose clean-up is product's own
+        similarity(dna_m1, dna_m2)
+        assert counted() == (3, 3, 1)
+
+    def test_energy_command_with_branching_costs(self, counted, tmp_path, capsys, branchy_nfa):
+        path = str(tmp_path / "m.json")
+        save_document(path, automaton_to_document(branchy_nfa))
+        assert main(["energy", path, "--branching-costs"]) == 0
+        capsys.readouterr()
+        assert counted() == (1, 1, 1)

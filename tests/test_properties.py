@@ -1,0 +1,95 @@
+"""Property tests on random automata (hypothesis, with the deterministic
+profile registered in ``conftest.py``).
+
+The automata have negative costs, loop-free transient states, states that
+trimming removes and several cyclic components, one of which may carry
+costs past +-700 so that its solve is shifted."""
+
+import contextlib
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from gurevich import (
+    branching_costs,
+    free_energy,
+    lambda_plus,
+    product,
+    similarity,
+    trim,
+)
+from gurevich import energy as energy_mod
+
+from conftest import aut
+
+
+@st.composite
+def automata(draw):
+    """Cyclic blocks linked forward in a chain, a loop-free state between
+    two of them, and a dead state that only block 0 reaches."""
+    symbols = ["a", "b"]
+    cost = st.floats(-3.0, 3.0)
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    shifted = draw(st.sampled_from([None] + list(range(len(sizes)))))
+    offset = draw(st.sampled_from([-850.0, 850.0]))
+    edges = {}
+    blocks, base = [], 0
+    for b, size in enumerate(sizes):
+        block = [f"s{base + i}" for i in range(size)]
+        extra = offset if b == shifted else 0.0
+        for i in range(size):  # the ring that makes the block one cyclic component
+            edges[(block[i], draw(st.sampled_from(symbols)), block[(i + 1) % size])] = draw(cost) + extra
+        for _ in range(draw(st.integers(0, 2 * size))):
+            p, q = draw(st.sampled_from(block)), draw(st.sampled_from(block))
+            edges[(p, draw(st.sampled_from(symbols)), q)] = draw(cost) + extra
+        blocks.append(block)
+        base += size
+    states = [s for block in blocks for s in block] + ["t", "dead"]
+    for b, (left, right) in enumerate(zip(blocks, blocks[1:])):
+        if b == 0:  # through the transient state t
+            edges[(left[-1], draw(st.sampled_from(symbols)), "t")] = draw(cost)
+            edges[("t", draw(st.sampled_from(symbols)), right[0])] = draw(cost)
+        else:
+            edges[(left[-1], draw(st.sampled_from(symbols)), right[0])] = draw(cost)
+    edges[(blocks[0][0], draw(st.sampled_from(symbols)), "dead")] = draw(cost)
+    accepting = [s for s in states if s != "dead"]
+    return aut(symbols, states, blocks[0][0], accepting, [(p, x, q, c) for (p, x, q), c in edges.items()])
+
+
+@contextlib.contextmanager
+def batched():
+    """The reports of every batched solve run inside the block, in order."""
+    reports = []
+    solve = energy_mod._solve
+
+    def recording(columns, *args, **kwargs):
+        out = solve(columns, *args, **kwargs)
+        reports.extend(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(energy_mod, "_solve", recording)
+        yield reports
+
+
+@given(automata())
+def test_lambda_plus_batch_equals_separate_solves(a):
+    with batched() as reports:
+        report = lambda_plus(a)
+    live = trim(a)
+    assert reports == [
+        free_energy(branching_costs(live)),
+        free_energy(live.with_costs(np.zeros(live.cost.size))),
+    ]
+    assert (report.energy_v, report.energy_zero) == (reports[0].energy, reports[1].energy)
+
+
+@given(automata(), automata())
+def test_similarity_batch_equals_separate_solves(a1, a2):
+    with batched() as reports:
+        report = similarity(a1, a2)
+    live1, live2 = trim(a1), trim(a2)
+    assert reports == [free_energy(product(live1, live2)), free_energy(live1), free_energy(live2)]
+    assert (report.delta, report.energy_1, report.energy_2) == tuple(r.energy for r in reports)
