@@ -11,7 +11,8 @@ sorted tuples, and its transitions are the columns ``src``, ``sym``, ``dst``
 here runs on the columns, and a construction names its new states once, at
 the end.  Every walk over edges groups them with ``rows``; the graph
 kernels build their own rows and return arrays: ``_reach`` a bool mask over
-the nodes, ``tarjan`` a component label per node, in root-discovery order.
+the nodes, ``tarjan`` a component label per node, in root-discovery order;
+its one caller, ``scc``, returns the int split every energy solves on.
 The start state is an index, ``start``, and the accepting set a bool column
 over the states, ``accepting_mask``.  ``Transition`` objects, the
 ``states``/``alphabet`` sets and the ``initial``/``accepting`` names are
@@ -378,13 +379,34 @@ def trim(a: CostAutomaton) -> CostAutomaton:
     return keep_states(a, live)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SccPartition:
-    """Tarjan decomposition: components ordered by first-discovery of their root."""
+    """Tarjan decomposition of ``automaton`` as int rows: component c (its
+    ``labels`` value, numbered by its root's discovery index) has the states
+    ``members[bounds[c]:bounds[c + 1]]`` in name order and the edges inside
+    it ``inside[edge_bounds[c]:edge_bounds[c + 1]]`` in input order.  The
+    named views are built on first use."""
 
-    components: tuple[frozenset[str], ...]
-    component_of: Mapping[str, int]
-    is_singleton_without_loop: tuple[bool, ...]
+    automaton: CostAutomaton
+    labels: np.ndarray
+    members: np.ndarray
+    bounds: np.ndarray
+    inside: np.ndarray
+    edge_bounds: np.ndarray
+
+    @cached_property
+    def components(self) -> tuple[frozenset[str], ...]:
+        names = self.automaton.state_names
+        members, bounds = self.members.tolist(), self.bounds.tolist()
+        return tuple(frozenset([names[i] for i in members[lo:hi]]) for lo, hi in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def component_of(self) -> Mapping[str, int]:
+        return dict(zip(self.automaton.state_names, self.labels.tolist()))
+
+    @cached_property
+    def is_singleton_without_loop(self) -> tuple[bool, ...]:  # no edge inside
+        return tuple((self.edge_bounds[1:] == self.edge_bounds[:-1]).tolist())
 
 
 def tarjan(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -444,24 +466,21 @@ def tarjan(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 
 def scc(a: CostAutomaton) -> SccPartition:
-    """Maximal strongly connected components of the named automaton.
+    """Maximal strongly connected components of ``a`` (of the empty value
+    when no state is declared) and the edges inside each, from one Tarjan run.
 
     Deterministic: the DFS visits states in sorted name order, and the
-    component list is ordered by the discovery index of each component's
+    components are numbered by the discovery index of each component's
     root, so renaming-stable fixtures give stable output.
     """
-    if a.is_empty:
-        return SccPartition((), {}, ())
-    names = a.state_names
-    labels = tarjan(len(names), a.src, a.dst)
-    k = int(labels.max()) + 1
-    members, bounds = (column.tolist() for column in rows(k, labels))
-    components = tuple(
-        frozenset([names[i] for i in members[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])
-    )
+    a = EMPTY if a.is_empty else a
+    labels = tarjan(len(a.state_names), a.src, a.dst)
+    k = int(labels.max(initial=-1)) + 1
+    members, bounds = rows(k, labels)
     ends = labels[a.src]
-    acyclic = np.bincount(ends[ends == labels[a.dst]], minlength=k) == 0  # no inside edge
-    return SccPartition(components, dict(zip(names, labels.tolist())), tuple(acyclic.tolist()))
+    inside = np.flatnonzero(ends == labels[a.dst])
+    order, edge_bounds = rows(k, ends[inside])
+    return SccPartition(a, labels, members, bounds, inside[order], edge_bounds)
 
 
 def _escape(name: str, special: str) -> str:

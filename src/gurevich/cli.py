@@ -30,7 +30,7 @@ from .documents import (
     load_pair_cost,
     save_document,
 )
-from .energy import EnergyReport, _solve, _structure, free_energy
+from .energy import EnergyReport, _solve, free_energy
 from .errors import (
     BlockAlphabetTooLarge,
     DocumentError,
@@ -130,8 +130,8 @@ def cmd_energy(args) -> int:
     solver = dict(form=args.form, tolerance=args.tolerance, max_iterations=args.max_iterations)
     if args.branching_costs:
         # k(p, a) counts live successors only, as in lambda_plus
-        s = _structure(automata.trim(a), a)
-        (report,) = _solve([(s, nondet_mod.branching_costs(s.automaton).cost)], **solver)
+        p = automata.scc(automata.trim(a))
+        (report,) = _solve([(p, nondet_mod.branching_costs(p.automaton).cost)], **solver, source=a)
     else:
         report = free_energy(a, **solver)
     return _show(args, _energy_report_doc(report), ["energy"])

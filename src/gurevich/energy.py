@@ -19,9 +19,9 @@ energy 0 (ln 0 = 0 convention).
 
 Inside ``free_energy`` states are ints in sorted-name order: trimming, the
 SCC split and the grouping of each component's edges all run on int
-arrays, and names reappear only in the report.  Each graph gets one
-structure (``_structure``: its components and their edges, one Tarjan
-run), and ``_solve`` takes every (structure, cost column) pair a command
+arrays, and names reappear only in the report.  Each graph is split once
+(``automata.scc``: its components and the edges inside them, one Tarjan
+run), and ``_solve`` takes every (partition, cost column) pair a command
 needs.  Every cyclic component of every pair, whatever its size, is one
 block of a single block-diagonal matrix, held as edge arrays and solved
 by one batched sweep (``spectral.block_radii``): each block is certified,
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import automata
-from .automata import CostAutomaton
+from .automata import CostAutomaton, SccPartition
 from .errors import NotConverged, NotStronglyConnected, Overflow, Underflow
 from .spectral import (
     DEFAULT_MAX_ITERATIONS,
@@ -96,30 +96,12 @@ class EnergyReport:
     trim_changed: bool = False
 
 
-@dataclass(frozen=True)
-class _Structure:
-    """What every energy of one trimmed automaton shares: its components in
-    Tarjan order, the edges inside them (``order`` into the automaton's
-    edges) grouped by component, with their ends as positions within it,
-    and the states and inside edges of each cyclic component."""
-
-    automaton: CostAutomaton
-    components: tuple[frozenset[str], ...]
-    order: np.ndarray
-    local_src: np.ndarray
-    local_dst: np.ndarray
-    sizes: np.ndarray
-    counts: np.ndarray
-    cyclic: list[bool]  # per component
-    trim_changed: bool  # whether trimming the source removed anything
-
-
 def _check_component(a: CostAutomaton) -> None:
     if a.is_empty:
         raise NotStronglyConnected("component is empty")
     if not a.src.size:
         raise NotStronglyConnected("component has no transitions")
-    k = int(automata.tarjan(len(a.state_names), a.src, a.dst).max()) + 1
+    k = len(automata.scc(a).bounds) - 1
     if k != 1:
         raise NotStronglyConnected(f"input splits into {k} components")
 
@@ -186,42 +168,34 @@ def gurevich_matrix_compact(a: CostAutomaton) -> NonnegativeMatrix:
     return _public_matrix(a, "compact")
 
 
-def _structure(a: CostAutomaton, source: CostAutomaton | None = None) -> _Structure:
-    """Components of the trimmed automaton ``a`` and the edges inside them;
-    ``source``, when given, is what ``a`` was trimmed from."""
-    names, src, dst = a.state_names, a.src, a.dst
-    n = len(names)
-    labels = automata.tarjan(n, src, dst)
-    k = int(labels.max(initial=-1)) + 1
-    members, starts = automata.rows(k, labels)  # each component's states in name order
-    local = np.empty(n, dtype=np.intp)  # position within the component
-    local[members] = np.arange(n) - starts[labels[members]]
-    # the edges inside components, grouped by component
-    inside = np.flatnonzero(labels[src] == labels[dst])
-    order, bounds = automata.rows(k, labels[src[inside]])
-    order = inside[order]
-    counts = bounds[1:] - bounds[:-1]
+def _blocks(p: SccPartition) -> tuple[list[bool], tuple[np.ndarray, ...]]:
+    """Which components of ``p`` are cyclic, and as blocks their state and
+    inside-edge counts and the inside edges' ends within the component."""
+    a, labels, members, bounds, inside = p.automaton, p.labels, p.members, p.bounds, p.inside
+    local = np.empty(len(labels), dtype=np.intp)  # position within the component
+    local[members] = np.arange(len(labels)) - bounds[labels[members]]
+    counts = p.edge_bounds[1:] - p.edge_bounds[:-1]
     cyclic = counts > 0  # a loop-free singleton has no edge inside and needs no solve
-    sizes = starts[1:] - starts[:-1]
-    members, starts = members.tolist(), starts.tolist()
-    components = tuple(frozenset([names[i] for i in members[lo:hi]]) for lo, hi in zip(starts, starts[1:]))
-    trim_changed = source is not None and a is not source and not source.is_empty
-    return _Structure(a, components, order, local[src[order]], local[dst[order]],
-                      sizes[cyclic], counts[cyclic], cyclic.tolist(), trim_changed)
+    sizes = bounds[1:] - bounds[:-1]
+    return cyclic.tolist(), (sizes[cyclic], counts[cyclic], local[a.src[inside]], local[a.dst[inside]])
 
 
 def _solve(
-    columns: list[tuple[_Structure, np.ndarray]],
+    columns: list[tuple[SccPartition, np.ndarray]],
     form: str,
     tolerance: float,
     max_iterations: int,
+    source: CostAutomaton | None = None,
 ) -> list[EnergyReport]:
-    """One report per (structure, cost column) pair, the column giving a
-    cost to each edge of the structure's automaton.  The cyclic components
-    of every pair, pair by pair, are the blocks of one batched solve."""
+    """One report per (partition, cost column) pair, the column giving a
+    cost to each edge of the partition's automaton.  The cyclic components
+    of every pair, pair by pair, are the blocks of one batched solve.
+    ``source``, when given, is what the automaton of the one pair was
+    trimmed from, and the report records whether trimming changed it."""
     if form not in _STEPS:
         raise ValueError(f"unknown form {form!r}")
-    parts = [(s.sizes, s.counts, s.local_src, s.local_dst, column[s.order]) for s, column in columns]
+    blocks = {p: _blocks(p) for p in dict.fromkeys(p for p, _ in columns)}  # once per partition
+    parts = [blocks[p][1] + (column[p.inside],) for p, column in columns]
     sizes, counts, src, dst, cost = (np.concatenate(part) for part in zip(*parts))
     firsts = counts.cumsum() - counts
     top = np.maximum.reduceat(cost, firsts)
@@ -248,19 +222,21 @@ def _solve(
             )
         energies.append((_STEPS[form] * math.log(result.radius) + shift, result))
     solved = iter(energies)
+    trim_changed = source is not None and columns[0][0].automaton is not source and not source.is_empty
     reports = []
-    for s, _ in columns:
-        if not s.cyclic:  # the empty automaton
-            reports.append(EnergyReport(0.0, (), (), form, None, s.trim_changed))
+    for p, _ in columns:
+        flags, _ = blocks[p]
+        if not flags:  # the empty automaton
+            reports.append(EnergyReport(0.0, (), (), form, None, trim_changed))
             continue
-        per = [next(solved) if has_cycle else (0.0, None) for has_cycle in s.cyclic]
+        per = [next(solved) if has_cycle else (0.0, None) for has_cycle in flags]
         # max keeps the earliest of equal energies; with no cyclic component
         # this is component 0, whose energy is the conventional 0
-        cyclic = [c for c, has_cycle in enumerate(s.cyclic) if has_cycle]
+        cyclic = [c for c, has_cycle in enumerate(flags) if has_cycle]
         best = max(cyclic, key=lambda c: per[c][0], default=0)
-        per_component = tuple((states, e) for states, (e, _) in zip(s.components, per))
+        per_component = tuple((states, e) for states, (e, _) in zip(p.components, per))
         solver = tuple(result for _, result in per)
-        reports.append(EnergyReport(per[best][0], per_component, solver, form, best, s.trim_changed))
+        reports.append(EnergyReport(per[best][0], per_component, solver, form, best, trim_changed))
     return reports
 
 
@@ -277,6 +253,6 @@ def free_energy(
     initial and accepting states play no further role, matching the
     transition-structure-only definition of the energy.
     """
-    s = _structure(automata.trim(a), a)
-    (report,) = _solve([(s, s.automaton.cost)], form, tolerance, max_iterations)
+    p = automata.scc(automata.trim(a))
+    (report,) = _solve([(p, p.automaton.cost)], form, tolerance, max_iterations, source=a)
     return report

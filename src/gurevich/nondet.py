@@ -11,9 +11,9 @@ Two quantities, both free-energy differences on the cleaned-up automaton:
 Both are provably nonnegative and lambda_exact <= lambda_plus; tiny
 negative solver noise is clamped to 0 with the raw value retained.
 
-lambda_plus solves V and 0 on one trimmed structure in one batch;
-lambda_exact determinizes before any solve, then solves the subset
-automaton on its own.
+lambda_plus solves V and 0 on one SCC partition of the trimmed
+automaton in one batch; lambda_exact determinizes before any solve, then
+solves the subset automaton on its own.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ def lambda_plus(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> NondetReport:
     """Free-energy upper estimate of nondeterminism; 0 for any DFA."""
-    s = energy._structure(automata.trim(a))  # clean-up before measurement is mandatory
-    columns = [(s, branching_costs(s.automaton).cost), (s, np.zeros(s.automaton.cost.size))]
+    p = automata.scc(automata.trim(a))  # clean-up before measurement is mandatory
+    columns = [(p, branching_costs(p.automaton).cost), (p, np.zeros(p.automaton.cost.size))]
     energy_v, energy_zero = (r.energy for r in energy._solve(columns, "compact", tolerance, max_iterations))
     raw = energy_v - energy_zero
     return NondetReport(
@@ -84,6 +84,6 @@ def lambda_exact(
     a = automata.trim(a)
     det = automata.determinize(a, state_cap=state_cap)
     base = lambda_plus(a, tolerance, max_iterations)
-    (det_report,) = energy._solve([(energy._structure(det), det.cost)], "compact", tolerance, max_iterations)
+    (det_report,) = energy._solve([(automata.scc(det), det.cost)], "compact", tolerance, max_iterations)
     raw = base.energy_zero - det_report.energy
     return replace(base, lambda_exact=max(raw, 0.0), dfa_states=len(det.state_names), lambda_exact_raw=raw)

@@ -281,8 +281,10 @@ def estimate_limit(series: PartitionSeries, window: int) -> tuple[float, float]:
 
     A large spread flags a periodic-support language (zero entries between
     the populated lengths); callers should then restrict attention to the
-    nonzero subsequence.
-    """
+    nonzero subsequence.  The spread is how much the window varies, not the
+    distance to the limit: with S_n ~ C e^(nE) each rate has a ln(C)/n bias
+    (the 50-state chorded cycle at cost 0.3, runs_all to n = 300, window 10:
+    1.35e-2 above E, spread 4.1e-4)."""
     if window < 1:
         raise ValueError("window must be positive")
     if len(series.rates) < window:

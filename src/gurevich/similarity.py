@@ -42,7 +42,7 @@ def similarity(
     a1 = automata.trim(a1)
     a2 = automata.trim(a2)
     prod = automata.product(a1, a2)
-    columns = [(s, s.automaton.cost) for s in map(energy._structure, (prod, a1, a2))]
+    columns = [(p, p.automaton.cost) for p in map(automata.scc, (prod, a1, a2))]
     delta, energy_1, energy_2 = (r.energy for r in energy._solve(columns, "compact", tolerance, max_iterations))
     total = energy_1 + energy_2
     normalized = min(max(delta / total, 0.0), 1.0) if total > 0 else None

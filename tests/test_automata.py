@@ -7,7 +7,6 @@ import pytest
 from gurevich import (
     EMPTY,
     CostAutomaton,
-    SccPartition,
     accepts,
     automaton_to_document,
     determinize,
@@ -270,6 +269,13 @@ class TestScc:
                 len(c) == 1 and not c & looped for c in parts.components
             )
             assert all(parts.components[parts.component_of[q]] >= {q} for q in a.states)
+            # the int arrays: component c's inside edges are exactly the
+            # edges with both ends labelled c, in input order
+            labels = parts.labels
+            for c, flag in enumerate(parts.is_singleton_without_loop):
+                inside = parts.inside[parts.edge_bounds[c] : parts.edge_bounds[c + 1]].tolist()
+                assert inside == np.flatnonzero((labels[a.src] == c) & (labels[a.dst] == c)).tolist()
+                assert flag == (not inside)
             # free_energy lists its components in the same order
             states = [states for states, _ in free_energy(a).per_component]
             assert tuple(states) == scc(trim(a)).components
@@ -476,7 +482,10 @@ class TestEmptyValue:
         assert trim(EMPTY).is_empty
 
     def test_structural_functions_on_empty(self, ab_star):
-        assert scc(EMPTY) == SccPartition((), {}, ())
+        parts = scc(EMPTY)
+        assert parts.components == ()
+        assert parts.component_of == {}
+        assert parts.is_singleton_without_loop == ()
         assert determinize(EMPTY) is EMPTY
         assert product(EMPTY, ab_star) is EMPTY
         assert product(ab_star, EMPTY) is EMPTY

@@ -494,8 +494,9 @@ class TestBatchedComponents:
 
 class TestStructureOncePerGraph:
     """Each graph a command solves is trimmed once and split by Tarjan
-    once, and all of the command's energies share one batched solve.
-    Counts are (trims, Tarjan runs, batched solves)."""
+    once, through ``automata.scc`` (the name the benchmark tracer times),
+    and all of the command's energies share one batched solve.  Counts are
+    (trims, Tarjan runs, scc calls, batched solves)."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -512,31 +513,32 @@ class TestStructureOncePerGraph:
 
         count(automata_mod, "trim")
         count(automata_mod, "tarjan")
+        count(automata_mod, "scc")
         count(energy_mod, "block_radii")
-        return lambda: (calls["trim"], calls["tarjan"], calls["block_radii"])
+        return lambda: (calls["trim"], calls["tarjan"], calls["scc"], calls["block_radii"])
 
     def test_free_energy(self, counted, branchy_nfa):
         free_energy(branchy_nfa)
-        assert counted() == (1, 1, 1)
+        assert counted() == (1, 1, 1, 1)
 
     def test_lambda_plus(self, counted, branchy_nfa):
         lambda_plus(branchy_nfa)
-        assert counted() == (1, 1, 1)
+        assert counted() == (1, 1, 1, 1)
 
     def test_lambda_exact(self, counted, branchy_nfa):
         # the input, determinize's result, and lambda_plus's own clean-up;
         # the input and the DFA are solved apart, since the DFA is built first
         lambda_exact(branchy_nfa)
-        assert counted() == (3, 2, 2)
+        assert counted() == (3, 2, 2, 2)
 
     def test_similarity(self, counted, dna_m1, dna_m2):
         # the two inputs and the product, whose clean-up is product's own
         similarity(dna_m1, dna_m2)
-        assert counted() == (3, 3, 1)
+        assert counted() == (3, 3, 3, 1)
 
     def test_energy_command_with_branching_costs(self, counted, tmp_path, capsys, branchy_nfa):
         path = str(tmp_path / "m.json")
         save_document(path, automaton_to_document(branchy_nfa))
         assert main(["energy", path, "--branching-costs"]) == 0
         capsys.readouterr()
-        assert counted() == (1, 1, 1)
+        assert counted() == (1, 1, 1, 1)
