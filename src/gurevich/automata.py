@@ -48,7 +48,6 @@ __all__ = [
     "product",
     "accepts",
     "map_costs",
-    "DEFAULT_STATE_CAP",
 ]
 
 DEFAULT_STATE_CAP = 2**20

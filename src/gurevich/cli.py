@@ -33,9 +33,8 @@ from .documents import (
 from .energy import EnergyReport, _solve, free_energy
 from .errors import (
     BlockAlphabetTooLarge,
-    DocumentError,
+    GurevichError,
     NotConverged,
-    NotDeterministic,
     Overflow,
     StateCapExceeded,
     Underflow,
@@ -50,6 +49,15 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_CAP = 4
+
+# exit code by error class; every other GurevichError, and ValueError, is bad input
+_EXITS = {
+    NotConverged: EXIT_NUMERICAL,
+    Overflow: EXIT_NUMERICAL,
+    Underflow: EXIT_NUMERICAL,
+    StateCapExceeded: EXIT_CAP,
+    BlockAlphabetTooLarge: EXIT_CAP,
+}
 
 
 def _fmt(x: float) -> str:
@@ -312,15 +320,9 @@ def main(argv: list[str] | None = None) -> int:
         _settings(args)
         # looked up per call, so a handler replaced on the module takes effect
         return globals()["cmd_" + args.command](args)
-    except (DocumentError, NotDeterministic, ValueError) as e:
+    except (GurevichError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (NotConverged, Overflow, Underflow) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (StateCapExceeded, BlockAlphabetTooLarge) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAP
+        return next((code for cls, code in _EXITS.items() if isinstance(e, cls)), EXIT_INPUT)
     except MemoryError:
         print(f"error: {_out_of_memory(args)}", file=sys.stderr)
         return EXIT_CAP

@@ -33,11 +33,13 @@ public builders
 labelled matrices.
 
 e^V leaves the double range once V passes about +709 (overflow) or -708
-(subnormal, then 0).  A component whose largest cost lies outside +-700,
-so that its largest weight leaves e^(+-700), is solved with its costs
-shifted by its largest cost and the shift added back, since
-E(V + c) = E(V) + c; every other component is solved as built.  The shift
-is chosen per component, in the batch as alone.
+(subnormal, then 0).  A component is solved with its costs shifted by its
+largest cost and the shift added back, since E(V + c) = E(V) + c, when its
+largest cost lies above +700, or when its largest cost is negative and its
+smallest lies below -700; every other component is solved as built.  A
+largest cost in [0, +700] is never shifted out, since that would only push
+the smallest weights further down.  The shift is chosen per component, in
+the batch as alone.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ __all__ = [
     "free_energy",
 ]
 
-# a component whose largest cost lies outside +-this, so that its largest
-# weight leaves e^(+-700), is solved shifted
+# a component whose largest cost lies above +this, or is negative while its
+# smallest lies below -this, is solved shifted by its largest cost
 _COST_RANGE = 700.0
 
 # steps of the automaton per matrix step, by form
@@ -199,7 +201,8 @@ def _solve(
     sizes, counts, src, dst, cost = (np.concatenate(part) for part in zip(*parts))
     firsts = counts.cumsum() - counts
     top = np.maximum.reduceat(cost, firsts)
-    shifts = np.where(np.abs(top) <= _COST_RANGE, 0.0, top)
+    subnormal = np.minimum.reduceat(cost, firsts) < -_COST_RANGE
+    shifts = np.where((top > _COST_RANGE) | ((top < 0.0) & subnormal), top, 0.0)
     weights = np.exp(cost - shifts.repeat(counts))
     dims, rows, cols, values = _layout(sizes, counts, src, dst, weights, form)
     results = block_radii(dims, rows, cols, values, tolerance, max_iterations) if len(dims) else []

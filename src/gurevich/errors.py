@@ -5,6 +5,19 @@ are returned as data by the operations that find them; exceptions are
 reserved for conditions that make the requested computation impossible.
 """
 
+__all__ = [
+    "GurevichError",
+    "NotConverged",
+    "NotStronglyConnected",
+    "NotDeterministic",
+    "Overflow",
+    "Underflow",
+    "StateCapExceeded",
+    "BlockAlphabetTooLarge",
+    "UnknownSymbol",
+    "DocumentError",
+]
+
 
 class GurevichError(Exception):
     """Base class for all toolkit errors."""
@@ -41,9 +54,10 @@ class Overflow(GurevichError):
 
 class Underflow(GurevichError):
     """A component's certified Perron radius is not a positive double: its
-    weights left the double range even after the shift by its largest cost,
-    so its energy cannot be formed.  The message names the component's size
-    and cost range."""
+    weights left the double range even after ``free_energy``'s shift by its
+    largest cost (taken when that cost lies above +700, or is negative while
+    the smallest lies below -700), so its energy cannot be formed.  The
+    message names the component's size and cost range."""
 
 
 class StateCapExceeded(GurevichError):

@@ -33,7 +33,6 @@ __all__ = [
     "implement_construction",
     "verify_implements",
     "language_energy",
-    "COST_TOLERANCE",
 ]
 
 # exact-cost comparison tolerance: costs pass through sums only

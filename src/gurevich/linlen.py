@@ -54,8 +54,6 @@ __all__ = [
     "linlen_union_energy",
     "linlen_word_oracle",
     "validate_spec",
-    "DEFAULT_BLOCK_CAP",
-    "DEFAULT_LINLEN_STATE_CAP",
 ]
 
 DEFAULT_BLOCK_CAP = 20_000

@@ -38,7 +38,6 @@ __all__ = [
     "count_series",
     "estimate_limit",
     "log_int",
-    "DEFAULT_MAX_N_CAP",
 ]
 
 DEFAULT_MAX_N_CAP = 10_000

@@ -65,7 +65,6 @@ __all__ = [
     "NonnegativeMatrix",
     "SpectralResult",
     "spectral_radius",
-    "block_radii",
     "DEFAULT_TOLERANCE",
     "DEFAULT_MAX_ITERATIONS",
 ]

@@ -8,13 +8,25 @@ import pytest
 
 import gurevich
 from gurevich import (
+    BlockAlphabetTooLarge,
+    DocumentError,
+    GurevichError,
+    NotConverged,
+    NotDeterministic,
+    NotStronglyConnected,
+    Overflow,
+    StateCapExceeded,
+    Underflow,
+    UnknownSymbol,
     automaton_to_document,
     dump_json,
+    free_energy,
     load_automaton,
     pair_cost_to_document,
     save_document,
 )
 from gurevich import energy as energy_mod
+from gurevich import errors as errors_mod
 from gurevich.cli import main
 
 from conftest import aut, colliding_dfa, linlen_doc, many_components
@@ -41,6 +53,13 @@ def write_json(tmp_path, name, doc):
 def lines_of(capsys):
     out, err = capsys.readouterr()
     return out.splitlines(), err
+
+
+def low_ring():
+    """3-ring whose largest cost -691.7 lies inside +-700 while e^-718.4 is
+    subnormal; its energy is the mean cost -2110.1 / 3."""
+    edges = [("a", "x", "b", -718.4), ("b", "x", "c", -700.0), ("c", "x", "a", -691.7)]
+    return aut(["x"], ["a", "b", "c"], "a", ["a"], edges)
 
 
 class TestEnergyCommand:
@@ -116,6 +135,20 @@ class TestEnergyCommand:
         assert err.startswith("error: free energy:")
         assert "component of 6 states" in err
         assert "-800.0 to 700.0" in err
+
+    @pytest.mark.parametrize("form", ["compact", "bipartite"])
+    def test_component_below_the_double_range_is_shifted(self, tmp_path, capsys, monkeypatch, form):
+        # solved unshifted, the ring never certifies; shifted by its largest
+        # cost it takes a few dozen iterations
+        monkeypatch.setenv("MAX_ITERS", "1000")
+        ring = low_ring()
+        path = write_automaton(tmp_path, "ring.json", ring)
+        assert main(["energy", path, "--form", form, "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        energy = json.loads(out)["energy"]
+        assert energy == free_energy(ring.with_costs(ring.cost + 700.0)).energy - 700.0
+        assert energy == pytest.approx(-2110.1 / 3, abs=1e-9)
 
     def test_branching_costs_count_live_successors_only(self, tmp_path, capsys):
         # p -a-> d leads nowhere, so k(p, a) is 1 after the clean-up, as in nondet
@@ -230,6 +263,38 @@ class TestSimilarityCommand:
         assert set(doc) == {"delta", "energy_1", "energy_2", "product_states", "normalized"}
         assert doc["delta"] == pytest.approx(1.025, abs=2e-3)
 
+    def test_product_below_the_double_range_is_shifted(self, tmp_path, capsys, monkeypatch):
+        # the product carries the ring's costs; zero-cost branching adds
+        # ln of the golden ratio to the ring's energy
+        monkeypatch.setenv("MAX_ITERS", "1000")
+        nfa = aut(["x"], ["u", "v"], "u", ["u", "v"], [("u", "x", "u"), ("u", "x", "v"), ("v", "x", "u")])
+        p1 = write_automaton(tmp_path, "ring.json", low_ring())
+        p2 = write_automaton(tmp_path, "nfa.json", nfa)
+        assert main(["similarity", p1, p2, "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        doc = json.loads(out)
+        golden = math.log((1 + math.sqrt(5)) / 2)
+        assert doc["energy_1"] == pytest.approx(-2110.1 / 3, abs=1e-9)
+        assert doc["energy_2"] == pytest.approx(golden, abs=1e-12)
+        assert doc["delta"] == pytest.approx(-2110.1 / 3 + golden, abs=1e-9)
+
+
+# the documented exit code of each error class; ValueError is bad input
+EXIT_CODES = {
+    GurevichError: 2,
+    DocumentError: 2,
+    NotDeterministic: 2,
+    NotStronglyConnected: 2,
+    UnknownSymbol: 2,
+    ValueError: 2,
+    NotConverged: 3,
+    Overflow: 3,
+    Underflow: 3,
+    StateCapExceeded: 4,
+    BlockAlphabetTooLarge: 4,
+}
+
 
 class TestDispatch:
     def test_parser_built_once_and_handlers_looked_up_per_call(self, monkeypatch):
@@ -240,6 +305,20 @@ class TestDispatch:
         monkeypatch.setattr(cli, "cmd_energy", lambda args: calls.append(args.path) or 0)
         assert main(["energy", "m.json"]) == 0
         assert calls == ["m.json"]
+
+    @pytest.mark.parametrize("error", list(EXIT_CODES), ids=lambda error: error.__name__)
+    def test_exit_code_by_error_class(self, monkeypatch, capsys, error):
+        import gurevich.cli as cli
+
+        def failing(args):
+            raise error("broken")
+
+        monkeypatch.setattr(cli, "cmd_energy", failing)
+        assert main(["energy", "m.json"]) == EXIT_CODES[error]
+        assert capsys.readouterr() == ("", "error: broken\n")
+
+    def test_every_error_class_has_a_documented_exit_code(self):
+        assert {getattr(errors_mod, name) for name in errors_mod.__all__} <= set(EXIT_CODES)
 
 
 class TestImplementCommand:

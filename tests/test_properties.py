@@ -1,9 +1,12 @@
 """Property tests on random automata (hypothesis, with the deterministic
 profile registered in ``conftest.py``).
 
-The automata have negative costs, loop-free transient states, states that
-trimming removes and several cyclic components, one of which may carry
-costs past +-700 so that its solve is shifted."""
+The automata of the energy properties have negative costs, loop-free
+transient states, states that trimming removes and several cyclic
+components, one of which may carry costs past +-700 so that its solve is
+shifted.  Those of the construction properties have state and symbol names
+made of the characters that the product, subset and transition names
+escape, including names spelled like the constructions' own."""
 
 import contextlib
 
@@ -13,12 +16,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gurevich import (
+    PairCostFunction,
     branching_costs,
+    determinize,
     free_energy,
+    implement_construction,
     lambda_plus,
     product,
     similarity,
     trim,
+    validate,
 )
 from gurevich import energy as energy_mod
 
@@ -93,3 +100,62 @@ def test_similarity_batch_equals_separate_solves(a1, a2):
     live1, live2 = trim(a1), trim(a2)
     assert reports == [free_energy(product(live1, live2)), free_energy(live1), free_energy(live2)]
     assert (report.delta, report.energy_1, report.energy_2) == tuple(r.energy for r in reports)
+
+
+# the separators and escapes of product (``|``), subset (``{,}``) and
+# transition (``(,)``) names, the backslash, and linlen's ``~``
+tricky_names = st.text(st.sampled_from("ab|,{}()\\~"), min_size=1, max_size=4)
+
+
+@st.composite
+def named_automata(draw, deterministic=False):
+    """An NFA (a DFA if ``deterministic``) over tricky names, some of them
+    spelled like a pair ``x|y``, a subset ``{x,y}`` or its inside ``x,y``,
+    or a transition ``(x,s,y)`` of other states.  Half the draws plant
+    edges on which a construction spells one plain name twice."""
+    symbols = draw(st.lists(st.sampled_from(["a", "b", ",", "(", "|"]), min_size=2, max_size=3, unique=True))
+    base = draw(st.lists(tricky_names, min_size=2, max_size=4, unique=True))
+    x, y = draw(st.permutations(base))[:2]
+    s, t = draw(st.permutations(symbols))[:2]
+    inside, pairs, run = x + "," + y, [x + "|" + y, y + "|" + y], f"({x},{s},{y})"
+    states = sorted(set(base + pairs + [inside, "{" + inside + "}", run]))
+    initial = draw(st.sampled_from(states))
+    accepting = draw(st.lists(st.sampled_from(states), max_size=len(states)))
+    plant = draw(st.booleans())
+    state, symbol = st.sampled_from(states), st.sampled_from(symbols)
+    if deterministic:
+        edges = draw(st.dictionaries(st.tuples(state, symbol), state, max_size=16))
+        if plant:  # the start (x,s,y) and the transition x -s-> y
+            initial = run
+            edges.update({(run, s): x, (x, s): y})
+            accepting.append(y)
+        transitions = [pair + (q,) for pair, q in edges.items()]
+    else:
+        transitions = draw(st.lists(st.tuples(state, symbol, state), max_size=16, unique=True))
+        if plant:  # subsets {x,y} and {"x,y"}; in a product with itself, pairs (x|y, y) and (x, y|y)
+            spelled = [x, y] + pairs
+            planted = [(initial, s, x), (initial, s, y), (initial, t, inside)] + [(inside, s, q) for q in spelled]
+            transitions = list(dict.fromkeys(transitions + planted))
+            accepting += spelled
+    costs = [draw(st.integers(-3, 3)) for _ in transitions]
+    return aut(symbols, states, initial, accepting, [e + (c,) for e, c in zip(transitions, costs)])
+
+
+def well_formed(a):
+    assert validate(a) == []
+    assert len(set(a.state_names)) == len(a.state_names)
+
+
+@given(named_automata(), named_automata())
+def test_product_is_well_formed(a1, a2):
+    well_formed(product(a1, a2))
+    well_formed(product(a1, a1))
+
+
+@given(named_automata(), named_automata(deterministic=True))
+def test_determinize_and_implement_are_well_formed(a, dfa):
+    subsets = determinize(a)
+    well_formed(subsets)
+    assert subsets.deterministic
+    for machine in (subsets, dfa):
+        well_formed(implement_construction(machine, PairCostFunction.create(default=1.0)))
