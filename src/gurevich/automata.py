@@ -16,7 +16,7 @@ its one caller, ``scc``, returns the int split every energy solves on.
 The start state is an index, ``start``, and the accepting set a bool column
 over the states, ``accepting_mask``.  ``Transition`` objects, the
 ``states``/``alphabet`` sets and the ``initial``/``accepting`` names are
-views built on first use; only ``map_costs`` walks named edges.
+views built on first use for the callers that want names.
 
 All values are immutable; operations return new automata.  The empty
 automaton (zero states, ``start`` is -1) is a first-class value: trim and
@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import StateCapExceeded
+from .errors import Overflow, StateCapExceeded
 
 __all__ = [
     "Transition",
@@ -47,7 +47,6 @@ __all__ = [
     "determinize",
     "product",
     "accepts",
-    "map_costs",
 ]
 
 DEFAULT_STATE_CAP = 2**20
@@ -303,6 +302,16 @@ def rows(n: int, key: np.ndarray, *ties: np.ndarray) -> tuple[np.ndarray, np.nda
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.bincount(key, minlength=n).cumsum(out=indptr[1:])
     return order, indptr
+
+
+def _weights(cost: np.ndarray) -> np.ndarray:
+    """e^cost in one vectorised call; Overflow names the first cost past the range."""
+    with np.errstate(over="ignore"):
+        weights = np.exp(cost)
+    if not np.isfinite(weights).all():
+        bad = float(cost[~np.isfinite(weights)][0])
+        raise Overflow(f"e^{bad} exceeds the double range; rescale costs")
+    return weights
 
 
 def successors(a: CostAutomaton, width: int) -> list[int]:
@@ -607,9 +616,10 @@ def product(a1: CostAutomaton, a2: CostAutomaton) -> CostAutomaton:
 
     The pairs are found one breadth-first frontier at a time: pair (p, q)
     is the int p * n2 + q, and a frontier's out-edges are joined on
-    (q, symbol) against a2's edges sorted by source, symbol and target.
-    The transitions out of each pair follow a1's order, then a2's targets
-    in sorted order.
+    (q, symbol) against a2's edges grouped by source and symbol, by target
+    inside a group.  The transitions out of each pair follow a1's order,
+    then a2's targets in sorted order.  Costs past the double range sum to
+    +-inf, which ``free_energy`` refuses.
     """
     if a1.is_empty or a2.is_empty or a1.start < 0 or a2.start < 0:
         return EMPTY
@@ -618,13 +628,12 @@ def product(a1: CostAutomaton, a2: CostAutomaton) -> CostAutomaton:
     index = {s: i for i, s in enumerate(symbols)}
     sym1 = np.array([index[s] for s in a1.symbols], dtype=np.intp)[a1.sym]
     sym2 = np.array([index[s] for s in a2.symbols], dtype=np.intp)[a2.sym]
-    # a1's edges grouped by source in input order; a2's sorted by (source,
-    # symbol, target), so an a1 edge on a symbol a2 lacks finds no partner
-    edges1, indptr1 = rows(len(a1.state_names), a1.src)
-    edges2 = np.lexsort((a2.dst, sym2, a2.src))
-    keys2 = (a2.src * width + sym2)[edges2]
-
+    # a1's edges grouped by source in input order; a2's by (source, symbol),
+    # so an a1 edge on a symbol a2 lacks finds an empty group
     n2 = len(a2.state_names)
+    edges1, indptr1 = rows(len(a1.state_names), a1.src)
+    edges2, indptr2 = rows(n2 * width, a2.src * width + sym2, a2.dst)
+
     frontier = np.array([a1.start * n2 + a2.start], dtype=np.intp)
     seen = {int(frontier[0])}
     levels = [frontier]
@@ -635,12 +644,14 @@ def product(a1: CostAutomaton, a2: CostAutomaton) -> CostAutomaton:
         t1 = edges1[spans(indptr1[p], fan1)]
         source = np.repeat(frontier, fan1)
         key = np.repeat(q, fan1) * width + sym1[t1]
-        lo = np.searchsorted(keys2, key, side="left")
-        fan2 = np.searchsorted(keys2, key, side="right") - lo
+        lo = indptr2[key]
+        fan2 = indptr2[key + 1] - lo
         t2 = edges2[spans(lo, fan2)]
         t1 = np.repeat(t1, fan2)
         target = a1.dst[t1] * n2 + a2.dst[t2]
-        edges.append((np.repeat(source, fan2), sym1[t1], target, a1.cost[t1] + a2.cost[t2]))
+        with np.errstate(over="ignore"):
+            cost = a1.cost[t1] + a2.cost[t2]
+        edges.append((np.repeat(source, fan2), sym1[t1], target, cost))
         new = sorted(set(target.tolist()).difference(seen))
         seen.update(new)
         frontier = np.array(new, dtype=np.intp)
@@ -680,11 +691,6 @@ def accepts(a: CostAutomaton, word: Sequence[str]) -> bool:
         current = np.zeros_like(current)
         current[stepped] = True
     return bool((current & a.accepting_mask).any())
-
-
-def map_costs(a: CostAutomaton, fn: Callable[[Transition], float]) -> CostAutomaton:
-    """Same structure with each transition's cost replaced by fn(t)."""
-    return a.with_costs([float(fn(t)) for t in a.transitions])
 
 
 def induced(a: CostAutomaton, states: Iterable[str]) -> CostAutomaton:

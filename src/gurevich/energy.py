@@ -39,7 +39,9 @@ largest cost lies above +700, or when its largest cost is negative and its
 smallest lies below -700; every other component is solved as built.  A
 largest cost in [0, +700] is never shifted out, since that would only push
 the smallest weights further down.  The shift is chosen per component, in
-the batch as alone.
+the batch as alone.  A component whose largest cost is +-inf (a product's
+cost sum past the double range) has no energy to shift to, and is refused
+before any solve: Overflow for +inf, Underflow for -inf.
 """
 
 from __future__ import annotations
@@ -139,10 +141,7 @@ def _public_matrix(a: CostAutomaton, form: str) -> NonnegativeMatrix:
     if form == "bipartite":  # transition nodes in (source, symbol, target) order
         order = np.lexsort((cost, dst, a.sym, src))
         src, sym, dst, cost = src[order], a.sym[order], dst[order], cost[order]
-    with np.errstate(over="ignore"):
-        weights = np.exp(cost)
-    if not np.isfinite(weights).all():
-        raise Overflow(f"e^{cost.max()} exceeds the double range; rescale costs")
+    weights = automata._weights(cost)
     (dim,), rows, cols, values = _layout(
         np.array([len(names)]), np.array([len(weights)]), src, dst, weights, form
     )
@@ -201,9 +200,15 @@ def _solve(
     sizes, counts, src, dst, cost = (np.concatenate(part) for part in zip(*parts))
     firsts = counts.cumsum() - counts
     top = np.maximum.reduceat(cost, firsts)
+    if np.isinf(top).any():  # a cost sum past the double range
+        c = int(np.isinf(top).argmax())
+        bad = float(top[c])
+        error = Overflow if bad > 0.0 else Underflow
+        raise error(f"free energy: a component of {sizes[c]} states carries cost {bad!r}; rescale costs")
     subnormal = np.minimum.reduceat(cost, firsts) < -_COST_RANGE
     shifts = np.where((top > _COST_RANGE) | ((top < 0.0) & subnormal), top, 0.0)
-    weights = np.exp(cost - shifts.repeat(counts))
+    with np.errstate(over="ignore"):  # a shifted cost past -1e308 is a weight of 0
+        weights = np.exp(cost - shifts.repeat(counts))
     dims, rows, cols, values = _layout(sizes, counts, src, dst, weights, form)
     results = block_radii(dims, rows, cols, values, tolerance, max_iterations) if len(dims) else []
     energies = []

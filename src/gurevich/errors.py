@@ -56,8 +56,9 @@ class Underflow(GurevichError):
     """A component's certified Perron radius is not a positive double: its
     weights left the double range even after ``free_energy``'s shift by its
     largest cost (taken when that cost lies above +700, or is negative while
-    the smallest lies below -700), so its energy cannot be formed.  The
-    message names the component's size and cost range."""
+    the smallest lies below -700), or its largest cost is -inf, so its
+    energy cannot be formed.  The message names the component's size and
+    its costs."""
 
 
 class StateCapExceeded(GurevichError):

@@ -73,14 +73,6 @@ class PairCostFunction:
         self._check(second)
         return self.entries.get((first, second), self.default)
 
-    def shifted(self, c: float) -> "PairCostFunction":
-        """U + c on every pair (including the default)."""
-        return PairCostFunction(
-            entries={k: v + c for k, v in self.entries.items()},
-            default=self.default + c,
-            alphabet=self.alphabet,
-        )
-
 
 class Counterexample(NamedTuple):
     word: tuple[str, ...]

@@ -114,9 +114,29 @@ class LinearSet:
         return out
 
 
+def _search(periods: list[tuple[int, ...]], rem: tuple[int, ...], last: int, limit: int):
+    """Yields, repeats allowed, last + s_1 p_1[-1] + ... + s_m p_m[-1] for
+    each choice of s_i >= 0 with s_1 p_1 + ... + s_m p_m = rem on rem's
+    coordinates, the leading ones, while it stays at most ``limit``.  Each
+    period must be positive on one of them.  A bounded search over the
+    coefficients; the last period's is settled by one division."""
+    if last > limit or min(rem, default=0) < 0:
+        return
+    if not any(rem):  # every remaining period takes coefficient 0
+        yield last
+        return
+    if not periods:
+        return
+    p = periods[0]
+    bound = min(r // x for r, x in zip(rem, p) if x > 0)
+    for s in range(bound + 1) if len(periods) > 1 else (bound,):
+        yield from _search(periods[1:], tuple(r - s * x for r, x in zip(rem, p)), last + s * p[-1], limit)
+
+
 def linear_set_member(d: LinearSet, v: Sequence[int]) -> bool:
-    """Exact membership by bounded search over the period coefficients;
-    the last period's coefficient is settled by one division.  An invalid
+    """Exact membership by the bounded search over the period coefficients,
+    the tail periods (zero on every coordinate but the last) searched last,
+    so the last one's coefficient is settled by one division.  An invalid
     ``d`` raises ValueError listing its violations."""
     problems = d.violations()
     if problems:
@@ -124,58 +144,22 @@ def linear_set_member(d: LinearSet, v: Sequence[int]) -> bool:
     vec = tuple(v)
     if len(vec) != d.k:
         raise ValueError(f"vector arity {len(vec)}, linear set arity {d.k}")
+    periods = sorted(d.periods, key=lambda p: not any(p[:-1]))  # stable: head periods first
     residual = tuple(a - b for a, b in zip(vec, d.offset))
-    if any(x < 0 for x in residual):
-        return False
-    last = len(d.periods) - 1
-
-    def solve(idx: int, rem: tuple[int, ...]) -> bool:
-        if all(x == 0 for x in rem):
-            return True
-        if idx > last:
-            return False
-        p = d.periods[idx]
-        bound = min(rem[c] // p[c] for c in range(d.k) if p[c] > 0)
-        if idx == last:
-            return all(r == bound * x for r, x in zip(rem, p))
-        for s in range(bound + 1):
-            if solve(idx + 1, tuple(r - s * x for r, x in zip(rem, p))):
-                return True
-        return False
-
-    return solve(0, residual)
+    # a solution yields v[-1] >= d.offset[-1] >= 1, a true value
+    return any(_search(periods, residual, d.offset[-1], vec[-1]))
 
 
 def _last_lengths(d: LinearSet, head: tuple[int, ...], limit: int) -> frozenset[int]:
     """Every x in 0..limit with head + (x,) in D, for a valid ``d`` and
-    ``head`` of k - 1 lengths.
-
-    The search of linear_set_member runs on the head coordinates only and
-    collects the last coordinate each solution reaches.  The tail periods,
-    zero on every head coordinate, then extend that set by a sieve over
-    0..limit, one pass each.
-    """
+    ``head`` of k - 1 lengths: the last coordinates the search over the
+    head periods reaches, then one sieve pass over 0..limit per tail period
+    (zero on every head coordinate)."""
     h = d.k - 1
     residual = tuple(a - b for a, b in zip(head, d.offset))
-    if any(x < 0 for x in residual):
-        return frozenset()
-    head_periods = [p for p in d.periods if any(p[:h])]
     reach = [False] * (limit + 1)
-
-    def solve(idx: int, rem: tuple[int, ...], last: int) -> None:
-        if last > limit:
-            return
-        if not any(rem):  # every remaining head period takes coefficient 0
-            reach[last] = True
-            return
-        if idx == len(head_periods):
-            return
-        p = head_periods[idx]
-        bound = min(r // x for r, x in zip(rem, p) if x > 0)
-        for s in range(bound + 1) if idx < len(head_periods) - 1 else (bound,):
-            solve(idx + 1, tuple(r - s * x for r, x in zip(rem, p)), last + s * p[h])
-
-    solve(0, residual, d.offset[h])
+    for x in _search([p for p in d.periods if any(p[:h])], residual, d.offset[h], limit):
+        reach[x] = True
     for t in (p[h] for p in d.periods if not any(p[:h])):
         for x in range(t, limit + 1):
             reach[x] = reach[x] or reach[x - t]
@@ -208,6 +192,19 @@ def validate_spec(spec: LinearLengthSpec) -> list[str]:
         if a.alphabet != spec.base.alphabet:
             out.append(f"{label} alphabet differs from the base alphabet")
     return out
+
+
+def _trimmed(spec: LinearLengthSpec) -> tuple[CostAutomaton, tuple[CostAutomaton, ...]] | None:
+    """The trimmed base and parts, None when one accepts nothing; an invalid
+    spec raises DocumentError listing its problems."""
+    problems = validate_spec(spec)
+    if problems:
+        raise DocumentError("; ".join(problems))
+    base = automata.trim(spec.base)
+    parts = tuple(automata.trim(p) for p in spec.parts)
+    if base.is_empty or any(p.is_empty for p in parts):
+        return None
+    return base, parts
 
 
 def _block_text(block: tuple[tuple[int, ...], ...], symbols: Sequence[str]) -> str:
@@ -247,14 +244,10 @@ def block_automaton(spec: LinearLengthSpec, state_cap: int = DEFAULT_LINLEN_STAT
     named at the end; where two names would coincide, the state and symbol
     names inside just those get their backslashes and ``,+;~`` escaped.
     """
-    problems = validate_spec(spec)
-    if problems:
-        raise DocumentError("; ".join(problems))
-    base = automata.trim(spec.base)
-    parts = tuple(automata.trim(p) for p in spec.parts)
-    if base.is_empty or any(p.is_empty for p in parts):
+    trimmed = _trimmed(spec)
+    if trimmed is None:
         return automata.EMPTY
-
+    base, parts = trimmed
     sigma = base.symbols  # every part's too: validate_spec checks the alphabets
     width = len(sigma)
     k = spec.lengths.k
@@ -395,12 +388,16 @@ def linlen_energy(
 
 
 def linlen_union_energy(specs: Iterable[LinearLengthSpec]) -> float:
-    """Free energy of a finite union: the max over the members (the union
-    of the translated languages grows at the fastest member's rate)."""
-    best = 0.0
+    """Free energy of a finite union: the max over the members whose
+    language is infinite (the union of the translated languages grows at
+    the fastest such member's rate); 0 when no member's language is."""
+    energies = []
     for spec in specs:
-        best = max(best, linlen_energy(spec).energy)
-    return best
+        report = linlen_energy(spec)
+        # a trimmed automaton with a cycle accepts infinitely many words
+        if report.max_component is not None and report.solver[report.max_component] is not None:
+            energies.append(report.energy)
+    return max(energies, default=0.0)
 
 
 def linlen_word_oracle(
@@ -432,17 +429,13 @@ def linlen_word_oracle(
     StateCapExceeded before enumerating any.
     """
     _check_max_n(max_n)
-    problems = validate_spec(spec)
-    if problems:
-        raise DocumentError("; ".join(problems))
-    base = automata.trim(spec.base)
-    parts = [automata.trim(p) for p in spec.parts]
+    trimmed = _trimmed(spec)
+    sums = [0.0] * (max_n + 1)
+    if trimmed is None:
+        return _series("words", sums[1:])
+    base, parts = trimmed
     k = spec.lengths.k
     u = spec.pair_cost
-
-    sums = [0.0] * (max_n + 1)
-    if base.is_empty or any(p.is_empty for p in parts):
-        return _series("words", sums[1:])
 
     # the walk pops one stack entry per base-language prefix of length <= max_n
     n_base = len(base.state_names)

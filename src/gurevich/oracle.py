@@ -37,7 +37,6 @@ __all__ = [
     "word_partition_series",
     "count_series",
     "estimate_limit",
-    "log_int",
 ]
 
 DEFAULT_MAX_N_CAP = 10_000
@@ -65,16 +64,6 @@ def _check_max_n(max_n: int) -> None:
         raise ValueError(f"max_n must be positive, got {max_n}")
     if max_n > DEFAULT_MAX_N_CAP:
         raise ValueError(f"max_n {max_n} exceeds the cap {DEFAULT_MAX_N_CAP}")
-
-
-def _weights(cost: np.ndarray) -> np.ndarray:
-    """e^cost in one vectorised call; Overflow names the first cost past the range."""
-    with np.errstate(over="ignore"):
-        weights = np.exp(cost)
-    if not np.isfinite(weights).all():
-        bad = float(cost[~np.isfinite(weights)][0])
-        raise Overflow(f"e^{bad} exceeds the double range; rescale costs")
-    return weights
 
 
 def _sweep(
@@ -149,7 +138,7 @@ def run_partition_series(
     if not a.src.size:  # empty, or no run of length >= 1
         return _series(kind, [0.0] * max_n)
 
-    weights = _weights(a.cost)
+    weights = automata._weights(a.cost)
     n = len(a.state_names)
     if kind == "runs_all":
         v = np.ones(n)
@@ -219,7 +208,7 @@ def word_partition_series(
         0.0 if c // width == none else pair_cost.cost(symbols[c // width], symbols[c % width])
         for c in needed
     ]
-    table[needed] = _weights(table[needed])
+    table[needed] = automata._weights(table[needed])
     edge_weights = table[last_next]
     del last_next
 
@@ -292,11 +281,3 @@ def estimate_limit(series: PartitionSeries, window: int) -> tuple[float, float]:
         )
     tail = [rate for _, rate in series.rates[-window:]]
     return max(tail), max(tail) - min(tail)
-
-
-def log_int(x: int) -> float:
-    """ln of a positive arbitrary-precision integer without float overflow."""
-    if x <= 0:
-        raise ValueError("log_int needs a positive integer")
-    shift = max(0, x.bit_length() - 900)
-    return math.log(x >> shift) + shift * math.log(2.0)

@@ -185,7 +185,8 @@ def _noda_step(
             y = splu(shift * identity(dim, format="csc") - a).solve(v)
         except (RuntimeError, MemoryError):  # exactly singular factor, or no room
             return None
-    total = y.sum()
+    with np.errstate(over="ignore", invalid="ignore"):  # a nearly singular solve; rejected below
+        total = y.sum()
     if not (math.isfinite(total) and y.min() > 0.0):
         return None
     return y / total

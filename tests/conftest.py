@@ -22,7 +22,6 @@ from gurevich import (
     accepts,
     determinize,
     free_energy,
-    map_costs,
     trim,
     word_cost,
 )
@@ -338,7 +337,7 @@ def random_costed_dfa(seed: int, max_states: int) -> CostAutomaton:
     dfa = determinize(random_automaton(seed, max_states=max_states, costs="nonneg"))
     edges = sorted((t.source, t.symbol, t.target) for t in dfa.transitions)
     costs = {edge: round(rng.uniform(0.0, 1.5), 3) for edge in edges}
-    return map_costs(dfa, lambda t: costs[(t.source, t.symbol, t.target)])
+    return dfa.with_costs([costs[(t.source, t.symbol, t.target)] for t in dfa.transitions])
 
 
 def random_strongly_connected(seed: int, max_states: int = 6) -> CostAutomaton:
@@ -366,7 +365,7 @@ def random_strongly_connected(seed: int, max_states: int = 6) -> CostAutomaton:
     accepting = rng.sample(states, rng.randint(1, n))
     a = aut(alphabet, states, states[0], accepting, transitions)
     shift = -free_energy(a).energy
-    return map_costs(a, lambda t: t.cost + shift)
+    return a.with_costs(a.cost + shift)
 
 
 def edges_by_source(a: CostAutomaton) -> dict[str, list[Transition]]:

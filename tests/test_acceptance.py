@@ -24,7 +24,6 @@ from gurevich import (
     linlen_word_oracle,
     LinearLengthSpec,
     LinearSet,
-    map_costs,
     product,
     run_partition_series,
     similarity,
@@ -53,7 +52,7 @@ from conftest import (
 def test_criterion_01(branchy_nfa):
     """Branchy-machine energies and the upper nondeterminism estimate."""
     with_v = free_energy(branching_costs(branchy_nfa)).energy
-    zero = free_energy(map_costs(branchy_nfa, lambda t: 0.0)).energy
+    zero = free_energy(branchy_nfa.with_costs(0.0 * branchy_nfa.cost)).energy
     plus = with_v - zero
     failures = []
     if abs(with_v - 1.0850) > 1e-3:
@@ -146,8 +145,8 @@ def test_criterion_04(single_cycle):
         if dfa.is_empty:
             continue
         rep = similarity(dfa, dfa)
-        doubled = free_energy(map_costs(dfa, lambda t: 2.0 * t.cost)).energy
-        h = free_energy(map_costs(dfa, lambda t: 0.0)).energy
+        doubled = free_energy(dfa.with_costs(2.0 * dfa.cost)).energy
+        h = free_energy(dfa.with_costs(0.0 * dfa.cost)).energy
         cap = rep.energy_1 + rep.energy_2
         if abs(rep.delta - doubled) > 1e-9:
             failures.append(
@@ -338,7 +337,7 @@ def test_criterion_10(branchy_nfa, dna_m1, dna_m2):
     for i, a in enumerate(shift_fixtures):
         base = free_energy(a).energy
         for c in (-1.0, 0.5, 3.0):
-            shifted = free_energy(map_costs(a, lambda t: t.cost + c)).energy
+            shifted = free_energy(a.with_costs(a.cost + c)).energy
             if abs(shifted - (base + c)) > 1e-8:
                 failures.append(f"cost shift {c} off on fixture {i}")
 

@@ -150,6 +150,35 @@ class TestEnergyCommand:
         assert energy == free_energy(ring.with_costs(ring.cost + 700.0)).energy - 700.0
         assert energy == pytest.approx(-2110.1 / 3, abs=1e-9)
 
+    def test_shift_past_the_double_range_warns_nothing(self, tmp_path, capsys, monkeypatch):
+        # shifted by 1e308, the -1e308 edge costs -inf and weighs 0: the
+        # 2-cycle is nilpotent and never certifies, but the subtraction
+        # raises no RuntimeWarning (an error in this suite)
+        monkeypatch.setenv("MAX_ITERS", "2000")
+        cycle = aut(["a"], ["A", "B"], "A", ["A"], [("A", "a", "B", 1e308), ("B", "a", "A", -1e308)])
+        path = write_automaton(tmp_path, "cycle.json", cycle)
+        assert main(["energy", path]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("form", ["compact", "bipartite"])
+    def test_subnormal_weights_warn_nothing(self, tmp_path, capsys, monkeypatch, form):
+        # found by the CLI exit-code property: e^-745 is the last subnormal,
+        # and a Noda solve on the compact matrix sums inf and -inf, which no
+        # RuntimeWarning reports; that form does not certify (exit 3), the
+        # bipartite one finds ln 2
+        monkeypatch.setenv("MAX_ITERS", "2000")
+        edges = [("s0", "a", "s0"), ("s0", "b", "s0"), ("s0", "a", "s2", -745.0), ("s2", "a", "s0", -745.0)]
+        path = write_automaton(tmp_path, "m.json", aut(["a", "b"], ["s0", "s2"], "s0", ["s0"], edges))
+        code = main(["energy", path, "--form", form])
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert out == "energy 0.693147\n" and err == ""
+        else:
+            assert code == 3 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_branching_costs_count_live_successors_only(self, tmp_path, capsys):
         # p -a-> d leads nowhere, so k(p, a) is 1 after the clean-up, as in nondet
         a = aut(["a"], ["d", "p"], "p", ["p"], [("p", "a", "p"), ("p", "a", "d")])
@@ -278,6 +307,32 @@ class TestSimilarityCommand:
         assert doc["energy_1"] == pytest.approx(-2110.1 / 3, abs=1e-9)
         assert doc["energy_2"] == pytest.approx(golden, abs=1e-12)
         assert doc["delta"] == pytest.approx(-2110.1 / 3 + golden, abs=1e-9)
+
+    @pytest.mark.parametrize("cost, error", [(1e308, "inf"), (-1e308, "-inf")])
+    def test_infinite_cost_sum_exits_3_at_once(self, tmp_path, capsys, cost, error):
+        # the product's a-loop costs 2 * cost, past the double range: the
+        # component is refused before any solve, and no RuntimeWarning
+        # (an error in this suite) escapes the sum or the shift
+        loops = aut(["a", "b"], ["A"], "A", ["A"], [("A", "a", "A", cost), ("A", "b", "A", min(cost, 0.0))])
+        path = write_automaton(tmp_path, "loops.json", loops)
+        assert main(["similarity", path, path]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: free energy: a component of 1 states carries cost {error}; rescale costs\n"
+
+    def test_nilpotent_product_warns_nothing(self, tmp_path, capsys, monkeypatch):
+        # found by the CLI exit-code property: shifted by 800, the product's
+        # 6-state component keeps one edge of weight 1 and never certifies;
+        # a Noda solve on it sums to inf, which no RuntimeWarning reports
+        monkeypatch.setenv("MAX_ITERS", "2000")
+        fan = [("s0", x, q, 800.0 if (x, q) == ("a", "s2") else 0.0) for x in "ab" for q in ("s0", "s1", "s2")]
+        a1 = aut(["a", "b"], ["s0", "s1", "s2"], "s0", ["s0"], fan + [("s1", "a", "s0"), ("s2", "a", "s0")])
+        a2 = aut(["a", "b"], ["s0", "s1"], "s0", ["s0"], [("s0", "a", "s1"), ("s1", "a", "s0")])
+        p1, p2 = write_automaton(tmp_path, "a1.json", a1), write_automaton(tmp_path, "a2.json", a2)
+        assert main(["similarity", p1, p2]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # the documented exit code of each error class; ValueError is bad input

@@ -19,7 +19,6 @@ from gurevich import (
     gurevich_matrix_compact,
     lambda_exact,
     lambda_plus,
-    map_costs,
     run_partition_series,
     save_document,
     scc,
@@ -115,7 +114,7 @@ class TestCompactMatrix:
         assert m.entries.tolist() == [[3.0]]
 
     def test_branchy_zero_cost_rows(self, branchy_nfa):
-        m = gurevich_matrix_compact(map_costs(branchy_nfa, lambda t: 0.0))
+        m = gurevich_matrix_compact(branchy_nfa.with_costs(0.0 * branchy_nfa.cost))
         idx = {label: i for i, label in enumerate(m.labels)}
         row_a = m.entries[idx["A"]]
         assert row_a.sum() == 4.0  # three unit a-edges plus one b-edge
@@ -156,7 +155,7 @@ class TestFreeEnergy:
         assert abs(rep.energy - 1.0850) <= 1e-3
 
     def test_branchy_zero_cost(self, branchy_nfa):
-        rep = free_energy(map_costs(branchy_nfa, lambda t: 0.0))
+        rep = free_energy(branchy_nfa.with_costs(0.0 * branchy_nfa.cost))
         assert abs(rep.energy - 0.5857) <= 1e-3
 
     def test_first_reference_machine_energy(self, dna_m1):
@@ -232,7 +231,7 @@ class TestInvariants:
         fixtures = [dna_m1] + [random_strongly_connected(seed) for seed in range(4)]
         for a in fixtures:
             base = free_energy(a).energy
-            shifted = free_energy(map_costs(a, lambda t: t.cost + c)).energy
+            shifted = free_energy(a.with_costs(a.cost + c)).energy
             assert abs(shifted - (base + c)) <= 1e-8
 
     def test_complete_one_state_alphabet_size(self):
@@ -301,7 +300,7 @@ class TestExtremeCosts:
     def test_cost_shift_beyond_the_range(self, dna_m1):
         base = free_energy(dna_m1).energy
         for c in (-1000.0, 1000.0):
-            shifted = free_energy(map_costs(dna_m1, lambda t: t.cost + c)).energy
+            shifted = free_energy(dna_m1.with_costs(dna_m1.cost + c)).energy
             assert abs(shifted - (base + c)) <= 1e-9 * abs(c)
 
 
@@ -381,7 +380,7 @@ class TestSparsePathAgreement:
                     continue
                 sub = induced(a, states)
                 shift = 0.0 if offset == 0.0 else max(t.cost for t in sub.transitions)
-                want = spectral_radius(build(map_costs(sub, lambda t: t.cost - shift)), 1e-13)
+                want = spectral_radius(build(sub.with_costs(sub.cost - shift)), 1e-13)
                 want_energy = steps * math.log(want.radius) + shift
                 assert abs(energy - want_energy) <= 1e-12 * max(1.0, abs(want_energy))
         # one batch per call, with blocks above the dense dimension in both
@@ -451,7 +450,7 @@ class TestBatchedComponents:
             sub = induced(a, states)
             top = max(t.cost for t in sub.transitions)
             shift = top if abs(top) > 700.0 else 0.0
-            want = spectral_radius(build(map_costs(sub, lambda t: t.cost - shift)), 1e-13)
+            want = spectral_radius(build(sub.with_costs(sub.cost - shift)), 1e-13)
             want_energy = steps * math.log(want.radius) + shift
             assert abs(energy - want_energy) <= 1e-12 * max(1.0, abs(want_energy))
             if len(states) in (40, 170):

@@ -229,7 +229,9 @@ class TestLanguageEnergy:
             fixtures.append((dfa, u))
         for dfa, u in fixtures:
             base = language_energy(dfa, u).energy
-            shifted = language_energy(dfa, u.shifted(c)).energy
+            entries = {pair: x + c for pair, x in u.entries.items()}
+            u_shifted = PairCostFunction.create(entries, u.default + c, u.alphabet)
+            shifted = language_energy(dfa, u_shifted).energy
             assert abs(shifted - (base + c)) <= 1e-8
 
     def test_agrees_with_word_oracle(self, ab_star, u_ab):

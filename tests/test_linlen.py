@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -73,6 +74,18 @@ def sigma_star_spec(u):
     )
 
 
+def members_in_box(d, box):
+    """The vectors of ``d`` with every coordinate at most ``box``, by
+    enumerating the period coefficients."""
+    # every period has a coordinate >= 1, so coefficients above box leave it
+    members = set()
+    for coeffs in itertools.product(range(box + 1), repeat=len(d.periods)):
+        v = tuple(o + sum(c * p[i] for c, p in zip(coeffs, d.periods)) for i, o in enumerate(d.offset))
+        if max(v) <= box:
+            members.add(v)
+    return members
+
+
 class TestLinearSetMember:
     def test_scaled_triple(self):
         d = LinearSet.create((1, 2, 3), [(1, 2, 3)])
@@ -103,16 +116,20 @@ class TestLinearSetMember:
                 periods.add(p)
         d = LinearSet.create([rng.randint(1, 3) for _ in range(k)], sorted(periods))
         box = 9
-        # every period has a coordinate >= 1, so coefficients above box leave it
-        members = set()
-        for coeffs in itertools.product(range(box + 1), repeat=len(d.periods)):
-            v = tuple(
-                o + sum(c * p[i] for c, p in zip(coeffs, d.periods)) for i, o in enumerate(d.offset)
-            )
-            if max(v) <= box:
-                members.add(v)
+        members = members_in_box(d, box)
         for v in itertools.product(range(box + 1), repeat=k):
             assert linear_set_member(d, v) == (v in members), (d, v)
+
+    def test_one_division_far_out(self):
+        # the tail coefficient is settled by one division, so nothing walks
+        # or allocates up to 10^9
+        start = time.perf_counter()
+        assert linear_set_member(LinearSet.create((1,), [(1,)]), (10**9,))
+        assert not linear_set_member(LinearSet.create((1,), [(2,)]), (10**9,))
+        d = LinearSet.create((1, 1), [(0, 3), (1, 1)])  # (1 + s, 1 + 3t + s)
+        assert linear_set_member(d, (7, 10**9))
+        assert not linear_set_member(d, (7, 10**9 - 1))
+        assert time.perf_counter() - start < 0.5
 
     def test_arity_mismatch(self):
         d = LinearSet.create((1, 2, 3), [(1, 2, 3)])
@@ -145,12 +162,15 @@ def last_length_family():
 class TestLastLengths:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_membership(self, k):
+        # membership by enumeration: _last_lengths and linear_set_member
+        # share their search over the head periods
         for d in (d for d in last_length_family() if d.k == k):
+            members = members_in_box(d, 12)
             for head in itertools.product(range(13), repeat=k - 1):
                 if sum(head) > 12:
                     continue
                 limit = 12 - sum(head)
-                want = {x for x in range(limit + 1) if linear_set_member(d, head + (x,))}
+                want = {x for x in range(limit + 1) if head + (x,) in members}
                 assert _last_lengths(d, head, limit) == want, (d, head)
 
 
@@ -332,6 +352,28 @@ class TestUnion:
         assert linlen_energy(empty_spec).energy == 0.0
         total = linlen_union_energy([abba_spec(DIAG_U), empty_spec])
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("default", [0.0, -2.0])
+    def test_negative_member_is_not_floored_at_zero(self, default):
+        # every word of the one member costs < 0, so its rate is below 0
+        spec = abba_spec(PairCostFunction.create({("a", "a"): -1.0, ("b", "b"): -1.0}, default))
+        energy = linlen_energy(spec).energy
+        assert energy < 0.0
+        assert linlen_union_energy([spec]) == energy
+
+    def test_finite_member_takes_no_part(self):
+        # a finite language has no growth rate: its conventional energy 0
+        # neither raises a negative union nor makes a union of its own
+        negative = abba_spec(PairCostFunction.create({("a", "a"): -1.0, ("b", "b"): -1.0}))
+        point = LinearLengthSpec(
+            base=a_b_a_base(), parts=(a_star(), b_star(), a_star()),
+            lengths=LinearSet.create((1, 2, 3)),
+            pair_cost=ZERO_U,
+        )
+        assert linlen_energy(point).energy == 0.0
+        assert linlen_union_energy([point, negative]) == linlen_energy(negative).energy
+        assert linlen_union_energy([point]) == 0.0
+        assert linlen_union_energy([]) == 0.0
 
 
 class TestOracle:

@@ -13,7 +13,6 @@ from gurevich import (
     determinize,
     estimate_limit,
     free_energy,
-    log_int,
     run_partition_series,
     save_document,
     word_partition_series,
@@ -185,7 +184,7 @@ class TestCountSeries:
         # The count asymptotics (ln f - ln g)/n approach the derived
         # lambda_exact (0.1661; the slope is about 0.1690 at n = 200).
         f, g = count_series(branchy_nfa, 200)
-        slope = (log_int(f[200]) - log_int(g[200])) / 200
+        slope = (math.log(f[200]) - math.log(g[200])) / 200
         assert abs(slope - BRANCHY_LAMBDA_EXACT) <= 0.05
 
 
@@ -323,20 +322,6 @@ class TestWordEnergyStructure:
         word_estimate = estimate_limit(series, 30)[0]
         assert word_estimate <= machine_energy + 0.02
         assert machine_energy == pytest.approx(3.5, abs=1e-9)
-
-
-class TestLogInt:
-    def test_small_values(self):
-        assert log_int(1) == 0.0
-        assert log_int(7) == pytest.approx(math.log(7.0))
-
-    def test_huge_values(self):
-        x = 3**4000
-        assert log_int(x) == pytest.approx(4000 * math.log(3.0), rel=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            log_int(0)
 
 
 def sparse_dfa(n: int, n_sym: int, seed: int) -> CostAutomaton:

@@ -6,9 +6,14 @@ transient states, states that trimming removes and several cyclic
 components, one of which may carry costs past +-700 so that its solve is
 shifted.  Those of the construction properties have state and symbol names
 made of the characters that the product, subset and transition names
-escape, including names spelled like the constructions' own."""
+escape, including names spelled like the constructions' own.  The CLI
+property runs the commands on small valid documents whose costs lie at
+and past the edges of the double range."""
 
 import contextlib
+import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -27,7 +32,9 @@ from gurevich import (
     trim,
     validate,
 )
+from gurevich import automaton_to_document, save_document
 from gurevich import energy as energy_mod
+from gurevich.cli import main
 
 from conftest import aut
 
@@ -159,3 +166,45 @@ def test_determinize_and_implement_are_well_formed(a, dfa):
     assert subsets.deterministic
     for machine in (subsets, dfa):
         well_formed(implement_construction(machine, PairCostFunction.create(default=1.0)))
+
+
+# costs at and past the edges of the double range: e^-745 is the last
+# subnormal, e^+-800 leaves the range, and two 1e308 sum to inf
+edge_costs = st.sampled_from([0.0, 1.0, -1.0, 700.0, -700.0, -745.0, 800.0, -800.0, 1e308, -1e308])
+
+
+@st.composite
+def small_documents(draw):
+    """A valid automaton of 1 to 4 states over {a, b} with edge-of-range costs."""
+    states = [f"s{i}" for i in range(draw(st.integers(1, 4)))]
+    triples = st.tuples(st.sampled_from(states), st.sampled_from(["a", "b"]), st.sampled_from(states))
+    edges = draw(st.lists(triples, max_size=8, unique=True))
+    accepting = draw(st.lists(st.sampled_from(states), unique=True))
+    return aut(["a", "b"], states, "s0", accepting, [e + (draw(edge_costs),) for e in edges])
+
+
+@given(small_documents(), small_documents())
+def test_cli_exit_codes_on_valid_documents(a1, a2):
+    """Every input is valid, so each command exits 0, 3 or 4, never 2; a
+    non-zero exit prints one ``error:`` line, and nothing escapes main."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as m:
+        m.setenv("MAX_ITERS", "2000")  # a component that never certifies costs milliseconds
+        p1, p2 = os.path.join(tmp, "a1.json"), os.path.join(tmp, "a2.json")
+        save_document(p1, automaton_to_document(a1))
+        save_document(p2, automaton_to_document(a2))
+        commands = [
+            ["energy", p1],
+            ["energy", p1, "--form", "bipartite"],
+            ["similarity", p1, p1],
+            ["similarity", p1, p2],
+            ["nondet", p1, "--exact"],
+            ["oracle", p1],
+        ]
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 3, 4), (argv, code, err.getvalue())
+            if code:
+                assert err.getvalue().startswith("error: "), argv
+                assert err.getvalue().count("\n") == 1, argv

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gurevich import CostAutomaton, free_energy, map_costs, similarity
+from gurevich import CostAutomaton, free_energy, similarity
 
 from conftest import DNA_M1_ENERGY, aut, random_automaton, random_costed_dfa
 
@@ -97,8 +97,8 @@ class TestSelfSimilarity:
             if dfa.is_empty:
                 continue
             rep = similarity(dfa, dfa)
-            doubled = free_energy(map_costs(dfa, lambda t: 2.0 * t.cost)).energy
-            h = free_energy(map_costs(dfa, lambda t: 0.0)).energy
+            doubled = free_energy(dfa.with_costs(2.0 * dfa.cost)).energy
+            h = free_energy(dfa.with_costs(0.0 * dfa.cost)).energy
             cap = rep.energy_1 + rep.energy_2
             if abs(rep.delta - doubled) > 1e-9:
                 failures.append((seed, "doubled", rep.delta, doubled))
