@@ -27,10 +27,9 @@ downstream is 0.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -497,25 +496,6 @@ def _escape(name: str, special: str) -> str:
     return "".join("\\" + c if c == "\\" or c in special else c for c in name)
 
 
-def _unique_names(plain: list[str], escaped: Callable[[int], str]) -> list[str]:
-    """``plain``, except that every entry whose name another entry shares
-    takes ``escaped(i)``, until all names differ.
-
-    ``escaped`` must be one-to-one, so two escaped names never collide;
-    a plain name equal to an escaped one is escaped in the next round.
-    """
-    names = list(plain)
-    done = [False] * len(names)
-    while True:
-        counts = Counter(names)
-        clashes = [i for i, name in enumerate(names) if counts[name] > 1 and not done[i]]
-        if not clashes:
-            return names
-        for i in clashes:
-            names[i] = escaped(i)
-            done[i] = True
-
-
 def _sorted_automaton(
     names: list[str],
     symbols: tuple[str, ...],
@@ -548,8 +528,8 @@ def determinize(a: CostAutomaton, state_cap: int = DEFAULT_STATE_CAP) -> CostAut
 
     Costs are discarded (set to 0): determinization is only ever applied to
     M_0, and carrying costs through merged subsets is ill-defined.  Subsets
-    are named ``{a,b}``; where two subsets would share a name (a state name
-    containing ``,``), their members' backslashes and commas are escaped.
+    are named ``{a,b}`` from their members' names, each with its
+    backslashes and commas escaped, so a name splits back into its members.
     ``state_cap`` must be positive.
     """
     if state_cap < 1:
@@ -585,11 +565,8 @@ def determinize(a: CostAutomaton, state_cap: int = DEFAULT_STATE_CAP) -> CostAut
             sym.append(y)
             dst.append(j)
 
-    names = a.state_names
-    plain = ["{" + ",".join([names[s] for s in sub]) + "}" for sub in subsets]
-    labels = _unique_names(
-        plain, lambda i: "{" + ",".join([_escape(names[s], ",") for s in subsets[i]]) + "}"
-    )
+    names = [_escape(name, ",") for name in a.state_names]
+    labels = ["{" + ",".join([names[s] for s in sub]) + "}" for sub in subsets]
     accepting = a.accepting_mask.tolist()
     result = _sorted_automaton(
         labels,
@@ -610,8 +587,8 @@ def product(a1: CostAutomaton, a2: CostAutomaton) -> CostAutomaton:
     """Cartesian product on shared symbols with SUMMED costs, trimmed.
 
     Accepts the intersection of the two languages.  Pair states are named
-    "left|right"; where two pairs would share a name (a state name
-    containing ``|``), their parts' backslashes and ``|`` are escaped.
+    "left|right", each part with its backslashes and ``|`` escaped, so a
+    name splits back into its parts.
     Returns the empty value when the intersection is empty.
 
     The pairs are found one breadth-first frontier at a time: pair (p, q)
@@ -660,12 +637,9 @@ def product(a1: CostAutomaton, a2: CostAutomaton) -> CostAutomaton:
     pairs = np.concatenate(levels)  # construction order; the start pair first
     by_key = np.argsort(pairs)
     left, right = np.divmod(pairs, n2)
-    names1 = [a1.state_names[i] for i in left.tolist()]
-    names2 = [a2.state_names[i] for i in right.tolist()]
-    labels = _unique_names(
-        [x + _PAIR_SEP + y for x, y in zip(names1, names2)],
-        lambda i: _escape(names1[i], _PAIR_SEP) + _PAIR_SEP + _escape(names2[i], _PAIR_SEP),
-    )
+    names1 = [_escape(name, _PAIR_SEP) for name in a1.state_names]
+    names2 = [_escape(name, _PAIR_SEP) for name in a2.state_names]
+    labels = [names1[p] + _PAIR_SEP + names2[q] for p, q in zip(left.tolist(), right.tolist())]
     source, sym, target, cost = (np.concatenate(column) for column in zip(*edges))
     result = _sorted_automaton(
         labels,

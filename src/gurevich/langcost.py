@@ -104,9 +104,9 @@ def implement_construction(dfa: CostAutomaton, u: PairCostFunction) -> CostAutom
     0, matching the 0 cost of length-1 words; state (p, a, q) accepts iff q
     accepts, and the start accepts iff it did, so the language is preserved
     for every length including the empty word.  The word-to-accepting-run
-    map is one-to-one.  States are named ``(p,a,q)`` and the start keeps
-    its name; where two names would coincide, the names inside just those
-    get their backslashes, ``(``, ``,`` and ``)`` escaped.
+    map is one-to-one.  States are named ``(p,a,q)`` and the start by its
+    own name, every state name and symbol inside with its backslashes,
+    ``(``, ``,`` and ``)`` escaped, so no two states share a name.
     """
     if not dfa.deterministic:
         raise NotDeterministic("input must be deterministic")
@@ -114,20 +114,14 @@ def implement_construction(dfa: CostAutomaton, u: PairCostFunction) -> CostAutom
     if dfa.is_empty:
         return automata.EMPTY
 
-    names, symbols, start = dfa.state_names, dfa.symbols, dfa.start
+    symbols, start = dfa.symbols, dfa.start
+    names = [automata._escape(name, "(,)") for name in dfa.state_names]
+    letters = [automata._escape(y, "(,)") for y in symbols]
     # state 0 is the start and state e + 1 is transition e, named (p,a,q)
-    rows = [(names[start],)] + [
-        (names[p], symbols[y], names[q])
+    labels = [names[start]] + [
+        f"({names[p]},{letters[y]},{names[q]})"
         for p, y, q in zip(dfa.src.tolist(), dfa.sym.tolist(), dfa.dst.tolist())
     ]
-
-    def label(row: Sequence[str]) -> str:
-        return "(" + ",".join(row) + ")" if len(row) == 3 else row[0]
-
-    labels = automata._unique_names(
-        [label(row) for row in rows],
-        lambda e: label([automata._escape(name, "(,)") for name in rows[e]]),
-    )
 
     # entry edges: start -> (start, a, q) at cost 0; then (p, a, q) -> (q, b, r)
     # for every transition q -b-> r, charging U(a, b); both in input order

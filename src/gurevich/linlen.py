@@ -241,8 +241,8 @@ def block_automaton(spec: LinearLengthSpec, state_cap: int = DEFAULT_LINLEN_STAT
     ``DEFAULT_BLOCK_CAP`` block tuples raises BlockAlphabetTooLarge, and a
     translation that discovers more than ``state_cap`` states raises
     StateCapExceeded.  States and symbols are int-keyed while it runs and
-    named at the end; where two names would coincide, the state and symbol
-    names inside just those get their backslashes and ``,+;~`` escaped.
+    named at the end from the state and symbol names inside, each with its
+    backslashes and ``,+;~`` escaped, so no two share a name.
     """
     trimmed = _trimmed(spec)
     if trimmed is None:
@@ -351,20 +351,13 @@ def block_automaton(spec: LinearLengthSpec, state_cap: int = DEFAULT_LINLEN_STAT
     def esc(names: Sequence[str]) -> list[str]:
         return [automata._escape(name, ",+;~") for name in names]
 
-    # state names start with "c" or are "start", symbol names start with "["
-    # or "pad[": the two kinds never share a name, so one pass settles both
-    keys = list(ids) + list(symbol_ids)
-    plain = (base.state_names, [p.state_names for p in parts], sigma)
-    escaped = (esc(base.state_names), [esc(p.state_names) for p in parts], esc(sigma))
-    labels = automata._unique_names(
-        [_label(key, plain) for key in keys], lambda i: _label(keys[i], escaped)
-    )
-    symbols = labels[len(ids) :]
+    names = (esc(base.state_names), [esc(p.state_names) for p in parts], esc(sigma))
+    symbols = [_label(key, names) for key in symbol_ids]
     order = sorted(range(len(symbols)), key=symbols.__getitem__)
     rank = np.argsort(order)  # symbol id -> position in sorted order
     src, sym, dst, cost = zip(*edges)
     result = automata._sorted_automaton(
-        labels[: len(ids)],
+        [_label(key, names) for key in ids],
         tuple(symbols[y] for y in order),
         np.isin(np.arange(len(ids)), accepting),
         np.array(src, dtype=np.intp),

@@ -200,16 +200,11 @@ def word_partition_series(
     last_next += sym[trans]
     edge_dst = pair_of[trans]
     del trans  # edge-sized temporaries go before the sweep allocates its buffer
-    seen = np.zeros(width * width, dtype=bool)
-    seen[last_next] = True
-    needed = np.flatnonzero(seen)
-    table = np.zeros(width * width)
-    table[needed] = [
-        0.0 if c // width == none else pair_cost.cost(symbols[c // width], symbols[c % width])
-        for c in needed
-    ]
-    table[needed] = automata._weights(table[needed])
-    edge_weights = table[last_next]
+    needed = np.unique(last_next)
+    symbol_pairs = [divmod(c, width) for c in needed.tolist()]
+    costs = [0.0 if a == none else pair_cost.cost(symbols[a], symbols[b]) for a, b in symbol_pairs]
+    weights = automata._weights(np.array(costs))
+    edge_weights = weights[np.searchsorted(needed, last_next)]
     del last_next
 
     accept = dfa.accepting_mask[pair_state].astype(float)

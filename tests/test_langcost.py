@@ -103,7 +103,7 @@ class TestImplementConstruction:
         assert validate(m) == []
         assert m.deterministic
         assert len(m.states) == 4
-        assert "(a,x,a,b)" in m.states  # a name no other shares stays plain
+        assert "(a,x,a\\,b)" in m.states  # escaped though no other name shares it
         assert {"(a,b,x\\,c)", "(a\\,b,x,c)"} <= m.states
         assert verify_implements(m, dfa, u, 6).holds
 
@@ -174,6 +174,18 @@ class TestVerifyImplements:
         assert not report.holds
         assert report.counterexample == ((), None, 0.0, None)
         assert type(report.counterexample.word_cost) is float
+
+    def test_runs_that_do_not_accept_are_not_costed(self):
+        # ab has two runs in m; the one through v costs 5 but ends in s,
+        # outside the accepting set, so only the run into u is compared
+        # (m also accepts abab, so the check stops at length 3)
+        m = aut(
+            ["a", "b"], ["s", "t", "u", "v"], "s", ["u"],
+            [("s", "a", "t", 0.0), ("t", "b", "u", 2.0), ("s", "a", "v", 0.0), ("v", "b", "s", 5.0)],
+        )
+        just_ab = aut(["a", "b"], ["l0", "l1", "l2"], "l0", ["l2"], [("l0", "a", "l1"), ("l1", "b", "l2")])
+        u = PairCostFunction.create({("a", "b"): 2.0})
+        assert verify_implements(m, just_ab, u, 3).holds
 
     def test_negative_max_len_rejected(self, ab_star, u_ab):
         a_star = aut(["a", "b"], ["A"], "A", ["A"], [("A", "a", "A")])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gurevich import (
+    EMPTY,
     BlockAlphabetTooLarge,
     DocumentError,
     LinearLengthSpec,
@@ -251,6 +252,16 @@ class TestEnergy:
         a = block_automaton(abba_spec(ZERO_U))
         assert len(a.states) == 13
         assert len(a.transitions) == 13
+
+    def test_no_block_reads_both_tracks(self):
+        # the base accepts only a and the one part only b, so no initial
+        # block survives both simulations and the translation has no edge
+        only_a = aut(["a", "b"], ["s", "t"], "s", ["t"], [("s", "a", "t")])
+        only_b = aut(["a", "b"], ["s", "t"], "s", ["t"], [("s", "b", "t")])
+        spec = LinearLengthSpec(only_a, (only_b,), LinearSet.create((1,)), ZERO_U)
+        assert block_automaton(spec) is EMPTY
+        assert linlen_energy(spec).energy == 0.0
+        assert all(v == 0.0 for _, v in linlen_word_oracle(spec, 6).values)
 
     def test_block_state_cap(self):
         # the cap counts states as the translation discovers them, before

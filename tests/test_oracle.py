@@ -372,6 +372,20 @@ class TestMemoryGrowsWithTransitions:
         assert all(0.0 < s < math.inf for _, s in series.values[1:])
         assert peak < 50 * 2**20
 
+    def test_word_series_on_a_large_alphabet(self):
+        # 4,001 transitions over 4,000 symbols: a table over the (last,
+        # next) symbol pairs would hold 16 million entries
+        symbols = [f"x{i}" for i in range(4000)]
+        wide = CostAutomaton.create(
+            symbols, ["s", "t"], "s", ["t"], [("s", x, "t") for x in symbols] + [("t", "x0", "s")]
+        )
+        u = PairCostFunction.create({("x1", "x0"): math.log(2), ("x0", "x2"): math.log(3)})
+        series, peak = traced_peak(lambda: word_partition_series(wide, u, 5))
+        # x_i x0 x_j weighs e^{U(x_i, x0) + U(x0, x_j)}
+        assert series.values[:2] == ((1, 4000.0), (2, 0.0))
+        assert series.values[2][1] == pytest.approx(4001 * 4002, rel=1e-12)
+        assert peak < 16 * 2**20
+
     def test_cli_oracle(self, big, tmp_path, capsys):
         path = str(tmp_path / "big.json")
         save_document(path, automaton_to_document(big))

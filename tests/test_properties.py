@@ -5,13 +5,15 @@ The automata of the energy properties have negative costs, loop-free
 transient states, states that trimming removes and several cyclic
 components, one of which may carry costs past +-700 so that its solve is
 shifted.  Those of the construction properties have state and symbol names
-made of the characters that the product, subset and transition names
-escape, including names spelled like the constructions' own.  The CLI
-property runs the commands on small valid documents whose costs lie at
-and past the edges of the double range."""
+made of the characters that the product, subset, transition and block
+names escape, including names spelled like the constructions' own; every
+constructed name must be unique and split back into the names it joins.
+The CLI properties run the commands on small valid documents whose costs
+lie at and past the edges of the double range."""
 
 import contextlib
 import io
+import itertools
 import os
 import tempfile
 
@@ -21,7 +23,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gurevich import (
+    LinearLengthSpec,
+    LinearSet,
     PairCostFunction,
+    block_automaton,
     branching_costs,
     determinize,
     free_energy,
@@ -168,43 +173,206 @@ def test_determinize_and_implement_are_well_formed(a, dfa):
         well_formed(implement_construction(machine, PairCostFunction.create(default=1.0)))
 
 
+# the block translation's separators ``,+;~``, the backslash, and the
+# product's and transition names' ``|`` and ``(``; a name ``a`` beside one
+# spelled ``a,a`` makes the tracks (a, "a,a") and ("a,a", a) print alike
+block_names = st.one_of(
+    st.sampled_from(["a", "a,a", "a+a", "a;a", "a~a", "a\\,a"]),
+    st.text(st.sampled_from("ab,+;~\\|("), min_size=1, max_size=3),
+)
+
+
+@st.composite
+def block_dfas(draw, symbols):
+    """A complete DFA of 1 to 3 states over ``symbols``, its state names
+    drawn from ``block_names``, with at least one accepting state."""
+    states = draw(st.lists(block_names, min_size=1, max_size=3, unique=True))
+    state = st.sampled_from(states)
+    moves = [(p, y, draw(state)) for p in states for y in symbols]
+    return aut(symbols, states, draw(state), draw(st.lists(state, min_size=1, max_size=3)), moves)
+
+
+@st.composite
+def linlen_specs(draw):
+    """A spec of arity 1 or 2 over one or two symbols drawn from
+    ``block_names``, with offsets 1 or 2 and up to two 0/1 periods."""
+    symbols = draw(st.lists(block_names, min_size=1, max_size=2, unique=True))
+    k = draw(st.integers(1, 2))
+    base, *parts = [draw(block_dfas(symbols)) for _ in range(k + 1)]
+    offset = draw(st.lists(st.integers(1, 2), min_size=k, max_size=k))
+    nonzero = [v for v in itertools.product((0, 1), repeat=k) if any(v)]
+    periods = draw(st.lists(st.sampled_from(nonzero), max_size=2, unique=True))
+    symbol = st.sampled_from(symbols)
+    u = PairCostFunction.create(draw(st.dictionaries(st.tuples(symbol, symbol), st.integers(-2, 2))))
+    return LinearLengthSpec(base, tuple(parts), LinearSet.create(offset, periods), u)
+
+
+@given(linlen_specs())
+def test_block_automaton_is_well_formed(spec):
+    a = block_automaton(spec)
+    well_formed(a)
+    assert len(set(a.symbols)) == len(a.symbols)
+
+
+def split(name, separators):
+    """The parts of ``name`` between its unescaped ``separators``, each
+    with its escapes undone."""
+    parts, part, chars = [], [], iter(name)
+    for c in chars:
+        if c == "\\":
+            c = next(chars, None)
+            assert c is not None, f"{name!r} ends in a lone backslash"
+            part.append(c)
+        elif c in separators:
+            parts.append("".join(part))
+            part = []
+        else:
+            part.append(c)
+    return parts + ["".join(part)]
+
+
+def inside(name, open_, close):
+    """The text between a constructed name's outer brackets."""
+    assert name[0] == open_ and name[-1] == close, name
+    return name[1:-1]
+
+
+@given(named_automata(), named_automata())
+def test_pair_names_split_into_their_parts(a1, a2):
+    p = product(a1, a2)
+    parts = {name: tuple(split(name, "|")) for name in p.state_names}
+    assert all(len(pair) == 2 for pair in parts.values())
+    if not p.is_empty:
+        assert parts[p.initial] == (a1.initial, a2.initial)
+    steps1 = {(t.source, t.symbol, t.target): t.cost for t in a1.transitions}
+    steps2 = {(t.source, t.symbol, t.target): t.cost for t in a2.transitions}
+    for t in p.transitions:
+        (x1, y1), (x2, y2) = parts[t.source], parts[t.target]
+        assert t.cost == steps1[(x1, t.symbol, x2)] + steps2[(y1, t.symbol, y2)]
+    for name, (x, y) in parts.items():
+        assert (name in p.accepting) == (x in a1.accepting and y in a2.accepting)
+
+
+@given(named_automata())
+def test_subset_names_split_into_their_members(a):
+    d = determinize(a)
+    members = {name: frozenset(split(inside(name, "{", "}"), ",")) for name in d.state_names}
+    if not d.is_empty:
+        assert members[d.initial] == {a.initial}
+    for t in d.transitions:
+        sources = members[t.source]
+        stepped = {e.target for e in a.transitions if e.source in sources and e.symbol == t.symbol}
+        assert members[t.target] == stepped
+    for name, subset in members.items():
+        assert (name in d.accepting) == bool(subset & a.accepting)
+
+
+@given(named_automata(deterministic=True))
+def test_transition_names_split_into_their_parts(dfa):
+    m = implement_construction(dfa, PairCostFunction.create(default=1.0))
+    if m.is_empty:  # nothing of L(dfa) survives the trim
+        return
+    triples = {(t.source, t.symbol, t.target) for t in dfa.transitions}
+    assert split(m.initial, "(,)") == [dfa.initial]
+    runs = {m.initial: (None, None, dfa.initial)}
+    for name in m.state_names:
+        if name != m.initial:
+            runs[name] = tuple(split(inside(name, "(", ")"), "(,)"))
+            assert runs[name] in triples
+    for t in m.transitions:  # into (p, a, q) on a, from a state that ends in p
+        p, a, _ = runs[t.target]
+        assert (runs[t.source][2], t.symbol) == (p, a)
+
+
 # costs at and past the edges of the double range: e^-745 is the last
 # subnormal, e^+-800 leaves the range, and two 1e308 sum to inf
 edge_costs = st.sampled_from([0.0, 1.0, -1.0, 700.0, -700.0, -745.0, 800.0, -800.0, 1e308, -1e308])
 
 
 @st.composite
-def small_documents(draw):
-    """A valid automaton of 1 to 4 states over {a, b} with edge-of-range costs."""
+def small_documents(draw, deterministic=False):
+    """A valid automaton of 1 to 4 states over {a, b} with edge-of-range
+    costs; a DFA if ``deterministic``."""
     states = [f"s{i}" for i in range(draw(st.integers(1, 4)))]
-    triples = st.tuples(st.sampled_from(states), st.sampled_from(["a", "b"]), st.sampled_from(states))
-    edges = draw(st.lists(triples, max_size=8, unique=True))
-    accepting = draw(st.lists(st.sampled_from(states), unique=True))
+    state, symbol = st.sampled_from(states), st.sampled_from(["a", "b"])
+    if deterministic:
+        moves = draw(st.dictionaries(st.tuples(state, symbol), state, max_size=8))
+        edges = [move + (q,) for move, q in moves.items()]
+    else:
+        edges = draw(st.lists(st.tuples(state, symbol, state), max_size=8, unique=True))
+    accepting = draw(st.lists(state, unique=True))
     return aut(["a", "b"], states, "s0", accepting, [e + (draw(edge_costs),) for e in edges])
+
+
+@st.composite
+def pair_cost_documents(draw):
+    """Pair costs over {a, b} drawn from the same edge-of-range costs."""
+    pairs = draw(st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from("ab")), unique=True))
+    return {
+        "pairs": [{"first": x, "second": y, "cost": draw(edge_costs)} for x, y in pairs],
+        "default": draw(edge_costs),
+    }
+
+
+@st.composite
+def linlen_documents(draw):
+    """A valid linlen spec of arity 1 or 2 over small DFAs, offsets 1 or 2
+    and up to two nonzero, distinct periods."""
+    k = draw(st.integers(1, 2))
+    dfas = [automaton_to_document(draw(small_documents(deterministic=True))) for _ in range(k + 1)]
+    nonzero = [v for v in itertools.product((0, 1, 2), repeat=k) if any(v)]
+    lengths = {
+        "offset": draw(st.lists(st.integers(1, 2), min_size=k, max_size=k)),
+        "periods": [list(v) for v in draw(st.lists(st.sampled_from(nonzero), max_size=2, unique=True))],
+    }
+    return {"base": dfas[0], "parts": dfas[1:], "lengths": lengths, "pair_cost": draw(pair_cost_documents())}
+
+
+def run_cli(argv):
+    """``main(argv)`` exits 0, 3 or 4, never 2; a non-zero exit prints one
+    ``error:`` line, and nothing escapes main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3, 4), (argv, code, err.getvalue())
+    if code:
+        assert err.getvalue().startswith("error: "), argv
+        assert err.getvalue().count("\n") == 1, argv
 
 
 @given(small_documents(), small_documents())
 def test_cli_exit_codes_on_valid_documents(a1, a2):
-    """Every input is valid, so each command exits 0, 3 or 4, never 2; a
-    non-zero exit prints one ``error:`` line, and nothing escapes main."""
+    """Every input is valid, so each command exits 0, 3 or 4."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as m:
         m.setenv("MAX_ITERS", "2000")  # a component that never certifies costs milliseconds
         p1, p2 = os.path.join(tmp, "a1.json"), os.path.join(tmp, "a2.json")
         save_document(p1, automaton_to_document(a1))
         save_document(p2, automaton_to_document(a2))
-        commands = [
+        for argv in [
             ["energy", p1],
             ["energy", p1, "--form", "bipartite"],
+            ["energy", p1, "--branching-costs"],
             ["similarity", p1, p1],
             ["similarity", p1, p2],
             ["nondet", p1, "--exact"],
             ["oracle", p1],
-        ]
-        for argv in commands:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code in (0, 3, 4), (argv, code, err.getvalue())
-            if code:
-                assert err.getvalue().startswith("error: "), argv
-                assert err.getvalue().count("\n") == 1, argv
+        ]:
+            run_cli(argv)
+
+
+@given(small_documents(deterministic=True), pair_cost_documents(), linlen_documents())
+def test_cli_exit_codes_on_valid_pair_cost_inputs(dfa, costs, spec):
+    """The commands that take pair costs, on a valid DFA, pair cost
+    document and linlen spec, exit 0, 3 or 4."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as m:
+        m.setenv("MAX_ITERS", "2000")
+        paths = [os.path.join(tmp, f) for f in ("dfa.json", "costs.json", "spec.json", "out.json")]
+        for path, doc in zip(paths, (automaton_to_document(dfa), costs, spec)):
+            save_document(path, doc)
+        p_dfa, p_costs, p_spec, p_out = paths
+        for argv in [
+            ["implement", p_dfa, p_costs, p_out],
+            ["oracle", p_dfa, "--kind", "words", "--pair-costs", p_costs, "--max-n", "8"],
+            ["linlen", p_spec, "--oracle-check", "8"],
+        ]:
+            run_cli(argv)
