@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 DEFAULT_STATE_CAP = 2**20
+# a product edge costs about 155 bytes at its peak (random 100- to 250-state
+# NFAs), so this many stay near 1 GiB
+PRODUCT_TRANSITION_CAP = 7_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -597,6 +600,10 @@ def product(a1: CostAutomaton, a2: CostAutomaton) -> CostAutomaton:
     inside a group.  The transitions out of each pair follow a1's order,
     then a2's targets in sorted order.  Costs past the double range sum to
     +-inf, which ``free_energy`` refuses.
+
+    More than ``DEFAULT_STATE_CAP`` pairs or ``PRODUCT_TRANSITION_CAP``
+    transitions raise StateCapExceeded: a frontier's transitions are
+    counted before its edges are allocated, its new pairs once found.
     """
     if a1.is_empty or a2.is_empty or a1.start < 0 or a2.start < 0:
         return EMPTY
@@ -611,10 +618,18 @@ def product(a1: CostAutomaton, a2: CostAutomaton) -> CostAutomaton:
     edges1, indptr1 = rows(len(a1.state_names), a1.src)
     edges2, indptr2 = rows(n2 * width, a2.src * width + sym2, a2.dst)
 
+    def cap(count: int, kind: str, limit: int) -> None:
+        if count > limit:
+            raise StateCapExceeded(
+                f"product of a {len(a1.state_names)}-state and a {n2}-state automaton "
+                f"reached {count} {kind}, past its cap ({limit})"
+            )
+
     frontier = np.array([a1.start * n2 + a2.start], dtype=np.intp)
     seen = {int(frontier[0])}
     levels = [frontier]
     edges: list[tuple[np.ndarray, ...]] = []
+    transitions = 0
     while frontier.size:
         p, q = np.divmod(frontier, n2)
         fan1 = indptr1[p + 1] - indptr1[p]
@@ -623,6 +638,8 @@ def product(a1: CostAutomaton, a2: CostAutomaton) -> CostAutomaton:
         key = np.repeat(q, fan1) * width + sym1[t1]
         lo = indptr2[key]
         fan2 = indptr2[key + 1] - lo
+        transitions += int(fan2.sum())
+        cap(transitions, "transitions", PRODUCT_TRANSITION_CAP)
         t2 = edges2[spans(lo, fan2)]
         t1 = np.repeat(t1, fan2)
         target = a1.dst[t1] * n2 + a2.dst[t2]
@@ -630,6 +647,7 @@ def product(a1: CostAutomaton, a2: CostAutomaton) -> CostAutomaton:
             cost = a1.cost[t1] + a2.cost[t2]
         edges.append((np.repeat(source, fan2), sym1[t1], target, cost))
         new = sorted(set(target.tolist()).difference(seen))
+        cap(len(seen) + len(new), "pair states", DEFAULT_STATE_CAP)
         seen.update(new)
         frontier = np.array(new, dtype=np.intp)
         levels.append(frontier)

@@ -265,7 +265,6 @@ def block_automaton(spec: LinearLengthSpec, state_cap: int = DEFAULT_LINLEN_STAT
         per_coord = [list(itertools.product(range(width), repeat=length)) for length in vec]
         tuple_sets.append(list(itertools.product(*per_coord)))
 
-    guesses = list(itertools.product(range(len(base.state_names)), repeat=k - 1))
     steps = [automata.successors(a, width) for a in (base,) + parts]
 
     def junction_cost(mem: tuple[int, ...], block: tuple[tuple[int, ...], ...]) -> float:
@@ -325,7 +324,8 @@ def block_automaton(spec: LinearLengthSpec, state_cap: int = DEFAULT_LINLEN_STAT
     # so the memory tuple is fully determined and the entry edge costs 0
     starts = (base.start,), tuple(p.start for p in parts)
     for block in tuple_sets[0]:
-        for g in guesses:
+        # guesses drawn lazily: the state cap trips before all are listed
+        for g in itertools.product(range(len(base.state_names)), repeat=k - 1):
             stepped = read_block(starts[0] + g, starts[1], None, block)
             if stepped is not None:
                 emit_block(0, block, ("c", 0, g) + stepped, 0.0)

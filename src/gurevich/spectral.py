@@ -192,40 +192,14 @@ def _noda_step(
     return y / total
 
 
-class _Blocks:
-    """Block-diagonal matrix held as edge arrays sorted by row; blocks that
-    leave the batch are cut out with ``keep``."""
-
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, size: int) -> None:
-        order = np.argsort(rows, kind="stable")
-        self.rows, self.cols, self.values = rows[order], cols[order], values[order]
-        self.size = size
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rows, weights=self.values * v[self.cols], minlength=self.size)
-
-    def edges(self, start: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edges of the block on nodes start .. start + dim - 1, numbered
-        from 0 within it."""
-        edges = slice(*np.searchsorted(self.rows, (start, start + dim)).tolist())
-        return self.rows[edges] - start, self.cols[edges] - start, self.values[edges]
-
-    def keep(self, nodes: np.ndarray) -> None:
-        """Drop every node outside the mask ``nodes`` with its edges."""
-        position = np.cumsum(nodes) - 1
-        inside = nodes[self.rows]
-        self.rows = position[self.rows[inside]]
-        self.cols = position[self.cols[inside]]
-        self.values = self.values[inside]
-        self.size = int(position[-1]) + 1
-
-
-def _result(lo: float, hi: float, iterations: int, converged: bool, noda: bool) -> SpectralResult:
+def _result(lo: float, hi: float, iterations: int, converged: bool, noda: float) -> SpectralResult:
+    """The result for an interval [lo, hi]; noda is the upper bound of the
+    block's last Noda step, inf when it took none."""
     if math.isfinite(hi):
         radius, residual = (lo + hi) / 2.0, (hi - lo) / hi if hi > 0.0 else 0.0
     else:
         radius, residual = lo, math.inf
-    method = "noda" if noda else "power"
+    method = "noda" if noda < math.inf else "power"
     return SpectralResult(radius, iterations, residual, converged, method)
 
 
@@ -266,31 +240,34 @@ def block_radii(
     every edge lies inside a block.  Each block gets the certificate,
     iteration budget and Noda hand-off it would get on its own.
 
-    All blocks sweep together, one mat-vec per sweep; each keeps its own
-    interval, phase and Noda shift, and leaves the batch once certified.
-    A block's rate window spans its last ``_RATE_WINDOW`` sweeps, and its
-    stall rule reads the window only when the widths at both ends are
-    finite.  A block in its Noda phase replaces its swept vector by its
-    Noda step, solved on its own edges."""
+    All blocks sweep together, one mat-vec per sweep over edges sorted by
+    row.  Each block's state is kept once, in arrays by batch position that
+    one mask cuts when blocks certify and leave: ``ids`` (index in the
+    result), ``dims``, ``lo``, ``hi``, ``gap``, ``phase``, ``noda`` (upper
+    bound of the last Noda step, inf before the first) and the rate
+    window's widths.  The stall rule reads a block's window of its last
+    ``_RATE_WINDOW`` sweeps when the widths at both ends are finite.  A
+    Noda-phase block replaces its swept vector by a Noda step on its own
+    edges while hi < noda; one that gets no step (rounding has stopped the
+    descent, or the solve failed) sweeps for the rest of its run."""
     dims = np.asarray(dims, dtype=np.intp)
-    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-    op = _Blocks(rows, cols, np.asarray(values, dtype=float), int(dims.sum()))
+    order = np.argsort(rows, kind="stable")
+    rows, cols = (np.asarray(x, dtype=np.intp)[order] for x in (rows, cols))
+    values = np.asarray(values, dtype=float)[order]
     k = len(dims)
     if max_iterations < 1:
-        return [_result(0.0, math.inf, 0, False, False) for _ in range(k)]
+        return [_result(0.0, math.inf, 0, False, math.inf) for _ in range(k)]
     results: list[SpectralResult | None] = [None] * k
-    ids = np.arange(k)  # each active block's index in results
+    ids = np.arange(k)
     starts = dims.cumsum() - dims
     v = (1.0 / dims).repeat(dims)
     phase = np.full(k, _POWER, dtype=np.int8)
+    noda = np.full(k, math.inf)
     powering, stepping = k, []  # blocks sweeping; positions of those taking Noda steps
     history: deque = deque(maxlen=_RATE_WINDOW + 1)  # widths of the latest sweeps
-    # by index in results: the upper bound that the block's last Noda step
-    # shifted by
-    shifts: dict[int, float] = {}
     iterations = 0
     while iterations < max_iterations:
-        w = op.matvec(v)
+        w = np.bincount(rows, weights=values * v[cols], minlength=len(v))
         iterations += 1
         lo, hi = _bounds(v, w, starts)
         gap = hi - lo
@@ -301,15 +278,17 @@ def block_radii(
             certified = np.count_nonzero(done)
         if certified:
             for b in done.nonzero()[0].tolist():
-                i = int(ids[b])
-                results[i] = _result(float(lo[b]), float(hi[b]), iterations, True, i in shifts)
+                results[ids[b]] = _result(float(lo[b]), float(hi[b]), iterations, True, noda[b])
             if certified == len(dims):
                 return results
             keep = ~done
             nodes = keep.repeat(dims)
-            op.keep(nodes)
+            position = np.cumsum(nodes) - 1
+            inside = nodes[rows]
+            rows, cols, values = position[rows[inside]], position[cols[inside]], values[inside]
             v, w = v[nodes], w[nodes]
-            ids, dims, lo, hi, gap, phase = (x[keep] for x in (ids, dims, lo, hi, gap, phase))
+            state = ids, dims, lo, hi, gap, phase, noda
+            ids, dims, lo, hi, gap, phase, noda = (x[keep] for x in state)
             history = deque((h[keep] for h in history), maxlen=_RATE_WINDOW + 1)
             starts = dims.cumsum() - dims
             powering = np.count_nonzero(phase == _POWER)
@@ -326,18 +305,18 @@ def block_radii(
                 stepping += new
         steps = []
         for b in stepping:
-            i, bound = int(ids[b]), float(hi[b])
-            if not bound < shifts.get(i, math.inf):
-                phase[b] = _POWER_ONLY  # rounding has stopped the descent
-                continue
-            # built for each step, so that one block's system at a time is alive
-            start, dim = int(starts[b]), int(dims[b])
-            y = _noda_step(dim, *op.edges(start, dim), bound, v[start : start + dim])
+            start, dim, bound = int(starts[b]), int(dims[b]), float(hi[b])
+            y = None
+            if bound < noda[b]:  # else rounding has stopped the descent
+                # built for each step, so that one block's system at a time is alive
+                edges = slice(*np.searchsorted(rows, (start, start + dim)).tolist())
+                block = rows[edges] - start, cols[edges] - start, values[edges]
+                y = _noda_step(dim, *block, bound, v[start : start + dim])
             if y is None:
                 phase[b] = _POWER_ONLY
             else:
                 steps.append((start, y))
-                shifts[i] = bound
+                noda[b] = bound
         if len(steps) < len(stepping):
             stepping = [b for b in stepping if phase[b] == _NODA]
         if len(steps) < len(dims):
@@ -348,5 +327,5 @@ def block_radii(
         for start, y in steps:
             v[start : start + len(y)] = y
     for b, i in enumerate(ids.tolist()):
-        results[i] = _result(float(lo[b]), float(hi[b]), iterations, False, i in shifts)
+        results[i] = _result(float(lo[b]), float(hi[b]), iterations, False, noda[b])
     return results

@@ -7,8 +7,10 @@ import pytest
 from gurevich import (
     EMPTY,
     CostAutomaton,
+    StateCapExceeded,
     accepts,
     automaton_to_document,
+    count_series,
     determinize,
     free_energy,
     lambda_exact,
@@ -17,6 +19,7 @@ from gurevich import (
     trim,
     validate,
 )
+from gurevich import automata
 from gurevich.automata import rows
 
 from conftest import (
@@ -403,6 +406,22 @@ class TestProduct:
         assert got == DNA_PRODUCT_EDGES
         assert p.initial == "1|5"
         assert p.accepting == {"2|6", "3|6"}
+
+    @pytest.mark.parametrize("cap, kind, reached", [
+        ("DEFAULT_STATE_CAP", "pair states", 4), ("PRODUCT_TRANSITION_CAP", "transitions", 6),
+    ])
+    def test_caps(self, monkeypatch, dna_m1, dna_m2, branchy_nfa, cap, kind, reached):
+        # the DNA pair finds 4 pairs and 6 transitions: a cap of that count
+        # holds, one below it raises, and so does count_series' product
+        monkeypatch.setattr(automata, cap, reached)
+        assert len(product(dna_m1, dna_m2).state_names) == 4
+        monkeypatch.setattr(automata, cap, reached - 1)
+        sizes = "product of a 4-state and a 2-state automaton"
+        with pytest.raises(StateCapExceeded, match=rf"{sizes} reached {reached} {kind}, past its cap \({reached - 1}\)"):
+            product(dna_m1, dna_m2)
+        monkeypatch.setattr(automata, cap, 2)
+        with pytest.raises(StateCapExceeded, match=rf"of a 6-state and a 6-state automaton reached \d+ {kind}"):
+            count_series(branchy_nfa, 4)
 
     def test_self_product_of_dfa_isomorphic(self, ab_star):
         p = product(ab_star, ab_star)

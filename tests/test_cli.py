@@ -25,6 +25,7 @@ from gurevich import (
     pair_cost_to_document,
     save_document,
 )
+from gurevich import automata as automata_mod
 from gurevich import energy as energy_mod
 from gurevich import errors as errors_mod
 from gurevich.cli import main
@@ -307,6 +308,19 @@ class TestSimilarityCommand:
         assert doc["energy_1"] == pytest.approx(-2110.1 / 3, abs=1e-9)
         assert doc["energy_2"] == pytest.approx(golden, abs=1e-12)
         assert doc["delta"] == pytest.approx(-2110.1 / 3 + golden, abs=1e-9)
+
+    @pytest.mark.parametrize("cap, kind", [
+        ("DEFAULT_STATE_CAP", "pair states"), ("PRODUCT_TRANSITION_CAP", "transitions"),
+    ])
+    def test_product_cap_is_resource_error(self, tmp_path, capsys, monkeypatch, dna_m1, dna_m2, cap, kind):
+        monkeypatch.setattr(automata_mod, cap, 2)
+        p1 = write_automaton(tmp_path, "m1.json", dna_m1)
+        p2 = write_automaton(tmp_path, "m2.json", dna_m2)
+        assert main(["similarity", p1, p2]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: product of a 4-state and a 2-state automaton reached ")
+        assert err.endswith(f" {kind}, past its cap (2)\n") and err.count("\n") == 1
 
     @pytest.mark.parametrize("cost, error", [(1e308, "inf"), (-1e308, "-inf")])
     def test_infinite_cost_sum_exits_3_at_once(self, tmp_path, capsys, cost, error):

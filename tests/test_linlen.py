@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,23 @@ class TestEnergy:
         # the trim that leaves test_block_automaton_shape's 13
         with pytest.raises(StateCapExceeded, match=r"block translation exceeded the state cap \(5\)"):
             block_automaton(abba_spec(ZERO_U), state_cap=5)
+
+    def test_block_state_cap_trips_before_the_guesses_are_listed(self):
+        # a 30-state ring with five parts has 30^4 boundary guesses; listing
+        # them up front took 62 MiB and 2 s before the cap of 10 tripped
+        names = [f"q{i}" for i in range(30)]
+        steps = [(q, "a", names[(i + 1) % 30]) for i, q in enumerate(names)]
+        ring = aut(["a"], names, "q0", names, steps)
+        part = aut(["a"], ["p"], "p", ["p"], [("p", "a", "p")])
+        spec = LinearLengthSpec(ring, (part,) * 5, LinearSet.create((1,) * 5), ZERO_U)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateCapExceeded, match=r"state cap \(10\)"):
+                block_automaton(spec, state_cap=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_block_cap(self):
         sigma3 = aut(

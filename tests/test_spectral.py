@@ -291,6 +291,19 @@ class TestBlockRadii:
             assert abs(got.radius - want.radius) <= 1e-12 * want.radius
         assert [r.method for r in self.batch(matrices, 1e-12, 10**6)][0] == "noda"
 
+    @pytest.mark.parametrize("tolerance, max_iterations", [(1e-16, 400), (1e-12, 10**5)])
+    def test_mixed_phases_match_each_block_alone(self, tolerance, max_iterations):
+        # blocks that certify at once, sweep, take Noda steps, stall on
+        # rounding and fall back after a singular solve, side by side: each
+        # leaves the batch at its own sweep, and every field is exact
+        matrices = [mat([[math.exp(0.7)]]), chord_matrix(50), mat([[0.5, 0.0], [0.0, 2.0]]),
+                    random_positive(5, 6), chord_matrix(12), mat([[0.0, 4.0], [0.25, 0.0]]),
+                    chord_matrix(30)]
+        for got, m in zip(self.batch(matrices, tolerance, max_iterations), matrices):
+            want = spectral_radius(m, tolerance, max_iterations)
+            fields = ("converged", "iterations", "method", "radius", "residual")
+            assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
     def test_iteration_budget_per_block(self):
         matrices = self.blocks()
         results = self.batch(matrices, 1e-12, 3)

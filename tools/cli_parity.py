@@ -1,0 +1,107 @@
+"""Digest the command line's output on every benchmark query, to show that
+two checkouts behave byte for byte alike.
+
+    python tools/cli_parity.py ROOT OUT     # digests of ROOT/src's CLI, written to OUT
+    python tools/cli_parity.py --diff A B   # the queries whose digests differ
+
+The queries and probes are those ``bench/workloads.build`` makes for every
+workload at seeds 1-3, read from the ``bench/`` next to this script, which
+is never written.  Their documents go into one fixed work directory, so the
+paths that messages name are the same in every run.  Each query runs in
+this process through ``gurevich.cli.main`` imported from ``ROOT/src``,
+under ``PYTHONHASHSEED=0`` and one BLAS thread (the script re-executes
+itself to set them).  Its digest is the SHA-256 of its exit code, or the
+class of an exception that escapes ``main``, its stdout, its stderr and
+the document ``implement`` writes.  OUT has one ``workload/seed/query
+digest`` line per query.  ``--diff`` exits 1 when a digest differs or a
+query is missing from either file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import os
+import shutil
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+WORK = os.path.join(tempfile.gettempdir(), "gurevich-cli-parity")
+SEEDS = (1, 2, 3)
+PINNED_ENV = {"PYTHONHASHSEED": "0", "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def digest(main, argv: tuple[str, ...]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            status = str(main(list(argv)))
+        except Exception as e:  # an escaping exception is part of the behaviour
+            status = type(e).__name__
+    written = b""
+    if argv[0] == "implement" and os.path.isfile(argv[3]):
+        with open(argv[3], "rb") as f:
+            written = f.read()
+    h = hashlib.sha256()
+    for part in (status.encode(), out.getvalue().encode(), err.getvalue().encode(), written):
+        h.update(len(part).to_bytes(8, "little") + part)
+    return h.hexdigest()
+
+
+def record(root: str, path: str) -> int:
+    src = os.path.join(os.path.abspath(root), "src")
+    sys.path[:0] = [src, BENCH]
+    import gurevich.cli
+    import workloads
+
+    if not gurevich.cli.__file__.startswith(src):
+        print(f"error: imported {gurevich.cli.__file__}, not {src}", file=sys.stderr)
+        return 2
+    lines = []
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            shutil.rmtree(WORK, ignore_errors=True)
+            os.makedirs(WORK)
+            queries, probes = workloads.build(workload, seed, WORK)
+            for q in queries + probes:
+                lines.append(f"{workload}/{seed}/{q.name} {digest(gurevich.cli.main, q.argv)}\n")
+    shutil.rmtree(WORK, ignore_errors=True)
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(lines)
+    print(f"{len(lines)} digests written to {path}")
+    return 0
+
+
+def read(path: str) -> dict[str, str]:
+    with open(path, encoding="utf-8") as f:
+        return dict(line.split() for line in f if line.strip())
+
+
+def diff(a: str, b: str) -> int:
+    left, right = read(a), read(b)
+    differing = [name for name in sorted(left.keys() | right.keys()) if left.get(name) != right.get(name)]
+    for name in differing:
+        print(name)
+    print(f"{len(differing)} of {len(left.keys() | right.keys())} queries differ")
+    return 1 if differing else 0
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--diff", action="store_true", help="compare two digest files instead of recording")
+    p.add_argument("first", help="ROOT of a checkout (or the first digest file with --diff)")
+    p.add_argument("second", help="OUT digest file (or the second digest file with --diff)")
+    args = p.parse_args()
+    if args.diff:
+        return diff(args.first, args.second)
+    if any(os.environ.get(k) != v for k, v in PINNED_ENV.items()):
+        env = {**os.environ, **PINNED_ENV}
+        os.execve(sys.executable, [sys.executable, os.path.abspath(__file__), *sys.argv[1:]], env)
+    return record(args.first, args.second)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
