@@ -325,15 +325,18 @@ def successors(a: CostAutomaton, width: int) -> list[int]:
 
 
 def _reach(n: int, src: np.ndarray, dst: np.ndarray, starts: Iterable[int]) -> np.ndarray:
-    """Mask of the nodes reachable from ``starts`` over the edges src -> dst."""
-    order, indptr = rows(n, src)
-    indptr, targets = indptr.tolist(), dst[order].tolist()
+    """Mask of the nodes reachable from ``starts`` over the edges src -> dst;
+    the edges are not grouped when the starts already cover every node."""
     seen = bytearray(n)
     stack = []
     for s in starts:
         if not seen[s]:
             seen[s] = 1
             stack.append(s)
+    if len(stack) == n:
+        return np.frombuffer(seen, dtype=bool)
+    order, indptr = rows(n, src)
+    indptr, targets = indptr.tolist(), dst[order].tolist()
     while stack:
         q = stack.pop()
         for t in targets[indptr[q] : indptr[q + 1]]:

@@ -3,7 +3,9 @@
 One syntax for everything, canonicalized for bit-exact round trips: states
 and alphabet sorted, transitions sorted by (from, symbol, to), costs always
 written, floats rendered with 17 significant digits (enough to round-trip
-a double exactly).
+a double exactly). ``save_document`` streams that text into its file as it
+is rendered, so writing needs the same small memory for any document, and
+a ``DocumentError`` leaves the file empty.
 """
 
 from __future__ import annotations
@@ -275,8 +277,18 @@ def load_linlen_spec(path: str) -> LinearLengthSpec:
 
 
 def save_document(path: str, doc: Any) -> None:
+    """Write ``doc``'s canonical text and a newline to ``path``.
+
+    The text is streamed into the file as it is rendered, so the memory
+    this needs does not grow with the document. A ``DocumentError`` (a
+    non-finite number, a value JSON cannot hold) leaves the file empty."""
     try:
         with open(path, "w", encoding="utf-8") as f:
-            f.write(dump_json(doc) + "\n")
+            try:
+                _encode(doc, f.write)
+            except DocumentError:
+                f.truncate(0)
+                raise
+            f.write("\n")
     except OSError as e:
         raise DocumentError(f"cannot write {path}: {e}") from e

@@ -202,6 +202,39 @@ class TestTrim:
             for w in words_up_to(a.alphabet, 5):
                 assert accepts(raw, w) == accepts(t, w)
 
+    def test_all_accepting_groups_edges_once(self, branchy_nfa, monkeypatch):
+        # every state accepts, so the backward pass's seeds cover every
+        # state and only the forward pass groups the edges
+        a = aut(
+            sorted(branchy_nfa.alphabet), sorted(branchy_nfa.states), "A",
+            sorted(branchy_nfa.states), list(branchy_nfa.transitions),
+        )
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return rows(*args)
+
+        monkeypatch.setattr(automata, "rows", counting)
+        assert trim(a) is a
+        assert calls == [6]
+
+    def test_live_states_on_random_graphs(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 30))
+            every = aut(
+                sorted(g.alphabet), sorted(g.states), g.initial, sorted(g.states),
+                list(g.transitions),
+            )
+            for a in (g, every):
+                reach, coreach = {a.initial}, set(a.accepting)
+                for _ in a.states:
+                    reach |= {t.target for t in a.transitions if t.source in reach}
+                    coreach |= {t.source for t in a.transitions if t.target in coreach}
+                expected = [q in reach & coreach for q in a.state_names]
+                assert automata.live_states(a).tolist() == expected
+
 
 class TestScc:
     def test_branchy_nfa_single_component(self, branchy_nfa):

@@ -263,6 +263,17 @@ class TestFiles:
         with pytest.raises(DocumentError, match="non-finite"):
             dump_json({"cost": math.inf})
 
+    def test_failed_save_leaves_an_empty_file(self, tmp_path):
+        # the last transition's cost is refused only after every row before
+        # it has been written out
+        p = tmp_path / "m.json"
+        p.write_text("old text\n", encoding="utf-8")
+        doc = automaton_to_document(automaton_from_document(branchy_doc()))
+        doc["transitions"][-1]["cost"] = math.inf
+        with pytest.raises(DocumentError, match="non-finite"):
+            save_document(str(p), doc)
+        assert p.read_text(encoding="utf-8") == ""
+
     def test_other_document_paths(self):
         with pytest.raises(DocumentError, match="^cannot serialize set$"):
             dump_json({"states": {"p"}})
@@ -371,10 +382,14 @@ class TestArrayPaths:
     def test_load_memory_grows_with_transitions(self, tmp_path):
         # 20,000 states x 8 symbols: 160,000 transitions
         path = str(tmp_path / "big.json")
-        save_document(path, random_dfa_doc(20_000, 8, seed=5))
+        doc = random_dfa_doc(20_000, 8, seed=5)
 
         tracemalloc.start()
         try:
+            save_document(path, doc)
+            _, save_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            del doc
             with open(path, encoding="utf-8") as f:
                 json.load(f)
             _, json_peak = tracemalloc.get_traced_memory()
@@ -384,6 +399,8 @@ class TestArrayPaths:
         finally:
             tracemalloc.stop()
         assert len(a.src) == 160_008
+        # the 12.5 MiB text is streamed to the file, never held whole
+        assert save_peak < 4 * 2**20
         # json.load's decoded rows dominate the peak (about 72 MiB); the
         # automaton adds its columns and names on top and keeps only those
         assert load_peak < json_peak + 16 * 2**20
