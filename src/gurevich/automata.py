@@ -433,12 +433,11 @@ def tarjan(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     order, indptr = rows(n, src, dst)
     indptr, targets = indptr.tolist(), dst[order].tolist()
     # a node's index is its discovery index until its component completes,
-    # then n + the completion number, which no low-link reaches
+    # then n + its root's discovery index, which no low-link reaches
     index = [-1] * n
     low = [0] * n
     stack: list[int] = []
     counter = 0
-    roots: list[int] = []  # root discovery index, by completion number
     for start in range(n):
         if index[start] >= 0:
             continue
@@ -463,19 +462,15 @@ def tarjan(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
                     low[node] = index[nxt]
             else:
                 work.pop()
-                if low[node] == index[node]:
-                    done = n + len(roots)
-                    roots.append(index[node])
-                    while True:
+                if low[node] == index[node]:  # a root: its component is the stack down to it
+                    done, q = n + index[node], -1
+                    while q != node:
                         q = stack.pop()
                         index[q] = done
-                        if q == node:
-                            break
-                if work:
-                    parent = work[-1][0]
-                    if low[node] < low[parent]:
-                        low[parent] = low[node]
-    return np.array(roots).argsort().argsort()[np.array(index, dtype=np.intp) - n]
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+    labels = np.array(index, dtype=np.intp) - n  # each node's root's discovery index
+    return np.cumsum(np.bincount(labels, minlength=n) > 0)[labels] - 1  # its rank among the roots
 
 
 def scc(a: CostAutomaton) -> SccPartition:
@@ -599,10 +594,11 @@ def product(a1: CostAutomaton, a2: CostAutomaton) -> CostAutomaton:
 
     The pairs are found one breadth-first frontier at a time: pair (p, q)
     is the int p * n2 + q, and a frontier's out-edges are joined on
-    (q, symbol) against a2's edges grouped by source and symbol, by target
-    inside a group.  The transitions out of each pair follow a1's order,
-    then a2's targets in sorted order.  Costs past the double range sum to
-    +-inf, which ``free_energy`` refuses.
+    (q, symbol) against a2's edges grouped by the (source, symbol) cells
+    that occur, by target inside a cell, so the index grows with a2's
+    transitions, not with its states times the symbols.  The transitions
+    out of each pair follow a1's order, then a2's targets in sorted order.
+    Costs past the double range sum to +-inf, which ``free_energy`` refuses.
 
     More than ``DEFAULT_STATE_CAP`` pairs or ``PRODUCT_TRANSITION_CAP``
     transitions raise StateCapExceeded: a frontier's transitions are
@@ -615,11 +611,13 @@ def product(a1: CostAutomaton, a2: CostAutomaton) -> CostAutomaton:
     index = {s: i for i, s in enumerate(symbols)}
     sym1 = np.array([index[s] for s in a1.symbols], dtype=np.intp)[a1.sym]
     sym2 = np.array([index[s] for s in a2.symbols], dtype=np.intp)[a2.sym]
-    # a1's edges grouped by source in input order; a2's by (source, symbol),
-    # so an a1 edge on a symbol a2 lacks finds an empty group
+    # a1's edges grouped by source in input order; a2's by the (source, symbol)
+    # cells that occur, then a sentinel past every key for the cells a2 lacks
     n2 = len(a2.state_names)
     edges1, indptr1 = rows(len(a1.state_names), a1.src)
-    edges2, indptr2 = rows(n2 * width, a2.src * width + sym2, a2.dst)
+    cells, cell_of = np.unique(a2.src * width + sym2, return_inverse=True)
+    cells = np.append(cells, n2 * width)
+    edges2, indptr2 = rows(len(cells), cell_of, a2.dst)
 
     def cap(count: int, kind: str, limit: int) -> None:
         if count > limit:
@@ -639,8 +637,10 @@ def product(a1: CostAutomaton, a2: CostAutomaton) -> CostAutomaton:
         t1 = edges1[spans(indptr1[p], fan1)]
         source = np.repeat(frontier, fan1)
         key = np.repeat(q, fan1) * width + sym1[t1]
-        lo = indptr2[key]
-        fan2 = indptr2[key + 1] - lo
+        cell = np.searchsorted(cells, key)
+        cell[cells[cell] != key] = len(cells) - 1
+        lo = indptr2[cell]
+        fan2 = indptr2[cell + 1] - lo
         transitions += int(fan2.sum())
         cap(transitions, "transitions", PRODUCT_TRANSITION_CAP)
         t2 = edges2[spans(lo, fan2)]

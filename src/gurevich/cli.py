@@ -187,6 +187,8 @@ def cmd_implement(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.pair_costs is not None and args.kind != "words":
+        raise ValueError(f"--pair-costs applies only to --kind words, not {args.kind}")
     a = _load(args, args.path)
     if args.kind == "words":
         u = (

@@ -2,10 +2,12 @@
 
 One syntax for everything, canonicalized for bit-exact round trips: states
 and alphabet sorted, transitions sorted by (from, symbol, to), costs always
-written, floats rendered with 17 significant digits (enough to round-trip
-a double exactly). ``save_document`` streams that text into its file as it
-is rendered, so writing needs the same small memory for any document, and
-a ``DocumentError`` leaves the file empty.
+written, and every double written as a JSON float with its sign: 17
+significant digits (enough to round-trip a double exactly), plus ``.0``
+where the digits alone would read as an integer, so -0.0 stays -0.0 and
+1.2e16 parses back as a float.  ``save_document`` streams that text into
+its file as it is rendered, so writing needs the same small memory for any
+document, and a ``DocumentError`` leaves the file empty.
 """
 
 from __future__ import annotations
@@ -42,9 +44,8 @@ _LARGEST = sys.float_info.max
 def _fmt_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise DocumentError(f"non-finite number {x!r} cannot be serialized")
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x)) + ".0"
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    return text if "." in text or "e" in text else text + ".0"
 
 
 def _encode(o: Any, emit) -> None:

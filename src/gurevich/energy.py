@@ -141,25 +141,24 @@ def _public_matrix(a: CostAutomaton, form: str) -> NonnegativeMatrix:
     if form == "bipartite":  # transition nodes in (source, symbol, target) order
         order = np.lexsort((cost, dst, a.sym, src))
         src, sym, dst, cost = src[order], a.sym[order], dst[order], cost[order]
+        names = [automata._escape(name, "->") for name in names]  # the naming rule
+        symbols = [automata._escape(name, "->") for name in a.symbols]
+        triples = zip(src.tolist(), sym.tolist(), dst.tolist())
+        names += [f"{names[p]}-{symbols[y]}->{names[q]}" for p, y, q in triples]
     weights = automata._weights(cost)
     (dim,), rows, cols, values = _layout(
-        np.array([len(names)]), np.array([len(weights)]), src, dst, weights, form
+        np.array([len(a.state_names)]), np.array([len(weights)]), src, dst, weights, form
     )
-    entries = _dense(dim, rows, cols, values)
-    if form == "bipartite":
-        names += [
-            f"{names[p]}-{a.symbols[y]}->{names[q]}"
-            for p, y, q in zip(src.tolist(), sym.tolist(), dst.tolist())
-        ]
-    return NonnegativeMatrix(dim=len(names), entries=entries, labels=tuple(names))
+    return NonnegativeMatrix.create(_dense(dim, rows, cols, values), names)
 
 
 def gurevich_matrix_bipartite(a: CostAutomaton) -> NonnegativeMatrix:
     """Bipartite Gurevich matrix of one strongly connected component.
 
-    Nodes: the component's states plus one node per transition.  Nonzero
-    entries: state p -> node (p,a,q) carries e^{V(p,a,q)}; node (p,a,q) ->
-    state q carries 1.
+    Nodes: the component's states plus one node per transition, labelled
+    "p-a->q" with backslash, "-" and ">" escaped in every name (states too).
+    Nonzero entries: state p -> node (p,a,q) carries e^{V(p,a,q)}; node
+    (p,a,q) -> state q carries 1.
     """
     return _public_matrix(a, "bipartite")
 

@@ -51,12 +51,18 @@ class PartitionSeries:
     rates: tuple[tuple[int, float], ...]
 
 
-def _series(kind: str, sums: list[float]) -> PartitionSeries:
-    values = tuple((n + 1, s) for n, s in enumerate(sums))
-    rates = tuple(
-        (n, math.log(s) / n if s > 0.0 else 0.0) for n, s in values
-    )
-    return PartitionSeries(kind=kind, values=values, rates=rates)
+def _series(kind: str, sums: list[float], scales: list[float] | None = None) -> PartitionSeries:
+    """S_n is sums[n - 1], times e^scales[n - 1] if given (inf past the double range)."""
+    values, rates = [], []
+    for n, (s, scale) in enumerate(zip(sums, scales or [0.0] * len(sums)), 1):
+        if s > 0.0:
+            log_s = math.log(s) + scale
+            rates.append((n, log_s / n))
+            values.append((n, s if scale == 0.0 else math.exp(log_s) if log_s <= 709.0 else math.inf))
+        else:
+            rates.append((n, 0.0))
+            values.append((n, s))
+    return PartitionSeries(kind=kind, values=tuple(values), rates=tuple(rates))
 
 
 def _check_max_n(max_n: int) -> None:
@@ -88,8 +94,7 @@ def _sweep(
     """
     rescale_at = 1e250  # far under DBL_MAX, far over any desk-scale exact sum
     log_scale = 0.0
-    values: list[tuple[int, float]] = []
-    rates: list[tuple[int, float]] = []
+    sums, scales = [], []  # S_n = sums[n - 1] * e^scales[n - 1]
     flow = np.empty(len(weights))
     with np.errstate(over="ignore", invalid="ignore"):  # the guards report it
         for n in range(1, max_n + 1):
@@ -97,27 +102,16 @@ def _sweep(
             flow *= weights
             v = np.bincount(dst, weights=flow, minlength=len(v))
             s = float(v @ accept)
-            if math.isinf(s) or math.isnan(s):
-                raise Overflow(
-                    f"{kind} partition sum left the double range at n={n}; rescale costs",
-                    n=n,
-                )
-            if s > 0.0:
-                log_s = math.log(s) + log_scale
-                rates.append((n, log_s / n))
-                if log_scale == 0.0:
-                    values.append((n, s))
-                else:
-                    values.append((n, math.exp(log_s) if log_s <= 709.0 else math.inf))
-            else:
-                rates.append((n, 0.0))
-                values.append((n, 0.0))
+            if not math.isfinite(s):
+                raise Overflow(f"{kind} partition sum left the double range at n={n}; rescale costs", n=n)
+            sums.append(s)
+            scales.append(log_scale)
             if rescale:
                 peak = float(v.max())
                 if peak > rescale_at:
                     v = v / peak
                     log_scale += math.log(peak)
-    return PartitionSeries(kind=kind, values=tuple(values), rates=tuple(rates))
+    return _series(kind, sums, scales)
 
 
 def run_partition_series(

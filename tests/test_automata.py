@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -455,6 +456,23 @@ class TestProduct:
         monkeypatch.setattr(automata, cap, 2)
         with pytest.raises(StateCapExceeded, match=rf"of a 6-state and a 6-state automaton reached \d+ {kind}"):
             count_series(branchy_nfa, 4)
+
+    def test_memory_grows_with_transitions(self):
+        # a 1-state loop times a 5,000-state ring over 2,000 symbols: one
+        # index cell per (ring state, symbol) pair took 153 MiB
+        symbols = [f"s{i}" for i in range(2000)]
+        names = [f"q{i}" for i in range(5000)]
+        loop = aut(symbols, ["p"], "p", ["p"], [("p", y, "p") for y in symbols])
+        steps = [(q, symbols[i % 2000], names[(i + 1) % 5000]) for i, q in enumerate(names)]
+        ring = aut(symbols, names, "q0", names, steps)
+        tracemalloc.start()
+        try:
+            p = product(loop, ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(p.state_names), len(p.src)) == (5000, 5000)
+        assert peak < 16 << 20
 
     def test_self_product_of_dfa_isomorphic(self, ab_star):
         p = product(ab_star, ab_star)

@@ -553,6 +553,16 @@ class TestOracleCommand:
         _, err = lines_of(capsys)
         assert "rescale costs" in err
 
+    @pytest.mark.parametrize("kind", ["runs", "accepting-runs"])
+    def test_pair_costs_with_a_run_kind_is_input_error(self, tmp_path, capsys, ab_star, u_ab, kind):
+        # run sums have no pair costs: the file was silently ignored
+        path = write_automaton(tmp_path, "m.json", ab_star)
+        u_path = write_pair_cost(tmp_path, "u.json", u_ab)
+        assert main(["oracle", path, "--kind", kind, "--pair-costs", u_path]) == 2
+        out, err = lines_of(capsys)
+        assert out == []
+        assert err == f"error: --pair-costs applies only to --kind words, not {kind}\n"
+
 
 class TestLinlenCommand:
     def test_energy_with_oracle_check(self, tmp_path, capsys):

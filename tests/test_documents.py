@@ -110,6 +110,22 @@ class TestAutomatonDocuments:
         assert '"cost": 2.0' in text
         assert '"cost": 2,' not in text
 
+    def test_negative_zero_cost_keeps_its_sign(self, tmp_path):
+        doc = branchy_doc()
+        doc["transitions"][0]["cost"] = -0.0
+        path = str(tmp_path / "m.json")
+        save_document(path, automaton_to_document(automaton_from_document(doc)))
+        a = load_automaton(path)
+        signs = {(t.source, t.symbol, t.target): math.copysign(1.0, t.cost) for t in a.transitions}
+        assert signs.pop(("A", "a", "B")) == -1.0
+        assert set(signs.values()) == {1.0}
+
+    @pytest.mark.parametrize("x", [1.2e16, 12212617090597138.0, -1e16])
+    def test_integral_doubles_past_1e16_stay_floats(self, x):
+        # ".17g" writes 1.2e16 as 12000000000000000, which parses as an int
+        again = json.loads(dump_json([x]))[0]
+        assert type(again) is float and again == x
+
     def test_errors_name_the_offender(self):
         doc = branchy_doc()
         doc["initial"] = "Z"

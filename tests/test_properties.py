@@ -25,11 +25,13 @@ from hypothesis import strategies as st
 from gurevich import (
     LinearLengthSpec,
     LinearSet,
+    NonnegativeMatrix,
     PairCostFunction,
     block_automaton,
     branching_costs,
     determinize,
     free_energy,
+    gurevich_matrix_bipartite,
     implement_construction,
     lambda_plus,
     product,
@@ -282,6 +284,18 @@ def test_transition_names_split_into_their_parts(dfa):
     for t in m.transitions:  # into (p, a, q) on a, from a state that ends in p
         p, a, _ = runs[t.target]
         assert (runs[t.source][2], t.symbol) == (p, a)
+
+
+def test_bipartite_labels_split_into_their_parts():
+    # joined unescaped, state "p-a->p" coincides with transition p -a-> p,
+    # and p -a-> "p-a->p" with "p-a->p" -a-> p
+    a = aut(["a"], ["p", "p-a->p"], "p", ["p"], [("p", "a", "p"), ("p", "a", "p-a->p"), ("p-a->p", "a", "p")])
+    m = gurevich_matrix_bipartite(a)
+    assert len(set(m.labels)) == len(m.labels) == 5
+    assert NonnegativeMatrix.create(m.entries, m.labels).labels == m.labels
+    assert [split(label, "->") for label in m.labels[:2]] == [["p"], ["p-a->p"]]
+    edges = [split(label, "->") for label in m.labels[2:]]  # p, a and q around "-" and "->"
+    assert edges == sorted([t.source, t.symbol, "", t.target] for t in a.transitions)
 
 
 # costs at and past the edges of the double range: e^-745 is the last
