@@ -136,17 +136,20 @@ class CostAutomaton:
     ) -> "CostAutomaton":
         """Build from per-transition columns of names (src, sym, dst) and costs."""
         named = [] if initial is None else [initial]
-        accepting = set(accepting)
-        state_names, state_index, undeclared_states = _index(states, src, dst, named, accepting)
-        symbols, symbol_index, undeclared_symbols = _index(alphabet, sym)
+        state_names, undeclared_states, (src, dst, named, accepting) = _index(
+            states, src, dst, named, set(accepting)
+        )
+        symbols, undeclared_symbols, (sym,) = _index(alphabet, sym)
+        accepting_mask = np.zeros(len(state_names), dtype=bool)
+        accepting_mask[accepting] = True
         return CostAutomaton(
             state_names,
             symbols,
-            -1 if initial is None else state_index[initial],
-            np.array([name in accepting for name in state_names], dtype=bool),
-            _column(state_index, src),
-            _column(symbol_index, sym),
-            _column(state_index, dst),
+            int(named[0]) if named.size else -1,
+            accepting_mask,
+            src,
+            sym,
+            dst,
             np.array(cost, dtype=float),
             (undeclared_states, undeclared_symbols),
         )
@@ -208,15 +211,22 @@ class CostAutomaton:
 
 def _index(declared: Iterable[str], *columns: Sequence[str]):
     """Sorted names over the declared ones and every name in ``columns``,
-    their index, and the names only the columns use."""
+    the names only the columns use, and each column as indices into the
+    names.  The columns are looked up in the declared names' index; only
+    when one uses a name that is not declared is the union taken."""
     declared = set(declared)
-    used = set().union(*columns)
-    names = tuple(sorted(declared | used))
-    return names, {name: i for i, name in enumerate(names)}, frozenset(used - declared)
+    names = tuple(sorted(declared))
+    try:
+        return names, frozenset(), _columns(names, columns)
+    except KeyError:
+        used = set().union(*columns)
+        names = tuple(sorted(declared | used))
+        return names, frozenset(used - declared), _columns(names, columns)
 
 
-def _column(index: Mapping[str, int], names: Sequence[str]) -> np.ndarray:
-    return np.fromiter(map(index.__getitem__, names), dtype=np.intp, count=len(names))
+def _columns(names: tuple[str, ...], columns: Sequence[Sequence[str]]) -> list[np.ndarray]:
+    index = dict(zip(names, range(len(names))))
+    return [np.fromiter(map(index.__getitem__, c), dtype=np.intp, count=len(c)) for c in columns]
 
 
 def _repeats(keys: np.ndarray) -> bool:
@@ -247,24 +257,25 @@ def validate(a: CostAutomaton) -> list[str]:
             violations.append("transitions present in zero-state automaton")
         return violations
 
+    # the name tuples are sorted, so each check walks its names in order;
     # split() drops whitespace exactly where str.isspace finds it
-    for name in sorted(a.states):
-        if name.split() != [name]:
+    names, symbols = a.state_names, a.symbols
+    unknown_states, unknown_symbols = a.undeclared
+    for name in names:
+        if name.split() != [name] and name not in unknown_states:
             violations.append(f"bad state name {name!r}")
-    for name in sorted(a.alphabet):
-        if name.split() != [name]:
+    for name in symbols:
+        if name.split() != [name] and name not in unknown_symbols:
             violations.append(f"bad symbol name {name!r}")
 
     if a.initial is None:
         violations.append("missing initial state")
-    elif a.initial not in a.states:
+    elif a.initial in unknown_states:
         violations.append(f"unknown initial {a.initial!r}")
-    for q in sorted(a.accepting):
-        if q not in a.states:
-            violations.append(f"unknown accepting state {q!r}")
+    for q in np.flatnonzero(a.accepting_mask).tolist():
+        if names[q] in unknown_states:
+            violations.append(f"unknown accepting state {names[q]!r}")
 
-    names, symbols = a.state_names, a.symbols
-    unknown_states, unknown_symbols = a.undeclared
     keys = (a.src * len(symbols) + a.sym) * len(names) + a.dst
     duplicate = np.zeros(keys.size, dtype=bool)
     if _repeats(keys):  # every occurrence of a triple after its first

@@ -8,6 +8,13 @@ where the digits alone would read as an integer, so -0.0 stays -0.0 and
 1.2e16 parses back as a float.  ``save_document`` streams that text into
 its file as it is rendered, so writing needs the same small memory for any
 document, and a ``DocumentError`` leaves the file empty.
+
+An automaton's transition rows are read by column: one pass each takes the
+from, symbol and to names, one the costs, and whole-column checks (the set
+of the types in a column, ``np.isfinite`` over the costs) find that the
+rows are plain.  Only a document that fails a column check is walked row
+by row, and that walk names the first offending row.  A name listed twice
+in ``states``, ``alphabet`` or ``accepting`` is an error.
 """
 
 from __future__ import annotations
@@ -15,7 +22,9 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
@@ -118,8 +127,8 @@ def _require(doc: dict, key: str, kind: type, where: str) -> Any:
 
 
 def _transition_row(t: Any, where: str, i: int) -> tuple[str, str, str, float]:
-    """One transition row by the general checks, for the rows that the
-    plain-row test in automaton_from_document does not pass; raises
+    """One transition row by the general checks, for the documents whose
+    columns automaton_from_document's column checks do not pass; raises
     DocumentError naming the first offending field."""
     if not isinstance(t, dict):
         raise DocumentError(f"{where}: transition {i} must be an object")
@@ -128,11 +137,44 @@ def _transition_row(t: Any, where: str, i: int) -> tuple[str, str, str, float]:
     return src, sym, dst, _finite(t.get("cost", 0.0), "cost", at)
 
 
+_FROM, _SYMBOL, _TO = (itemgetter(key) for key in ("from", "symbol", "to"))
+
+
+def _plain_columns(rows: list) -> tuple[list, list, list, np.ndarray] | None:
+    """The from/symbol/to columns and the cost column of ``rows``, each read
+    in one pass, when every row is a dict with three str names and a
+    finite float or int cost; None when some row is not, so that the rows
+    are walked one by one."""
+    if not set(map(type, rows)) <= {dict}:
+        return None
+    try:
+        names = list(map(_FROM, rows)), list(map(_SYMBOL, rows)), list(map(_TO, rows))
+    except KeyError:
+        return None
+    if not all(set(map(type, column)) <= {str} for column in names):
+        return None
+    cost = [t.get("cost", 0.0) for t in rows]
+    kinds = set(map(type, cost))
+    if not kinds <= {float, int}:
+        return None
+    try:
+        values = np.array(cost, dtype=float)
+    except OverflowError:  # an int past the double range
+        return None
+    if not np.isfinite(values).all():
+        return None
+    # an int just past the double range converts to the largest double
+    if int in kinds and np.abs(values).max() == _LARGEST:
+        return None
+    return (*names, values)
+
+
 def automaton_from_document(doc: Any, where: str = "automaton") -> CostAutomaton:
     """Parse and validate; raises DocumentError naming the first offender.
 
-    One pass over the transition rows fills four columns (names for
-    from/symbol/to, numbers for cost); the automaton interns the names."""
+    The rows are read by ``_plain_columns``, or walked by
+    ``_transition_row`` when a column check fails; the automaton interns
+    the names."""
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected a JSON object")
     alphabet = _require(doc, "alphabet", list, where)
@@ -140,7 +182,7 @@ def automaton_from_document(doc: Any, where: str = "automaton") -> CostAutomaton
     accepting = _require(doc, "accepting", list, where)
     rows = _require(doc, "transitions", list, where)
     for key, names in (("alphabet", alphabet), ("states", states), ("accepting", accepting)):
-        if not all(isinstance(name, str) for name in names):
+        if not (set(map(type, names)) <= {str} or all(isinstance(name, str) for name in names)):
             raise DocumentError(f"{where}: field {key!r} must be a list of strings")
     initial = doc.get("initial")
     if initial is not None and not isinstance(initial, str):
@@ -148,31 +190,18 @@ def automaton_from_document(doc: Any, where: str = "automaton") -> CostAutomaton
     if states and initial is None:
         raise DocumentError(f"{where}: missing field 'initial'")
 
-    src: list[str] = []
-    sym: list[str] = []
-    dst: list[str] = []
-    cost: list[float] = []
-    largest = _LARGEST
-    for i, t in enumerate(rows):
-        if type(t) is dict:
-            s, y, d, c = t.get("from"), t.get("symbol"), t.get("to"), t.get("cost", 0.0)
-            plain = type(s) is str and type(y) is str and type(d) is str
-            if plain and (type(c) is float or type(c) is int) and -largest <= c <= largest:
-                src.append(s)
-                sym.append(y)
-                dst.append(d)
-                cost.append(c)
-                continue
-        s, y, d, c = _transition_row(t, where, i)
-        src.append(s)
-        sym.append(y)
-        dst.append(d)
-        cost.append(c)
-
-    a = CostAutomaton.from_columns(alphabet, states, initial, accepting, src, sym, dst, cost)
+    columns = _plain_columns(rows)
+    if columns is None:
+        parsed = [_transition_row(t, where, i) for i, t in enumerate(rows)]
+        columns = tuple(zip(*parsed)) or ((), (), (), ())
+    a = CostAutomaton.from_columns(alphabet, states, initial, accepting, *columns)
     problems = validate(a)
     if problems:
         raise DocumentError(f"{where}: " + "; ".join(problems))
+    for key, names in (("alphabet", alphabet), ("states", states), ("accepting", accepting)):
+        if len(set(names)) < len(names):
+            twice = next(name for name, count in Counter(names).items() if count > 1)
+            raise DocumentError(f"{where}: field {key!r} lists {twice!r} twice")
     return a
 
 

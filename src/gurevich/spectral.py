@@ -49,7 +49,13 @@ above, applied to itself alone:
 * each block has its own rate window and its own iteration count, so
   ``max_iterations`` applies per block;
 * a block that stalls takes its Noda steps on its own edges, from its
-  current vector, while the other blocks go on sweeping.
+  current vector, while the other blocks go on sweeping;
+* the Noda steps of one round are stacked by dimension: the blocks of one
+  size up to ``_DENSE_DIM`` build their systems from their edge slices
+  into one (k, dim, dim) array and take one stacked ``np.linalg.solve``,
+  which gives each system the same bits as its own solve.  A lone block,
+  a larger one, and each block of a stack holding a singular system are
+  solved one at a time.
 
 ``spectral_radius`` takes one dense ndarray and solves it as a batch of
 one block.  scipy is imported only when a block above
@@ -63,6 +69,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+
+from .automata import spans
 
 __all__ = [
     "NonnegativeMatrix",
@@ -84,6 +92,10 @@ _RATE_WINDOW = 16
 # per node: 0.23 ms dense, 0.72 ms splu at 160 nodes), and its n^2 memory
 # stays small
 _DENSE_DIM = 160
+
+# the most matrix cells in one stacked dense solve (2 MiB of doubles), so
+# that the systems alive at once stay small
+_STACK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -195,6 +207,53 @@ def _noda_step(
     return y / total
 
 
+def _stacks(ready: list[int], dims: np.ndarray) -> list[list[int]]:
+    """The blocks at positions ``ready`` in the groups that take their Noda
+    steps together: the blocks of one dimension up to ``_DENSE_DIM``, at
+    most ``_STACK_CELLS`` matrix cells to a group.  A larger block is a
+    group of its own."""
+    stacks: list[list[int]] = []
+    by_dim: dict[int, list[int]] = {}
+    for b, dim in zip(ready, dims[ready].tolist()):
+        if dim > _DENSE_DIM:
+            stacks.append([b])
+        else:
+            by_dim.setdefault(dim, []).append(b)
+    for dim, group in by_dim.items():
+        size = max(1, _STACK_CELLS // (dim * dim))
+        stacks += (group[i : i + size] for i in range(0, len(group), size))
+    return stacks
+
+
+def _noda_stack(
+    dim: int, begin: np.ndarray, shift: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+    values: np.ndarray, v: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``_noda_step`` for each block of ``dim`` nodes that starts at a node
+    in ``begin``, with its own shift, as one stacked dense solve; every
+    system and every step is bit for bit the block's own.  Returns the
+    nodes and the new vectors of the blocks whose step is good, and a mask
+    of those blocks; None when a system in the stack is singular."""
+    left = np.searchsorted(rows, begin)
+    counts = np.searchsorted(rows, begin + dim) - left
+    # each block's edge slice, in order, and its cells in the (k, dim, dim) stack
+    edges = spans(left, counts)
+    offsets = np.arange(len(begin)) * (dim * dim) - begin * (dim + 1)
+    cells = rows[edges] * dim + cols[edges] + np.repeat(offsets, counts)
+    b = -np.bincount(cells, weights=values[edges], minlength=len(begin) * dim * dim)
+    b = b.reshape(len(begin), dim * dim)
+    b[:, :: dim + 1] += shift[:, None]
+    nodes = begin[:, None] + np.arange(dim)
+    try:
+        y = np.linalg.solve(b.reshape(-1, dim, dim), v[nodes][..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):  # a nearly singular solve; rejected here
+        total = y.sum(axis=1)
+        ok = np.isfinite(total) & (y.min(axis=1) > 0.0)
+    return nodes[ok], y[ok] / total[ok, None], ok
+
+
 def _result(lo: float, hi: float, iterations: int, converged: bool, noda: float) -> SpectralResult:
     """The result for an interval [lo, hi]; noda is the upper bound of the
     block's last Noda step, inf when it took none."""
@@ -251,8 +310,9 @@ def block_radii(
     window's widths.  The stall rule reads a block's window of its last
     ``_RATE_WINDOW`` sweeps when the widths at both ends are finite.  A
     Noda-phase block replaces its swept vector by a Noda step on its own
-    edges while hi < noda; one that gets no step (rounding has stopped the
-    descent, or the solve failed) sweeps for the rest of its run."""
+    edges while hi < noda, in one stacked solve with the other stepping
+    blocks of its dimension; one that gets no step (rounding has stopped
+    the descent, or the solve failed) sweeps for the rest of its run."""
     dims = np.asarray(dims, dtype=np.intp)
     order = np.argsort(rows, kind="stable")
     rows, cols = (np.asarray(x, dtype=np.intp)[order] for x in (rows, cols))
@@ -306,29 +366,46 @@ def block_radii(
                 new = stalled.nonzero()[0].tolist()
                 powering -= len(new)
                 stepping += new
-        steps = []
+        steps = []  # (nodes, y): the new vectors, written over the swept ones
+        moved = 0  # blocks that took a Noda step
+        ready = []
         for b in stepping:
-            start, dim, bound = int(starts[b]), int(dims[b]), float(hi[b])
-            y = None
-            if bound < noda[b]:  # else rounding has stopped the descent
+            if hi[b] < noda[b]:
+                ready.append(b)
+            else:  # rounding has stopped the descent
+                phase[b] = _POWER_ONLY
+        for stack in _stacks(ready, dims) if len(ready) > 1 else (ready,):
+            if len(stack) > 1:
+                at = np.array(stack)
+                stepped = _noda_stack(int(dims[stack[0]]), starts[at], hi[at], rows, cols, values, v)
+                if stepped is not None:
+                    nodes, y, ok = stepped
+                    steps.append((nodes, y))
+                    moved += len(y)
+                    noda[at[ok]] = hi[at[ok]]
+                    phase[at[~ok]] = _POWER_ONLY
+                    continue
+            for b in stack:  # alone, or one system of the stack is singular
+                start, dim, bound = int(starts[b]), int(dims[b]), float(hi[b])
                 # built for each step, so that one block's system at a time is alive
                 edges = slice(*np.searchsorted(rows, (start, start + dim)).tolist())
                 block = rows[edges] - start, cols[edges] - start, values[edges]
                 y = _noda_step(dim, *block, bound, v[start : start + dim])
-            if y is None:
-                phase[b] = _POWER_ONLY
-            else:
-                steps.append((start, y))
-                noda[b] = bound
-        if len(steps) < len(stepping):
+                if y is None:
+                    phase[b] = _POWER_ONLY
+                else:
+                    steps.append((slice(start, start + dim), y))
+                    moved += 1
+                    noda[b] = bound
+        if moved < len(stepping):
             stepping = [b for b in stepping if phase[b] == _NODA]
-        if len(steps) < len(dims):
+        if moved < len(dims):
             w += v
             sums = np.add.reduceat(w, starts)
             w /= sums if len(sums) == 1 else sums.repeat(dims)
             v = w
-        for start, y in steps:
-            v[start : start + len(y)] = y
+        for nodes, y in steps:
+            v[nodes] = y
     for b, i in enumerate(ids.tolist()):
         results[i] = _result(float(lo[b]), float(hi[b]), iterations, False, noda[b])
     return results

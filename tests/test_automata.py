@@ -563,6 +563,29 @@ class TestEmptyValue:
         assert not accepts(EMPTY, ("a",))
 
 
+class TestInduced:
+    def machine(self):
+        return aut(
+            ["a", "b"], ["p", "q", "r", "s"], "r", ["q", "s"],
+            [("r", "a", "p", 1.0), ("q", "b", "p", 2.0), ("p", "a", "s", 3.0),
+             ("p", "a", "q", 4.0), ("s", "b", "q", 5.0), ("q", "a", "q", 6.0)],
+        )
+
+    def test_inside_edges_in_input_order(self):
+        sub = automata.induced(self.machine(), ["q", "p"])
+        assert sub.state_names == ("p", "q")
+        assert [(t.source, t.symbol, t.target, t.cost) for t in sub.transitions] == [
+            ("q", "b", "p", 2.0), ("p", "a", "q", 4.0), ("q", "a", "q", 6.0)
+        ]
+        assert sub.start == 0 and sub.initial == "p"  # the first kept state, not r
+        assert sub.accepting == {"q"}
+        assert validate(sub) == []
+
+    def test_nothing_kept(self):
+        assert automata.induced(self.machine(), []) is EMPTY
+        assert automata.induced(self.machine(), ["t"]) is EMPTY
+
+
 class TestRows:
     def test_stable_within_a_key_and_ordered_by_ties(self):
         key = np.array([2, 0, 2, 1, 0, 2, 2])

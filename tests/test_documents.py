@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -159,6 +160,114 @@ class TestAutomatonDocuments:
         doc["transitions"].append(dict(doc["transitions"][0]))
         with pytest.raises(DocumentError, match="duplicate"):
             automaton_from_document(doc)
+
+
+def row_fault(field, value):
+    """A branchy_doc edit: row 4's ``field`` set to ``value``, or removed
+    when value is ``missing``; ``field`` None replaces the whole row."""
+
+    def edit(doc):
+        if field is None:
+            doc["transitions"][4] = value
+        elif value == "missing":
+            del doc["transitions"][4][field]
+        else:
+            doc["transitions"][4][field] = value
+
+    return edit
+
+
+NOT_STR = {"int": 3, "list": ["B"], "None": None, "bool": True}
+NOT_FINITE = {"bool": True, "str": "1.5", "inf": math.inf, "10**400": 10**400, "max+1": int(sys.float_info.max) + 1}
+LOAD_FAULTS = (
+    [
+        pytest.param(row_fault(None, row), "automaton: transition 4 must be an object", id=f"row-{kind}")
+        for kind, row in {"list": ["F", "b", "E"], "str": "F b E", "None": None}.items()
+    ]
+    + [
+        pytest.param(row_fault(key, "missing"), f"automaton transition 4: missing field {key!r}", id=f"no-{key}")
+        for key in ("from", "symbol", "to")
+    ]
+    + [
+        pytest.param(row_fault(key, value), f"automaton transition 4: field {key!r} must be str", id=f"{key}-{kind}")
+        for key in ("from", "symbol", "to")
+        for kind, value in NOT_STR.items()
+    ]
+    + [
+        pytest.param(row_fault("cost", value), "automaton transition 4: field 'cost' must be a finite number",
+                     id=f"cost-{kind}")
+        for kind, value in NOT_FINITE.items()
+    ]
+)
+
+
+class TestLoadErrorContract:
+    """The transition rows are read by column, and only a document that
+    fails a column check is walked row by row; the message is the one that
+    walk gives, naming the first offending row and field."""
+
+    @pytest.mark.parametrize("edit, message", LOAD_FAULTS)
+    def test_message(self, edit, message):
+        doc = branchy_doc()
+        edit(doc)
+        with pytest.raises(DocumentError) as e:
+            automaton_from_document(doc)
+        assert str(e.value) == message
+
+    def test_json_number_past_the_double_range(self, tmp_path):
+        path = tmp_path / "m.json"
+        text = dump_json(branchy_doc()).replace('"cost": 0.0}', '"cost": 1e400}', 1)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DocumentError) as e:
+            load_automaton(str(path))
+        assert str(e.value) == f"{path} transition 0: field 'cost' must be a finite number"
+
+    def test_the_first_of_two_bad_rows_is_named(self):
+        doc = branchy_doc()
+        doc["transitions"][7]["to"] = 7
+        doc["transitions"][2]["cost"] = "x"
+        with pytest.raises(DocumentError) as e:
+            automaton_from_document(doc)
+        assert str(e.value) == "automaton transition 2: field 'cost' must be a finite number"
+
+    def test_costs_at_the_edge_of_the_double_range(self):
+        # the largest double, as a float and as a JSON integer, is a cost
+        doc = branchy_doc()
+        doc["transitions"][0]["cost"] = int(sys.float_info.max)
+        doc["transitions"][1]["cost"] = -sys.float_info.max
+        doc["transitions"][2]["cost"] = 2**64 + 1
+        a = automaton_from_document(doc)
+        assert a.cost[:3].tolist() == [sys.float_info.max, -sys.float_info.max, float(2**64 + 1)]
+
+    def test_rows_outside_the_column_checks(self):
+        # a dict subclass, a str subclass and a numpy float are walked row
+        # by row, and load like their plain values
+        class Row(dict):
+            pass
+
+        class Name(str):
+            pass
+
+        doc = branchy_doc()
+        doc["transitions"][1] = Row(doc["transitions"][1])
+        doc["transitions"][2]["to"] = Name("D")
+        doc["transitions"][3]["cost"] = np.float64(0.25)
+        plain = branchy_doc()
+        plain["transitions"][3]["cost"] = 0.25
+        assert automaton_from_document(doc) == automaton_from_document(plain)
+
+    @pytest.mark.parametrize("field, twice", [("states", "B"), ("alphabet", "a"), ("accepting", "A")])
+    def test_name_listed_twice(self, tmp_path, capsys, field, twice):
+        doc = branchy_doc()
+        doc[field].append(twice)
+        message = f"field {field!r} lists {twice!r} twice"
+        with pytest.raises(DocumentError) as e:
+            automaton_from_document(doc)
+        assert str(e.value) == f"automaton: {message}"
+        path = str(tmp_path / "m.json")
+        save_document(path, doc)
+        assert main(["energy", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 class TestPairCostDocuments:

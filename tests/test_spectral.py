@@ -304,6 +304,107 @@ class TestBlockRadii:
             fields = ("converged", "iterations", "method", "radius", "residual")
             assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
 
+    @staticmethod
+    def spy_solves(monkeypatch):
+        """(sweep, shape of b, raised) of every np.linalg.solve call, the
+        sweep counted by the calls to spectral._bounds."""
+        calls, sweeps = [], [0]
+        solve, bounds = np.linalg.solve, spectral_mod._bounds
+
+        def counting_bounds(*args):
+            sweeps[0] += 1
+            return bounds(*args)
+
+        def counting_solve(b, v):
+            try:
+                y = solve(b, v)
+            except np.linalg.LinAlgError:
+                calls.append((sweeps[0], b.shape, True))
+                raise
+            calls.append((sweeps[0], b.shape, False))
+            return y
+
+        monkeypatch.setattr(spectral_mod, "_bounds", counting_bounds)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        return calls
+
+    @pytest.mark.parametrize("tolerance, max_iterations", [(1e-16, 400), (1e-12, 10**4)])
+    def test_stacked_steps_match_each_block_alone(self, monkeypatch, tolerance, max_iterations):
+        # many 3-node blocks that stall together and take their Noda steps
+        # as one stacked solve: ones that certify on power sweeps, ones that
+        # take Noda steps, ones whose descent rounding stops (at 1e-16), and
+        # singular shifts that make the stacked solve raise, among blocks of
+        # other sizes, whose stacks do not raise
+        rng = random.Random(8)
+
+        def chorded():
+            entries = np.zeros((3, 3))
+            entries[0, 1], entries[1, 2], entries[2, 0], entries[0, 2] = (rng.uniform(0.5, 1.5) for _ in range(4))
+            return mat(entries)
+
+        def positive(dim):
+            return mat([[rng.uniform(0.5, 1.5) for _ in range(dim)] for _ in range(dim)])
+
+        matrices = [mat([[math.exp(0.7)]]), chord_matrix(12), random_positive(5, 6)]
+        for k in range(12):
+            matrices += [chorded(), positive(3), mat(np.full((3, 3), 1.0 + k)), positive(4)]
+            if k % 4 == 0:
+                matrices += [mat(np.diag([0.5, 0.5, 2.0]) * (1 + k)), mat([[0.0, 4.0], [0.25, 0.0]])]
+        want = [spectral_radius(m, tolerance, max_iterations) for m in matrices]
+        calls = self.spy_solves(monkeypatch)
+        got = self.batch(matrices, tolerance, max_iterations)
+        fields = ("converged", "iterations", "method", "radius", "residual")
+        for g, w in zip(got, want):
+            assert [getattr(g, f) for f in fields] == [getattr(w, f) for f in fields]
+        methods = {(w.method, w.converged) for w, m in zip(want, matrices) if m.dim == 3}
+        assert {("power", True), ("noda", True)} <= methods
+        if tolerance < 1e-15:
+            assert ("noda", False) in methods  # rounding stopped the descent
+        stacked = [(shape[0], raised) for _, shape, raised in calls if len(shape) == 3]
+        assert any(raised for _, raised in stacked)  # then each block of that stack alone
+        assert any(size > 1 and not raised for size, raised in stacked)
+
+    @pytest.mark.parametrize("failure", ["negative", "nan"])
+    def test_failed_stacked_step_falls_back_to_power(self, monkeypatch, failure):
+        # a stacked solve that returns a step no block can take: each block
+        # of the stack sweeps on alone, as after its own failed solve
+        calls = []
+
+        def solve(b, v):
+            calls.append(b.shape)
+            return -v if failure == "negative" else np.full_like(v, np.nan)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        results = self.batch([chord_matrix(12)] * 4, 1e-12, 10**6)
+        exact = math.exp(chord_log_root(12))
+        assert calls == [(4, 12, 12)]  # one attempt for all four, then power sweeps only
+        for r in results:
+            assert r.converged and r.method == "power"
+            assert abs(r.radius - exact) / exact <= 1e-10
+
+    def test_one_stacked_solve_per_dimension_per_round(self, monkeypatch):
+        # a chain of 200 chorded 3-state components, as free_energy hands it
+        # to block_radii: every Noda round takes one solve for all of them
+        rng = random.Random(4)
+        names = [f"q{i}" for i in range(600)]
+        transitions = []
+        for c in range(200):
+            a, b, d = names[3 * c : 3 * c + 3]
+            transitions += [(p, "a", q, rng.uniform(-1.0, 1.0)) for p, q in ((a, b), (b, d), (d, a))]
+            transitions.append((a, "b", d, rng.uniform(-1.0, 1.0)))
+            if c < 199:
+                transitions.append((d, "b", names[3 * c + 3], rng.uniform(-1.0, 1.0)))
+        chain = aut(["a", "b"], names, names[0], names, transitions)
+        want = free_energy(chain)
+        calls = self.spy_solves(monkeypatch)
+        monkeypatch.setattr(spectral_mod, "_noda_step", None)  # no block steps alone
+        got = free_energy(chain)
+        assert got.energy == want.energy and got.solver == want.solver
+        assert sum(r.method == "noda" for r in got.solver) > 100
+        rounds = [sweep for sweep, _, _ in calls]
+        assert len(rounds) == len(set(rounds)) >= 1
+        assert all(len(shape) == 3 and shape[1:] == (3, 3) and not raised for _, shape, raised in calls)
+
     def test_iteration_budget_per_block(self):
         matrices = self.blocks()
         results = self.batch(matrices, 1e-12, 3)

@@ -15,6 +15,12 @@ class of an exception that escapes ``main``, its stdout, its stderr and
 the document ``implement`` writes.  OUT has one ``workload/seed/query
 digest`` line per query.  ``--diff`` exits 1 when a digest differs or a
 query is missing from either file.
+
+Then ``energy`` runs on each of a fixed list of malformed automaton
+documents (``MALFORMED``), one ``malformed/case digest`` line each, so the
+load path's error messages are compared too: rows that are not objects,
+missing or non-string names, costs that are not finite numbers, two bad
+rows, a state listed twice and a transition to an undeclared state.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import json
 import os
 import shutil
 import sys
@@ -32,6 +39,55 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORK = os.path.join(tempfile.gettempdir(), "gurevich-cli-parity")
 SEEDS = (1, 2, 3)
 PINNED_ENV = {"PYTHONHASHSEED": "0", "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+# a valid automaton, and the edits that make each malformed case: the JSON
+# text put at a path into the document, or None to delete the field there
+BASE = {
+    "alphabet": ["a", "b"],
+    "states": ["p", "q"],
+    "initial": "p",
+    "accepting": ["q"],
+    "transitions": [
+        {"from": "p", "symbol": "a", "to": "q", "cost": 0.5},
+        {"from": "q", "symbol": "b", "to": "p", "cost": -1.0},
+        {"from": "q", "symbol": "a", "to": "q", "cost": 0.25},
+    ],
+}
+NAMES = ("from", "symbol", "to")
+MALFORMED = {
+    **{f"row-{kind}": [(("transitions", 1), raw)] for kind, raw in
+       (("list", '["q", "b", "p"]'), ("string", '"q b p"'), ("null", "null"))},
+    **{f"no-{key}": [(("transitions", 1, key), None)] for key in NAMES},
+    **{f"{key}-{kind}": [(("transitions", 1, key), raw)] for key in NAMES for kind, raw in
+       (("int", "3"), ("list", '["p"]'), ("null", "null"), ("bool", "true"))},
+    **{f"cost-{kind}": [(("transitions", 1, "cost"), raw)] for kind, raw in
+       (("bool", "false"), ("string", '"1.5"'), ("1e400", "1e400"), ("10**400", "1" + "0" * 400),
+        ("Infinity", "Infinity"))},
+    "two-bad-rows": [(("transitions", 2, "to"), "7"), (("transitions", 1, "cost"), '"x"')],
+    "state-twice": [(("states",), '["p", "q", "p"]')],
+    "undeclared-state": [(("transitions", 2, "to"), '"r"')],
+}
+
+
+def malformed_text(edits) -> str:
+    """BASE's JSON text with ``edits`` made."""
+    doc = json.loads(json.dumps(BASE))
+    raws = []
+    for path, raw in edits:
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        if raw is None:
+            del target[last]
+        else:
+            target[last] = f"@raw{len(raws)}@"
+            raws.append(raw)
+    text = json.dumps(doc)
+    for i, raw in enumerate(raws):
+        text = text.replace(f'"@raw{i}@"', raw)
+    return text
 
 
 def digest(main, argv: tuple[str, ...]) -> str:
@@ -68,6 +124,13 @@ def record(root: str, path: str) -> int:
             queries, probes = workloads.build(workload, seed, WORK)
             for q in queries + probes:
                 lines.append(f"{workload}/{seed}/{q.name} {digest(gurevich.cli.main, q.argv)}\n")
+    shutil.rmtree(WORK, ignore_errors=True)
+    os.makedirs(WORK)
+    for case, edits in MALFORMED.items():
+        document = os.path.join(WORK, f"{case}.json")
+        with open(document, "w", encoding="utf-8") as f:
+            f.write(malformed_text(edits))
+        lines.append(f"malformed/{case} {digest(gurevich.cli.main, ('energy', document))}\n")
     shutil.rmtree(WORK, ignore_errors=True)
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(lines)
