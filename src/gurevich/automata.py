@@ -13,6 +13,8 @@ the end.  Every walk over edges groups them with ``rows``; the graph
 kernels build their own rows and return arrays: ``_reach`` a bool mask over
 the nodes, ``tarjan`` a component label per node, in root-discovery order;
 its one caller, ``scc``, returns the int split every energy solves on.
+Every lookup by (state, symbol) indexes only the pairs that occur
+(``successors``, ``product``'s cells), never a states x symbols table.
 The start state is an index, ``start``, and the accepting set a bool column
 over the states, ``accepting_mask``.  ``Transition`` objects, the
 ``states``/``alphabet`` sets and the ``initial``/``accepting`` names are
@@ -327,12 +329,10 @@ def _weights(cost: np.ndarray) -> np.ndarray:
     return weights
 
 
-def successors(a: CostAutomaton, width: int) -> list[int]:
-    """DFA successor table: the target of state s on symbol y is at
-    s * width + y, -1 where there is none."""
-    table = np.full(len(a.state_names) * width, -1, dtype=np.intp)
-    table[a.src * width + a.sym] = a.dst
-    return table.tolist()
+def successors(a: CostAutomaton, width: int) -> dict[int, int]:
+    """DFA successor index: the target of state s on symbol y under the key
+    s * width + y, one entry per transition; a missing key has none."""
+    return dict(zip((a.src * width + a.sym).tolist(), a.dst.tolist()))
 
 
 def _reach(n: int, src: np.ndarray, dst: np.ndarray, starts: Iterable[int]) -> np.ndarray:
@@ -569,7 +569,8 @@ def determinize(a: CostAutomaton, state_cap: int = DEFAULT_STATE_CAP) -> CostAut
             if j is None:
                 if len(ids) >= state_cap:
                     raise StateCapExceeded(
-                        f"determinization exceeded the state cap ({state_cap})"
+                        f"determinization exceeded the state cap ({state_cap}) on a "
+                        f"{len(a.state_names)}-state, {len(a.src)}-transition automaton"
                     )
                 j = ids[key] = len(subsets)
                 subsets.append(key)

@@ -23,7 +23,7 @@ import numpy as np
 from . import automata, energy
 from .automata import CostAutomaton
 from .energy import EnergyReport
-from .errors import NotDeterministic, UnknownSymbol
+from .errors import NotDeterministic, StateCapExceeded, UnknownSymbol
 
 __all__ = [
     "PairCostFunction",
@@ -107,6 +107,9 @@ def implement_construction(dfa: CostAutomaton, u: PairCostFunction) -> CostAutom
     map is one-to-one.  States are named ``(p,a,q)`` and the start by its
     own name, every state name and symbol inside with its backslashes,
     ``(``, ``,`` and ``)`` escaped, so no two states share a name.
+    The output has sum over q of indeg(q) * outdeg(q) transitions plus the
+    start's out-edges; past ``automata.PRODUCT_TRANSITION_CAP`` it raises
+    StateCapExceeded before allocating them.
     """
     if not dfa.deterministic:
         raise NotDeterministic("input must be deterministic")
@@ -128,6 +131,12 @@ def implement_construction(dfa: CostAutomaton, u: PairCostFunction) -> CostAutom
     order, indptr = automata.rows(len(names), dfa.src)
     entry = order[indptr[start] : indptr[start + 1]]
     fanout = indptr[dfa.dst + 1] - indptr[dfa.dst]
+    count, cap = len(entry) + int(fanout.sum()), automata.PRODUCT_TRANSITION_CAP
+    if count > cap:
+        raise StateCapExceeded(
+            f"implement construction on a trimmed {len(dfa.state_names)}-state, "
+            f"{len(dfa.src)}-transition DFA needs {count} transitions, past its cap ({cap})"
+        )
     first = np.repeat(np.arange(len(dfa.src)), fanout)
     then = order[automata.spans(indptr[dfa.dst], fanout)]
     k = len(symbols)
@@ -170,13 +179,13 @@ def verify_implements(
     if not dfa_for_l.deterministic:
         dfa_for_l = automata.determinize(dfa_for_l)  # costs play no role on the L side
 
-    # m's (target, cost) edges keyed by (source, symbol name) in input order
+    # both sides' edges keyed by (source, symbol name): m's (target, cost)
+    # pairs in input order, the dfa's one target
     edges: dict[tuple[int, str], list[tuple[int, float]]] = {}
     for s, y, d, c in zip(m.src.tolist(), m.sym.tolist(), m.dst.tolist(), m.cost.tolist()):
         edges.setdefault((s, m.symbols[y]), []).append((d, c))
-    l_width = len(dfa_for_l.symbols)
-    l_symbol = {name: y for y, name in enumerate(dfa_for_l.symbols)}
-    l_step = automata.successors(dfa_for_l, l_width)
+    l_names = [dfa_for_l.symbols[y] for y in dfa_for_l.sym.tolist()]
+    l_step = dict(zip(zip(dfa_for_l.src.tolist(), l_names), dfa_for_l.dst.tolist()))
     m_accepting, l_accepting = m.accepting_mask.tolist(), dfa_for_l.accepting_mask.tolist()
 
     def named(run: tuple[int, ...]) -> tuple[str, ...]:
@@ -218,8 +227,7 @@ def verify_implements(
                         bucket = new_runs.setdefault(nxt, {})
                         for cost, run in by_cost.items():
                             bucket.setdefault(cost + step_cost, run + (nxt,))
-                stepped = d_state >= 0 and sym in l_symbol
-                new_d = l_step[d_state * l_width + l_symbol[sym]] if stepped else -1
+                new_d = l_step.get((d_state, sym), -1)
                 if new_runs or new_d >= 0:
                     next_frontier.append((word + (sym,), new_runs, new_d))
         frontier = next_frontier

@@ -279,7 +279,7 @@ def block_automaton(spec: LinearLengthSpec, state_cap: int = DEFAULT_LINLEN_STAT
         for j in range(k):
             s, r = sims[j], prs[j]
             for y in block[j]:
-                s, r = steps[0][s * width + y], steps[j + 1][r * width + y]
+                s, r = steps[0].get(s * width + y, -1), steps[j + 1].get(r * width + y, -1)
                 if s < 0 or r < 0:
                     return None
             new_sims.append(s)
@@ -298,7 +298,12 @@ def block_automaton(spec: LinearLengthSpec, state_cap: int = DEFAULT_LINLEN_STAT
     def state(key: tuple) -> int:
         if key not in ids:
             if len(ids) >= state_cap:
-                raise StateCapExceeded(f"block translation exceeded the state cap ({state_cap})")
+                raise StateCapExceeded(
+                    f"block translation exceeded the state cap ({state_cap}) on a "
+                    f"{len(base.state_names)}-state, {len(base.src)}-transition base language "
+                    f"and parts of {sum(len(p.state_names) for p in parts)} states, "
+                    f"{sum(len(p.src) for p in parts)} transitions in all"
+                )
             ids[key] = len(ids)
             if key[0] == "c":
                 stack.append(key)
@@ -489,7 +494,7 @@ def linlen_word_oracle(
             for target, sym in children[state]:
                 stepped = []
                 for part, part_state, start, lens in configs:
-                    nxt = steps[part][part_state * width + sym]
+                    nxt = steps[part].get(part_state * width + sym, -1)
                     if nxt >= 0:
                         stepped.append((part, nxt, start, lens))
                 step_cost = cost + pair_cost(last, sym) if n else 0.0

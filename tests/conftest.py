@@ -381,6 +381,15 @@ def dfa_successors(dfa: CostAutomaton) -> dict[tuple[str, str], str]:
     return {(t.source, t.symbol): t.target for t in dfa.transitions}
 
 
+def wide_ring(n: int = 2000, k: int = 1000) -> CostAutomaton:
+    """n-state accepting ring over k symbols: q_i reads s_(i mod k) into
+    q_(i+1 mod n), so states x symbols is far larger than the n transitions."""
+    names = [f"q{i}" for i in range(n)]
+    symbols = [f"s{y}" for y in range(k)]
+    steps = [(q, symbols[i % k], names[(i + 1) % n]) for i, q in enumerate(names)]
+    return aut(symbols, names, "q0", names, steps)
+
+
 def all_accepting(a: CostAutomaton) -> CostAutomaton:
     return CostAutomaton.create(
         sorted(a.alphabet), sorted(a.states), a.initial, sorted(a.states), a.transitions

@@ -248,7 +248,7 @@ class TestNondetCommand:
         out, err = lines_of(capsys)
         assert calls == [2]
         assert out == ["lambda_plus 0.499249", "energy_v 1.084990", "energy_zero 0.585741"]
-        assert err == "error: determinization exceeded the state cap (3)\n"
+        assert err == "error: determinization exceeded the state cap (3) on a 6-state, 10-transition automaton\n"
 
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_state_cap_must_be_positive(self, tmp_path, capsys, cap, branchy_nfa):
@@ -421,6 +421,21 @@ class TestImplementCommand:
         assert main(["implement", nfa_path, u_path, out_path]) == 2
         _, err = lines_of(capsys)
         assert "input must be deterministic" in err
+
+    def test_transition_cap_exits_4_before_writing(self, tmp_path, capsys, monkeypatch, ab_star, u_ab):
+        # the output's 3 transitions are counted before any is built
+        monkeypatch.setattr(automata_mod, "PRODUCT_TRANSITION_CAP", 2)
+        dfa_path = write_automaton(tmp_path, "dfa.json", ab_star)
+        u_path = write_pair_cost(tmp_path, "u.json", u_ab)
+        out_path = tmp_path / "machine.json"
+        assert main(["implement", dfa_path, u_path, str(out_path)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: implement construction on a trimmed 2-state, 2-transition DFA "
+            "needs 3 transitions, past its cap (2)\n"
+        )
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("out_name", ["missing/machine.json", "."], ids=["no-directory", "directory"])
     def test_unwritable_output_is_input_error(self, tmp_path, capsys, ab_star, u_ab, out_name):

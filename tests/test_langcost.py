@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import pytest
 
 from gurevich import (
     PairCostFunction,
+    StateCapExceeded,
     UnknownSymbol,
     automata,
     determinize,
@@ -17,7 +19,7 @@ from gurevich import (
     word_partition_series,
 )
 
-from conftest import aut, colliding_dfa, enum_accepting_runs, enum_words, random_automaton
+from conftest import aut, colliding_dfa, enum_accepting_runs, enum_words, random_automaton, wide_ring
 
 ZERO_U = PairCostFunction.create()
 
@@ -195,6 +197,19 @@ class TestVerifyImplements:
         report = verify_implements(a_star, ab_star, u_ab, 0)
         assert report.holds and report.checked_up_to == 0
 
+    def test_wide_alphabet_memory_follows_the_transitions(self):
+        # the L side's steps are indexed by the 2,000 transitions that occur;
+        # a states x symbols table of 2,000,000 cells peaked at 31 MiB
+        ring = wide_ring()
+        tracemalloc.start()
+        try:
+            report = verify_implements(ring, ring, ZERO_U, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.holds
+        assert peak < 4 << 20
+
     def test_construction_holds_on_corpus(self):
         for seed in range(8):
             dfa = determinize(random_automaton(seed, max_states=4, costs="zero"))
@@ -208,6 +223,15 @@ class TestVerifyImplements:
 
 
 class TestLanguageEnergy:
+    def test_transition_cap(self, ab_star, u_ab, monkeypatch):
+        # the construction's 3 transitions are counted before any is built
+        monkeypatch.setattr(automata, "PRODUCT_TRANSITION_CAP", 2)
+        message = r"on a trimmed 2-state, 2-transition DFA needs 3 transitions, past its cap \(2\)"
+        with pytest.raises(StateCapExceeded, match=message):
+            language_energy(ab_star, u_ab)
+        monkeypatch.setattr(automata, "PRODUCT_TRANSITION_CAP", 3)
+        assert language_energy(ab_star, u_ab).energy == pytest.approx(3.5, abs=1e-9)
+
     def test_two_symbol_cycle(self, ab_star, u_ab):
         assert abs(language_energy(ab_star, u_ab).energy - 3.5) <= 1e-9
 

@@ -32,7 +32,7 @@ from gurevich import (
 
 from gurevich.linlen import _last_lengths
 
-from conftest import aut, dfa_successors, edges_by_source
+from conftest import aut, dfa_successors, edges_by_source, wide_ring
 
 ZERO_U = PairCostFunction.create()
 DIAG_U = PairCostFunction.create({("a", "a"): 1.0, ("b", "b"): 1.0})
@@ -267,8 +267,11 @@ class TestEnergy:
     def test_block_state_cap(self):
         # the cap counts states as the translation discovers them, before
         # the trim that leaves test_block_automaton_shape's 13
-        with pytest.raises(StateCapExceeded, match=r"block translation exceeded the state cap \(5\)"):
+        with pytest.raises(StateCapExceeded, match=r"block translation exceeded the state cap \(5\)") as caught:
             block_automaton(abba_spec(ZERO_U), state_cap=5)
+        assert str(caught.value).endswith(
+            " (5) on a 3-state, 5-transition base language and parts of 3 states, 3 transitions in all"
+        )
 
     def test_block_state_cap_trips_before_the_guesses_are_listed(self):
         # a 30-state ring with five parts has 30^4 boundary guesses; listing
@@ -457,6 +460,20 @@ class TestOracle:
         assert len(linlen_word_oracle(spec, 10_000).values) == 10_000
         with pytest.raises(ValueError, match="max_n 10001 exceeds the cap 10000"):
             linlen_word_oracle(spec, 10_001)
+
+    def test_wide_alphabet_memory_follows_the_transitions(self):
+        # the part's steps are indexed by the 2,000 transitions that occur;
+        # a states x symbols table of 2,000,000 cells peaked at 31 MiB
+        ring = wide_ring()
+        spec = LinearLengthSpec(ring, (ring,), LinearSet.create((1,), [(1,)]), ZERO_U)
+        tracemalloc.start()
+        try:
+            series = linlen_word_oracle(spec, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.values == ((1, 1.0), (2, 1.0), (3, 1.0))
+        assert peak < 4 << 20
 
     def test_word_weight_overflow(self):
         # a^2 b^4 a^6 costs 900, past e^709.78

@@ -21,6 +21,8 @@ documents (``MALFORMED``), one ``malformed/case digest`` line each, so the
 load path's error messages are compared too: rows that are not objects,
 missing or non-string names, costs that are not finite numbers, two bad
 rows, a state listed twice and a transition to an undeclared state.
+Last, ``nondet --exact --state-cap 3`` runs on ``SUBSET_BLOWUP``, one
+``cap/nondet-exact digest`` line, so a cap's exit-4 message is compared.
 """
 
 from __future__ import annotations
@@ -67,6 +69,21 @@ MALFORMED = {
     "two-bad-rows": [(("transitions", 2, "to"), "7"), (("transitions", 1, "cost"), '"x"')],
     "state-twice": [(("states",), '["p", "q", "p"]')],
     "undeclared-state": [(("transitions", 2, "to"), '"r"')],
+}
+
+
+# (a|b)*a(a|b)^2: its 4-state NFA determinizes to 8 subsets
+SUBSET_BLOWUP = {
+    "alphabet": ["a", "b"],
+    "states": ["s0", "s1", "s2", "s3"],
+    "initial": "s0",
+    "accepting": ["s3"],
+    "transitions": [
+        {"from": "s0", "symbol": "a", "to": "s0"},
+        {"from": "s0", "symbol": "b", "to": "s0"},
+        {"from": "s0", "symbol": "a", "to": "s1"},
+        *({"from": f"s{i}", "symbol": y, "to": f"s{i + 1}"} for i in (1, 2) for y in "ab"),
+    ],
 }
 
 
@@ -131,6 +148,11 @@ def record(root: str, path: str) -> int:
         with open(document, "w", encoding="utf-8") as f:
             f.write(malformed_text(edits))
         lines.append(f"malformed/{case} {digest(gurevich.cli.main, ('energy', document))}\n")
+    document = os.path.join(WORK, "subset-blowup.json")
+    with open(document, "w", encoding="utf-8") as f:
+        json.dump(SUBSET_BLOWUP, f)
+    argv = ("nondet", document, "--exact", "--state-cap", "3")
+    lines.append(f"cap/nondet-exact {digest(gurevich.cli.main, argv)}\n")
     shutil.rmtree(WORK, ignore_errors=True)
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(lines)
