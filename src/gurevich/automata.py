@@ -312,8 +312,34 @@ def spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def rows(n: int, key: np.ndarray, *ties: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions grouped by ``key`` (values 0..n-1) and the row pointers:
     group g is order[indptr[g]:indptr[g + 1]].  Inside a group the
-    positions are ordered by ``ties``, first tie first, then by position."""
-    order = np.lexsort(ties[::-1] + (key,)) if ties else key.argsort(kind="stable")
+    positions are ordered by ``ties`` (non-negative ints), first tie first,
+    then by position.
+
+    A key alone is sorted stably (timsort is linear on the sorted sources
+    of a canonical document).  With ties, the key, the ties and the
+    position are packed into one int64, ``((key * w1 + t1) * w2 ...) * E +
+    position`` with w the width (max + 1) of each tie and E the number of
+    positions; the packed keys are unique, so any sort gives the stable
+    order.  ``np.lexsort`` takes over when n times the widths times E
+    reaches 2**62."""
+    if not ties:
+        order = key.argsort(kind="stable")
+    else:
+        size = key.size
+        widths = [int(t.max(initial=0)) + 1 for t in ties]
+        bound = n * size
+        for w in widths:
+            bound *= w
+        if bound < 2**62:
+            packed = key.astype(np.int64)
+            for t, w in zip(ties, widths):
+                packed *= w
+                packed += t
+            packed *= size
+            packed += np.arange(size)
+            order = packed.argsort()
+        else:
+            order = np.lexsort(ties[::-1] + (key,))
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.bincount(key, minlength=n).cumsum(out=indptr[1:])
     return order, indptr
@@ -459,27 +485,30 @@ def tarjan(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         while work:
             node, pos = work[-1]
             end = indptr[node + 1]
+            lowest = low[node]  # kept here while the row is scanned, stored before a descent
             while pos < end:
                 nxt = targets[pos]
                 pos += 1
-                if index[nxt] < 0:
+                seen = index[nxt]
+                if seen < 0:
+                    low[node] = lowest
                     work[-1] = (node, pos)
                     work.append((nxt, indptr[nxt]))
                     index[nxt] = low[nxt] = counter
                     counter += 1
                     stack.append(nxt)
                     break
-                if index[nxt] < low[node]:
-                    low[node] = index[nxt]
+                if seen < lowest:
+                    lowest = seen
             else:
                 work.pop()
-                if low[node] == index[node]:  # a root: its component is the stack down to it
-                    done, q = n + index[node], -1
+                if lowest == index[node]:  # a root: its component is the stack down to it
+                    done, q = n + lowest, -1
                     while q != node:
                         q = stack.pop()
                         index[q] = done
-                if work and low[node] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[node]
+                elif lowest < low[work[-1][0]]:  # not a root, so a parent frame is left
+                    low[work[-1][0]] = lowest
     labels = np.array(index, dtype=np.intp) - n  # each node's root's discovery index
     return np.cumsum(np.bincount(labels, minlength=n) > 0)[labels] - 1  # its rank among the roots
 

@@ -9,12 +9,22 @@ where the digits alone would read as an integer, so -0.0 stays -0.0 and
 its file as it is rendered, so writing needs the same small memory for any
 document, and a ``DocumentError`` leaves the file empty.
 
+A list is written 2,048 items at a time, one write each.  A chunk of str,
+or of dicts with one sequence of str keys whose values are, key by key,
+all str or all float, is rendered column by column: each column's texts
+in one pass, each distinct double formatted once, and the pieces joined
+once.  Any other chunk is written item by item; both give the same bytes.
+``automaton_to_document`` orders the transitions by one packed
+(from, symbol, to) key.
+
 An automaton's transition rows are read by column: one pass each takes the
 from, symbol and to names, one the costs, and whole-column checks (the set
 of the types in a column, ``np.isfinite`` over the costs) find that the
-rows are plain.  Only a document that fails a column check is walked row
-by row, and that walk names the first offending row.  A name listed twice
-in ``states``, ``alphabet`` or ``accepting`` is an error.
+rows are plain.  The names are looked up in the declared ones, and their
+types are checked only when a lookup fails.  Only a document that fails a
+column check is walked row by row, and that walk names the first
+offending row.  A name listed twice in ``states``, ``alphabet`` or
+``accepting`` is an error, and so is a file that json cannot read.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ import sys
 from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -57,6 +67,54 @@ def _fmt_float(x: float) -> str:
     return text if "." in text or "e" in text else text + ".0"
 
 
+_CHUNK = 2048  # list items rendered per write
+
+
+def _float_texts(column: list) -> Iterator[str] | None:
+    """The texts of a column of floats, each distinct double formatted once
+    (keyed by its bits, so 0.0 and -0.0 stay apart); None when one is not
+    finite, so that the item walk raises on the first of them."""
+    values = np.array(column, dtype=float)
+    if not np.isfinite(values).all():
+        return None
+    bits = values.view(np.int64).tolist()
+    texts = {b: _fmt_float(x) for b, x in dict(zip(bits, column)).items()}
+    return map(texts.__getitem__, bits)
+
+
+def _chunk_text(chunk: list | tuple) -> str | None:
+    """The text of ``chunk``'s items, rendered column by column, when they
+    are all str, or all dicts with one sequence of str keys whose values
+    are, key by key, all str or all float; None otherwise."""
+    kinds = set(map(type, chunk))
+    if kinds == {str}:
+        return ", ".join(map(_quote, chunk))
+    if kinds != {dict}:
+        return None
+    keys = tuple(chunk[0])
+    n = len(chunk)
+    if (
+        not keys
+        or set(map(type, keys)) != {str}
+        or set(map(len, chunk)) != {len(keys)}
+        or not all(position.count(key) == n for position, key in zip(zip(*chunk), keys))
+    ):
+        return None
+    # the rows' pieces, interleaved by slice: each key's head, its value's text, ..., "}, "
+    stride = 2 * len(keys) + 1
+    pieces = [""] * (n * stride)
+    for i, key in enumerate(keys):
+        column = list(map(itemgetter(key), chunk))
+        kind = set(map(type, column))
+        texts = map(_quote, column) if kind == {str} else _float_texts(column) if kind == {float} else None
+        if texts is None:
+            return None
+        pieces[2 * i :: stride] = [("{" if i == 0 else ", ") + _quote(key) + ": "] * n
+        pieces[2 * i + 1 :: stride] = texts
+    pieces[stride - 1 :: stride] = ["}, "] * n
+    return "".join(pieces)[:-2]
+
+
 def _encode(o: Any, emit) -> None:
     if isinstance(o, float):
         emit(_fmt_float(o))
@@ -85,14 +143,29 @@ def _encode(o: Any, emit) -> None:
         emit("}")
     elif isinstance(o, (list, tuple)):
         emit("[")
-        comma = ""
-        for value in o:
-            emit(comma)
-            _encode(value, emit)
-            comma = ", "
+        if o and type(o[0]) in (str, dict):  # a list of names or a table of rows
+            for start in range(0, len(o), _CHUNK):
+                chunk = o[start : start + _CHUNK]
+                text = _chunk_text(chunk)
+                if start:
+                    emit(", ")
+                if text is None:
+                    _encode_items(chunk, emit)
+                else:
+                    emit(text)
+        else:
+            _encode_items(o, emit)
         emit("]")
     else:
         raise DocumentError(f"cannot serialize {type(o).__name__}")
+
+
+def _encode_items(items: list | tuple, emit) -> None:
+    comma = ""
+    for value in items:
+        emit(comma)
+        _encode(value, emit)
+        comma = ", "
 
 
 def dump_json(obj: Any) -> str:
@@ -142,16 +215,14 @@ _FROM, _SYMBOL, _TO = (itemgetter(key) for key in ("from", "symbol", "to"))
 
 def _plain_columns(rows: list) -> tuple[list, list, list, np.ndarray] | None:
     """The from/symbol/to columns and the cost column of ``rows``, each read
-    in one pass, when every row is a dict with three str names and a
+    in one pass, when every row is a dict with the three names and a
     finite float or int cost; None when some row is not, so that the rows
-    are walked one by one."""
+    are walked one by one.  The names' types are left to ``_plain_automaton``."""
     if not set(map(type, rows)) <= {dict}:
         return None
     try:
         names = list(map(_FROM, rows)), list(map(_SYMBOL, rows)), list(map(_TO, rows))
     except KeyError:
-        return None
-    if not all(set(map(type, column)) <= {str} for column in names):
         return None
     cost = [t.get("cost", 0.0) for t in rows]
     kinds = set(map(type, cost))
@@ -169,12 +240,26 @@ def _plain_columns(rows: list) -> tuple[list, list, list, np.ndarray] | None:
     return (*names, values)
 
 
+def _plain_automaton(alphabet, states, initial, accepting, columns) -> CostAutomaton | None:
+    """The automaton of ``_plain_columns``' columns, or None when one of
+    their names is not a str.  ``from_columns`` looks the names up in the
+    declared ones, which are str, so the names' types are checked only when
+    some name is not declared."""
+    try:
+        a = CostAutomaton.from_columns(alphabet, states, initial, accepting, *columns)
+    except TypeError:  # an unhashable name, or names of types that do not sort together
+        return None
+    if any(a.undeclared) and not all(set(map(type, column)) <= {str} for column in columns[:3]):
+        return None
+    return a
+
+
 def automaton_from_document(doc: Any, where: str = "automaton") -> CostAutomaton:
     """Parse and validate; raises DocumentError naming the first offender.
 
-    The rows are read by ``_plain_columns``, or walked by
-    ``_transition_row`` when a column check fails; the automaton interns
-    the names."""
+    The rows are read by ``_plain_columns`` and ``_plain_automaton``, or
+    walked by ``_transition_row`` when a column check fails; the automaton
+    interns the names."""
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected a JSON object")
     alphabet = _require(doc, "alphabet", list, where)
@@ -191,10 +276,11 @@ def automaton_from_document(doc: Any, where: str = "automaton") -> CostAutomaton
         raise DocumentError(f"{where}: missing field 'initial'")
 
     columns = _plain_columns(rows)
-    if columns is None:
+    a = None if columns is None else _plain_automaton(alphabet, states, initial, accepting, columns)
+    if a is None:
         parsed = [_transition_row(t, where, i) for i, t in enumerate(rows)]
         columns = tuple(zip(*parsed)) or ((), (), (), ())
-    a = CostAutomaton.from_columns(alphabet, states, initial, accepting, *columns)
+        a = CostAutomaton.from_columns(alphabet, states, initial, accepting, *columns)
     problems = validate(a)
     if problems:
         raise DocumentError(f"{where}: " + "; ".join(problems))
@@ -205,15 +291,30 @@ def automaton_from_document(doc: Any, where: str = "automaton") -> CostAutomaton
     return a
 
 
+def _triple_order(a: CostAutomaton) -> np.ndarray:
+    """Positions of ``a``'s transitions by one packed (from, symbol, to)
+    key; by (from, symbol, to, cost) when a triple repeats (validate()
+    reports those) or the key would pass the int64 range."""
+    n, width = len(a.state_names), len(a.symbols)
+    if n * width * n < 2**63:
+        key = (a.src * width + a.sym) * n + a.dst
+        order = key.argsort()
+        ordered = key[order]
+        if not (ordered[1:] == ordered[:-1]).any():
+            return order
+    return np.lexsort((a.cost, a.dst, a.sym, a.src))
+
+
 def automaton_to_document(a: CostAutomaton) -> dict:
     """Canonical document: names sorted, transitions by (from, symbol, to, cost)."""
-    order = np.lexsort((a.cost, a.dst, a.sym, a.src))
     names, symbols = a.state_names, a.symbols
+    order = _triple_order(a)
     return {
         "alphabet": sorted(a.alphabet),
-        "states": sorted(a.states),
+        "states": sorted(a.states) if a.undeclared[0] else list(names),
         "initial": a.initial,
-        "accepting": sorted(a.accepting),
+        # the names are sorted, so the accepting ones are in mask order
+        "accepting": [names[q] for q in np.flatnonzero(a.accepting_mask).tolist()],
         "transitions": [
             {"from": names[s], "symbol": symbols[y], "to": names[d], "cost": c}
             for s, y, d, c in zip(
@@ -283,15 +384,19 @@ def _reject_constant(token: str) -> float:
 
 
 def _load_json(path: str) -> Any:
+    """The JSON value in ``path``; every failure to read it is a
+    DocumentError that names the path."""
     try:
         with open(path, encoding="utf-8") as f:
             return json.load(f, parse_constant=_reject_constant)
-    except OSError as e:
-        raise DocumentError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise DocumentError(f"{path} is not valid JSON: {e}") from e
     except DocumentError as e:  # from _reject_constant
         raise DocumentError(f"{path}: {e}") from e
+    except (OSError, ValueError) as e:  # ValueError: a byte not UTF-8, an int past the digit limit
+        raise DocumentError(f"cannot read {path}: {e}") from e
+    except RecursionError as e:
+        raise DocumentError(f"cannot read {path}: it nests too deeply") from e
 
 
 def load_automaton(path: str) -> CostAutomaton:

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gurevich import (
     EMPTY,
@@ -586,7 +588,41 @@ class TestInduced:
         assert automata.induced(self.machine(), ["t"]) is EMPTY
 
 
+@st.composite
+def grouped_positions(draw):
+    """A key over n groups and up to three ties: narrow ties that repeat,
+    or ties wide enough that the packed key would pass 2**62; sorted or not."""
+    n = draw(st.integers(1, 8))
+    size = draw(st.integers(0, 60))
+    column = lambda top: np.array(draw(st.lists(st.integers(0, top), min_size=size, max_size=size)), dtype=np.intp)
+    key = column(n - 1)
+    ties = []
+    for width in draw(st.lists(st.sampled_from([1, 2, 5, 2**20, 2**40, 2**62]), max_size=3)):
+        tie = column(width - 1)
+        if size:
+            tie[draw(st.integers(0, size - 1))] = width - 1
+        ties.append(tie)
+    if draw(st.booleans()):
+        order = np.lexsort(ties[::-1] + [key])
+        key, ties = key[order], [tie[order] for tie in ties]
+    return n, key, ties
+
+
 class TestRows:
+    @given(grouped_positions())
+    def test_same_order_as_lexsort(self, case):
+        n, key, ties = case
+        order, indptr = rows(n, key, *ties)
+        assert order.tolist() == np.lexsort(ties[::-1] + [key]).tolist()
+        assert indptr.tolist() == np.searchsorted(key[order], np.arange(n + 1)).tolist()
+
+    @pytest.mark.parametrize("width", [2**59 - 1, 2**59])
+    def test_packed_key_at_its_bound(self, width):
+        # n * width * E is 2**62 - 8 (one packed key), then 2**62 (np.lexsort)
+        key = np.array([1, 0, 1, 0])
+        tie = np.array([width - 1, width - 1, 0, width - 1])
+        assert rows(2, key, tie)[0].tolist() == [1, 3, 2, 0]
+
     def test_stable_within_a_key_and_ordered_by_ties(self):
         key = np.array([2, 0, 2, 1, 0, 2, 2])
         first = np.array([1, 5, 0, 3, 5, 1, 0])

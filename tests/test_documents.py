@@ -1,13 +1,18 @@
 import json
 import math
+import os
 import random
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gurevich import (
+    CostAutomaton,
     DocumentError,
     PairCostFunction,
     StateCapExceeded,
@@ -36,8 +41,9 @@ from gurevich import (
     word_partition_series,
 )
 from gurevich.cli import main
+from gurevich.documents import _CHUNK
 
-from conftest import linlen_doc
+from conftest import linlen_doc, random_automaton
 
 
 def branchy_doc():
@@ -85,6 +91,29 @@ class TestAutomatonDocuments:
         froms = [(t["from"], t["symbol"], t["to"]) for t in out["transitions"]]
         assert froms == sorted(froms)
         assert out == automaton_to_document(automaton_from_document(branchy_doc()))
+
+    def test_same_document_as_sorting_the_named_views(self):
+        for seed in range(40):
+            a = random_automaton(seed, max_states=9, costs="mixed")
+            assert automaton_to_document(a) == {
+                "alphabet": sorted(a.alphabet),
+                "states": sorted(a.states),
+                "initial": a.initial,
+                "accepting": sorted(a.accepting),
+                "transitions": [
+                    {"from": t.source, "symbol": t.symbol, "to": t.target, "cost": t.cost}
+                    for t in sorted(a.transitions)
+                ],
+            }
+
+    def test_hand_built_automata(self):
+        # a repeated triple is ordered by its costs; an undeclared state is not listed
+        a = CostAutomaton.create(
+            ["a"], ["p"], "p", ["r"], [("p", "a", "p", 0.5), ("p", "a", "r", 0.0), ("p", "a", "p", -1.0)]
+        )
+        doc = automaton_to_document(a)
+        assert doc["states"] == ["p"] and doc["accepting"] == ["r"]
+        assert [(t["to"], t["cost"]) for t in doc["transitions"]] == [("p", -1.0), ("p", 0.5), ("r", 0.0)]
 
     def test_missing_cost_defaults_to_zero(self):
         doc = branchy_doc()
@@ -407,6 +436,154 @@ class TestFiles:
         doc["transitions"][0]["cost"] = np.float64(0.5)
         a = automaton_from_document(doc)
         assert a.transitions[0].cost == 0.5 and type(a.transitions[0].cost) is float
+
+
+class TestUnreadableFiles:
+    """A file that json cannot read is a DocumentError naming its path (exit 2)."""
+
+    CASES = {
+        "nested": (b"[" * 200_000, "it nests too deeply"),
+        "latin-1": (b'{"states": ["\xe9"]}', "'utf-8' codec can't decode byte 0xe9 in position 13: invalid continuation byte"),
+        "long-int": (b'{"cost": 1' + b"0" * 5000 + b"}", "Exceeds the limit (4300 digits) for integer string conversion"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_named_in_the_message(self, tmp_path, capsys, case):
+        text, reason = self.CASES[case]
+        path = tmp_path / f"{case}.json"
+        path.write_bytes(text)
+        with pytest.raises(DocumentError) as e:
+            load_automaton(str(path))
+        assert str(e.value).startswith(f"cannot read {path}: {reason}")
+        assert main(["energy", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: {reason}")
+
+
+def reference_encode(o, emit):
+    """The item-by-item recursive writer whose bytes the column renderer
+    must reproduce."""
+    if isinstance(o, float):
+        if math.isnan(o) or math.isinf(o):
+            raise DocumentError(f"non-finite number {o!r} cannot be serialized")
+        text = format(o, ".17g")
+        emit(text if "." in text or "e" in text else text + ".0")
+    elif isinstance(o, bool):
+        emit("true" if o else "false")
+    elif o is None:
+        emit("null")
+    elif isinstance(o, str):
+        emit(json.encoder.encode_basestring_ascii(o))
+    elif isinstance(o, int):
+        emit(int.__repr__(o))
+    elif isinstance(o, dict):
+        emit("{")
+        for i, (key, value) in enumerate(o.items()):
+            emit(", " if i else "")
+            emit(json.encoder.encode_basestring_ascii(str(key)) + ": ")
+            reference_encode(value, emit)
+        emit("}")
+    elif isinstance(o, (list, tuple)):
+        emit("[")
+        for i, value in enumerate(o):
+            emit(", " if i else "")
+            reference_encode(value, emit)
+        emit("]")
+    else:
+        raise DocumentError(f"cannot serialize {type(o).__name__}")
+
+
+# names with the characters JSON escapes, two that a %-template reads, and
+# non-ASCII ones; doubles at the edges of their text form
+NAMES = st.sampled_from(['q"1', "q\\2", "\x00", "\n\t", "\x7f", "%s", "100%", "\u00e9", "\u2603", "\U0001f600", ""]) | st.text(max_size=4)
+FLOATS = st.sampled_from([0.0, -0.0, 1e16, -1.2e16, 5e-324, -5e-324, 0.1, 1.0]) | st.floats(allow_nan=False, allow_infinity=False)
+LEAVES = NAMES | FLOATS | st.integers(-(2**70), 2**70) | st.booleans() | st.none()
+VALUES = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3), max_leaves=6)
+BREAKS = ["order", "missing", "extra", "int", "value", "item", "inf", "nan"]
+
+
+@st.composite
+def long_lists(draw):
+    """A list of names, or a table of rows over one key sequence whose
+    values are, key by key, str or float, up to two chunks and more long;
+    one item may break the shape, in any chunk."""
+    length = draw(st.sampled_from([1, 2, 9, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        pool = draw(st.lists(NAMES, min_size=1, max_size=4))
+        items = [rng.choice(pool) for _ in range(length)]
+    else:
+        keys = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+        pools = [
+            draw(st.lists(NAMES, min_size=1, max_size=6))
+            if draw(st.booleans())
+            else draw(st.lists(FLOATS, min_size=1, max_size=6)) + draw(st.sampled_from([[], [0.0, -0.0]]))
+            for _ in keys
+        ]
+        items = [{key: rng.choice(pool) for key, pool in zip(keys, pools)} for _ in range(length)]
+    broken = draw(st.sampled_from([None] + BREAKS))
+    if broken is not None:
+        at = draw(st.sampled_from([0, length - 1, min(_CHUNK, length - 1)]) | st.integers(0, length - 1))
+        item = items[at]
+        if broken == "item" or not isinstance(item, dict):
+            items[at] = draw(VALUES)
+        elif broken == "order":
+            items[at] = dict(reversed(item.items()))
+        elif broken == "missing":
+            del item[next(iter(item))]
+        else:
+            key = next(iter(item)) if broken != "extra" else draw(NAMES)
+            item[key] = {"int": 1, "inf": math.inf, "nan": math.nan}.get(broken) or draw(VALUES)
+    return items
+
+
+DOCUMENTS = st.dictionaries(NAMES, long_lists() | VALUES, max_size=4) | long_lists()
+
+
+class TestWriter:
+    @given(DOCUMENTS)
+    def test_same_bytes_as_the_recursive_encoder(self, doc):
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "doc.json")
+            try:
+                parts = ref(doc)
+            except DocumentError as e:
+                for write in (dump_json, lambda d: save_document(path, d)):
+                    with pytest.raises(DocumentError) as raised:
+                        write(doc)
+                    assert str(raised.value) == str(e)
+                with open(path, "rb") as f:
+                    assert f.read() == b""
+                return
+            want = "".join(parts)
+            same_text(dump_json(doc), want)
+            save_document(path, doc)
+            with open(path, encoding="utf-8", newline="") as f:
+                same_text(f.read(), want + "\n")
+
+    def test_zeros_of_both_signs_in_one_column(self):
+        rows = [{"cost": x} for x in (0.0, -0.0, 1.5, -0.0, 0.0)] * 700
+        same_text(dump_json(rows), "".join(ref(rows)))
+
+    def test_the_first_non_finite_value_in_row_order_is_named(self):
+        # column by column, the inf in column a would come first
+        rows = [{"a": 0.5, "b": 0.5} for _ in range(9)]
+        rows[5]["a"] = math.inf
+        rows[2]["b"] = -math.inf
+        with pytest.raises(DocumentError, match=r"^non-finite number -inf cannot be serialized$"):
+            dump_json(rows)
+
+
+def ref(doc) -> list[str]:
+    parts = []
+    reference_encode(doc, parts.append)
+    return parts
+
+
+def same_text(got: str, want: str) -> None:
+    """Equality of two long texts, reported by their first difference."""
+    if got != want:
+        at = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+        pytest.fail(f"texts differ at {at}: {got[at - 30 : at + 30]!r} != {want[at - 30 : at + 30]!r}")
 
 
 class TestEscapedNames:

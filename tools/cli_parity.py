@@ -20,7 +20,9 @@ Then ``energy`` runs on each of a fixed list of malformed automaton
 documents (``MALFORMED``), one ``malformed/case digest`` line each, so the
 load path's error messages are compared too: rows that are not objects,
 missing or non-string names, costs that are not finite numbers, two bad
-rows, a state listed twice and a transition to an undeclared state.
+rows, a state listed twice, a transition to an undeclared state, an int of
+5,000 digits, and two files that json cannot read: 200,000 open brackets
+and a name in Latin-1 bytes.
 Last, ``nondet --exact --state-cap 3`` runs on ``SUBSET_BLOWUP``, one
 ``cap/nondet-exact digest`` line, so a cap's exit-4 message is compared.
 """
@@ -44,7 +46,8 @@ PINNED_ENV = {"PYTHONHASHSEED": "0", "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREA
 
 
 # a valid automaton, and the edits that make each malformed case: the JSON
-# text put at a path into the document, or None to delete the field there
+# text put at a path into the document, or None to delete the field there;
+# or a malformed case's whole file, as bytes
 BASE = {
     "alphabet": ["a", "b"],
     "states": ["p", "q"],
@@ -69,6 +72,10 @@ MALFORMED = {
     "two-bad-rows": [(("transitions", 2, "to"), "7"), (("transitions", 1, "cost"), '"x"')],
     "state-twice": [(("states",), '["p", "q", "p"]')],
     "undeclared-state": [(("transitions", 2, "to"), '"r"')],
+    "cost-10**4999": [(("transitions", 1, "cost"), "1" + "0" * 4999)],
+    # whole files, written as they are
+    "nested-200000": b"[" * 200_000,
+    "not-utf-8": json.dumps(BASE).replace('"to": "p"', '"to": "p\u00e9"', 1).encode("latin-1"),
 }
 
 
@@ -145,8 +152,8 @@ def record(root: str, path: str) -> int:
     os.makedirs(WORK)
     for case, edits in MALFORMED.items():
         document = os.path.join(WORK, f"{case}.json")
-        with open(document, "w", encoding="utf-8") as f:
-            f.write(malformed_text(edits))
+        with open(document, "wb") as f:
+            f.write(edits if isinstance(edits, bytes) else malformed_text(edits).encode("utf-8"))
         lines.append(f"malformed/{case} {digest(gurevich.cli.main, ('energy', document))}\n")
     document = os.path.join(WORK, "subset-blowup.json")
     with open(document, "w", encoding="utf-8") as f:
