@@ -264,10 +264,10 @@ def validate(a: CostAutomaton) -> list[str]:
     names, symbols = a.state_names, a.symbols
     unknown_states, unknown_symbols = a.undeclared
     for name in names:
-        if name.split() != [name] and name not in unknown_states:
+        if not (isinstance(name, str) and name.split() == [name]) and name not in unknown_states:
             violations.append(f"bad state name {name!r}")
     for name in symbols:
-        if name.split() != [name] and name not in unknown_symbols:
+        if not (isinstance(name, str) and name.split() == [name]) and name not in unknown_symbols:
             violations.append(f"bad symbol name {name!r}")
 
     if a.initial is None:

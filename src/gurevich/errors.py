@@ -65,10 +65,10 @@ class StateCapExceeded(GurevichError):
     """A construction or enumeration passed its cap: determinization's
     state cap (``--state-cap``, default 2^20), the block translation's
     200,000 states, the product's 2^20 pair states or 7,000,000
-    transitions, the implement construction's 7,000,000 transitions, or
-    the linlen word oracle's 1,000,000 prefixes.  A block
-    alphabet past its 20,000 tuples raises BlockAlphabetTooLarge, which
-    also exits 4."""
+    transitions, the implement construction's and the word partition
+    sums' 7,000,000 transitions, or the linlen word oracle's 1,000,000
+    prefixes.  A block alphabet past its 20,000 tuples raises
+    BlockAlphabetTooLarge, which also exits 4."""
 
 
 class BlockAlphabetTooLarge(GurevichError):

@@ -125,34 +125,43 @@ def implement_construction(dfa: CostAutomaton, u: PairCostFunction) -> CostAutom
         f"({names[p]},{letters[y]},{names[q]})"
         for p, y, q in zip(dfa.src.tolist(), dfa.sym.tolist(), dfa.dst.tolist())
     ]
+    state, last = np.append(start, dfa.dst), np.append(len(symbols), dfa.sym)
+    first, then, costs, which = _step_graph(dfa, u, state, last, "implement construction")
+    accepting, sym = dfa.accepting_mask[state], dfa.sym[then]
+    return automata._sorted_automaton(labels, symbols, accepting, first, sym, then + 1, costs[which])
 
-    # entry edges: start -> (start, a, q) at cost 0; then (p, a, q) -> (q, b, r)
-    # for every transition q -b-> r, charging U(a, b); both in input order
-    order, indptr = automata.rows(len(names), dfa.src)
-    entry = order[indptr[start] : indptr[start + 1]]
-    fanout = indptr[dfa.dst + 1] - indptr[dfa.dst]
-    count, cap = len(entry) + int(fanout.sum()), automata.PRODUCT_TRANSITION_CAP
+
+def _step_graph(dfa: CostAutomaton, u: PairCostFunction, state: np.ndarray, last: np.ndarray, label: str):
+    """The pair-cost step graph on the trimmed DFA ``dfa``: node i, at
+    ``state[i]`` after reading ``last[i]`` (``len(dfa.symbols)``: nothing
+    yet), steps along each transition t out of its state, in ``rows``
+    order, at cost U(last[i], sym[t]), or 0 after nothing.  Returns each
+    edge's node and transition in node order, the costs of the distinct
+    (last, next) pairs, each costed once after one sort, and each edge's
+    index into them.  Past ``PRODUCT_TRANSITION_CAP`` edges it raises
+    StateCapExceeded, led by ``label``, before allocating them."""
+    order, indptr = automata.rows(len(dfa.state_names), dfa.src)
+    fanout = indptr[state + 1] - indptr[state]
+    count, cap = int(fanout.sum()), automata.PRODUCT_TRANSITION_CAP
     if count > cap:
         raise StateCapExceeded(
-            f"implement construction on a trimmed {len(dfa.state_names)}-state, "
+            f"{label} on a trimmed {len(dfa.state_names)}-state, "
             f"{len(dfa.src)}-transition DFA needs {count} transitions, past its cap ({cap})"
         )
-    first = np.repeat(np.arange(len(dfa.src)), fanout)
-    then = order[automata.spans(indptr[dfa.dst], fanout)]
-    k = len(symbols)
-    pairs = (dfa.sym[first] * k + dfa.sym[then]).tolist()
-    pair_cost = {c: u.cost(symbols[c // k], symbols[c % k]) for c in sorted(set(pairs))}
-
-    targets = np.concatenate((entry, then))
-    return automata._sorted_automaton(
-        labels,
-        symbols,
-        dfa.accepting_mask[np.append(start, dfa.dst)],
-        np.concatenate((np.zeros(len(entry), dtype=np.intp), first + 1)),
-        dfa.sym[targets],
-        targets + 1,
-        np.array([0.0] * len(entry) + [pair_cost[c] for c in pairs]),
-    )
+    first = np.repeat(np.arange(len(state)), fanout)
+    then = order[automata.spans(indptr[state], fanout)]
+    width = len(dfa.symbols) + 1
+    keys = last[first] * width + dfa.sym[then]
+    pairs = np.sort(keys)
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # keys are non-negative
+    which = np.searchsorted(pairs, keys)
+    del keys
+    read = int(np.searchsorted(pairs, (width - 1) * width))  # the pairs after nothing read sort last
+    names = np.array(dfa.symbols, dtype=object)
+    a, b = names[pairs[:read] // width], names[pairs[:read] % width]
+    costs = np.zeros(len(pairs))
+    costs[:read] = np.fromiter(map(u.cost, a, b), float, read)
+    return first, then, costs, which
 
 
 def verify_implements(

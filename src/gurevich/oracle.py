@@ -10,9 +10,11 @@ Both sums run on one sweep over edge arrays: int ``src``/``dst`` arrays
 and one weight array, with the weights from a single vectorised ``np.exp``,
 stepped by ``np.bincount``.  Run sums sweep the automaton's transitions;
 word sums sweep a graph over (state, last symbol) pairs with one edge per
-pair and outgoing transition.  No transfer matrix is ever formed, so memory
-grows with the edges, not with the square of the states, and neither sum
-shares code with the spectral path.
+pair and outgoing transition, ``implement_construction``'s step graph.  No
+transfer matrix is ever formed, so memory grows with the edges, not with the
+square of the states.  Neither sum shares code with the spectral path; the
+word sums' independent references, ``enum_word_sum`` and
+``verify_implements``, are test-side.
 
 Counting (f, g for the nondeterminism rate) is a separate sweep over int
 edges in exact arbitrary-precision integers, since those feed a
@@ -29,7 +31,7 @@ import numpy as np
 from . import automata
 from .automata import CostAutomaton
 from .errors import NotDeterministic, Overflow
-from .langcost import PairCostFunction
+from .langcost import PairCostFunction, _step_graph
 
 __all__ = [
     "PartitionSeries",
@@ -155,7 +157,8 @@ def word_partition_series(
     (state, last symbol) pairs equals the word sum: pair (p, a) leads to
     (q, b) for every transition p -b-> q, with weight e^{U(a, b)}.  Words
     of length 1 carry cost 0: the sweep starts at a pair (initial, nothing
-    read) whose edges all weigh 1.
+    read) whose edges all weigh 1.  Past ``automata.PRODUCT_TRANSITION_CAP``
+    (7,000,000) edges it raises StateCapExceeded before building them.
 
     The sweep carries an explicit scale factor once the state vector nears
     the double range, so the RATE entries stay exact arbitrarily far out
@@ -171,35 +174,22 @@ def word_partition_series(
     if not dfa.src.size:  # empty, or trimmed to a lone state: no word of length >= 1
         return _series("words", [0.0] * max_n)
 
-    n, src, sym, dst, symbols = len(dfa.state_names), dfa.src, dfa.sym, dfa.dst, dfa.symbols
-    none = len(symbols)  # the start pair's "last symbol": nothing read yet
+    none = len(dfa.symbols)  # the start pair's "last symbol": nothing read yet
     width = none + 1
 
     # nodes: the pairs (state, last symbol) that transitions enter, plus the
     # start pair (initial, none), which no transition enters
     start_key = dfa.start * width + none
-    pair_keys, pair_of = np.unique(np.append(dst * width + sym, start_key), return_inverse=True)
+    pair_keys, pair_of = np.unique(np.append(dfa.dst * width + dfa.sym, start_key), return_inverse=True)
     pair_of = pair_of[:-1]  # per transition: the pair it enters
     pair_state, pair_sym = np.divmod(pair_keys, width)
 
-    # edges: pair (p, a) times every transition out of p, in input order
-    order, indptr = automata.rows(n, src)
-    fanout = indptr[pair_state + 1] - indptr[pair_state]
-    edge_src = np.repeat(np.arange(len(pair_keys)), fanout)
-    trans = order[automata.spans(indptr[pair_state], fanout)]
-
-    # weights e^{U(a, b)}, costed once per symbol pair (a, b) that occurs
-    # (0 after the start pair), then gathered onto the edges
-    last_next = pair_sym[edge_src] * width
-    last_next += sym[trans]
+    # edges: pair (p, a) times every transition out of p, weighing e^{U(a, b)}
+    edge_src, trans, costs, which = _step_graph(dfa, pair_cost, pair_state, pair_sym, "word partition sums")
     edge_dst = pair_of[trans]
     del trans  # edge-sized temporaries go before the sweep allocates its buffer
-    needed = np.unique(last_next)
-    symbol_pairs = [divmod(c, width) for c in needed.tolist()]
-    costs = [0.0 if a == none else pair_cost.cost(symbols[a], symbols[b]) for a, b in symbol_pairs]
-    weights = automata._weights(np.array(costs))
-    edge_weights = weights[np.searchsorted(needed, last_next)]
-    del last_next
+    edge_weights = automata._weights(costs)[which]
+    del which
 
     accept = dfa.accepting_mask[pair_state].astype(float)
     v = np.zeros(len(pair_keys))

@@ -147,6 +147,9 @@ class TestValidate:
         assert problems(["a b"], ["p q"], "p q", [], []) == [
             "bad state name 'p q'", "bad symbol name 'a b'",
         ]
+        # names that are not str are reported like blank ones, not split
+        assert problems(["a"], [1, 2], 1, [], [(1, "a", 2)]) == ["bad state name 1", "bad state name 2"]
+        assert problems([3], ["p"], "p", [], [("p", 3, "p")]) == ["bad symbol name 3"]
         assert problems(["a"], ["p"], None, [], []) == ["missing initial state"]
         assert problems(["a"], ["p"], "p", ["z"], []) == ["unknown accepting state 'z'"]
         assert problems(["a"], ["p"], "p", [], [("z", "a", "p")]) == [

@@ -285,6 +285,19 @@ class TestLoadErrorContract:
         plain["transitions"][3]["cost"] = 0.25
         assert automaton_from_document(doc) == automaton_from_document(plain)
 
+    def test_undeclared_names_that_are_not_str(self, tmp_path, capsys):
+        # the columns build an automaton over the int names, which is then
+        # refused so that the row walk names the first one
+        doc = {"alphabet": [], "states": [], "accepting": [],
+               "transitions": [{"from": 1, "symbol": 2, "to": 3}]}
+        with pytest.raises(DocumentError) as e:
+            automaton_from_document(doc)
+        assert str(e.value) == "automaton transition 0: field 'from' must be str"
+        path = str(tmp_path / "m.json")
+        save_document(path, doc)
+        assert main(["energy", path]) == 2
+        assert capsys.readouterr().err == f"error: {path} transition 0: field 'from' must be str\n"
+
     @pytest.mark.parametrize("field, twice", [("states", "B"), ("alphabet", "a"), ("accepting", "A")])
     def test_name_listed_twice(self, tmp_path, capsys, field, twice):
         doc = branchy_doc()

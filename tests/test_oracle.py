@@ -8,11 +8,15 @@ from gurevich import (
     CostAutomaton,
     Overflow,
     PairCostFunction,
+    StateCapExceeded,
+    automata,
     automaton_to_document,
     count_series,
     determinize,
     estimate_limit,
     free_energy,
+    implement_construction,
+    pair_cost_to_document,
     run_partition_series,
     save_document,
     word_partition_series,
@@ -127,6 +131,19 @@ class TestWordSeries:
         assert rates[400] == pytest.approx((7 * 200 - 5) / 400, rel=1e-12)
         assert math.isinf(values[400])
         assert values[100] == pytest.approx(math.exp(7 * 50 - 5), rel=1e-12)
+
+    def test_transition_cap(self, ab_star, u_ab, tmp_path, capsys, monkeypatch):
+        # the pair graph's 3 edges are counted before any is built
+        monkeypatch.setattr(automata, "PRODUCT_TRANSITION_CAP", 2)
+        message = "word partition sums on a trimmed 2-state, 2-transition DFA needs 3 transitions, past its cap (2)"
+        with pytest.raises(StateCapExceeded) as e:
+            word_partition_series(ab_star, u_ab, 4)
+        assert str(e.value) == message
+        dfa_path, u_path = str(tmp_path / "dfa.json"), str(tmp_path / "u.json")
+        save_document(dfa_path, automaton_to_document(ab_star))
+        save_document(u_path, pair_cost_to_document(u_ab))
+        assert main(["oracle", dfa_path, "--kind", "words", "--pair-costs", u_path]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_single_step_overflow_still_raises(self):
         dfa = aut(["a"], ["A"], "A", ["A"], [("A", "a", "A")])
@@ -385,6 +402,19 @@ class TestMemoryGrowsWithTransitions:
         assert series.values[:2] == ((1, 4000.0), (2, 0.0))
         assert series.values[2][1] == pytest.approx(4001 * 4002, rel=1e-12)
         assert peak < 16 * 2**20
+
+    def test_one_state_hub(self):
+        # 300 symbol loops: both pair-cost step graphs have 90,300 edges,
+        # the symbol pairs 90,000
+        symbols = [f"x{i}" for i in range(300)]
+        hub = CostAutomaton.create(symbols, ["s"], "s", ["s"], [("s", x, "s") for x in symbols])
+        u = PairCostFunction.create({("x1", "x0"): math.log(3)})
+        series, peak = traced_peak(lambda: word_partition_series(hub, u, 3))
+        assert series.values[:2] == ((1, 300.0), (2, 300.0**2 + 2))
+        assert peak < 10 * 2**20
+        machine, peak = traced_peak(lambda: implement_construction(hub, u))
+        assert len(machine.src) == 300 + 300**2
+        assert peak < 10 * 2**20
 
     def test_cli_oracle(self, big, tmp_path, capsys):
         path = str(tmp_path / "big.json")

@@ -38,12 +38,14 @@ from gurevich import (
     similarity,
     trim,
     validate,
+    verify_implements,
+    word_partition_series,
 )
 from gurevich import automaton_to_document, save_document
 from gurevich import energy as energy_mod
 from gurevich.cli import main
 
-from conftest import aut
+from conftest import aut, enum_word_sum
 
 
 @st.composite
@@ -284,6 +286,29 @@ def test_transition_names_split_into_their_parts(dfa):
     for t in m.transitions:  # into (p, a, q) on a, from a state that ends in p
         p, a, _ = runs[t.target]
         assert (runs[t.source][2], t.symbol) == (p, a)
+
+
+@st.composite
+def dfas_with_pair_costs(draw):
+    """A DFA of at most 4 states over two or three symbols, and a pair cost
+    that lists some symbol pairs and gives the rest a default."""
+    symbols = ["a", "b", "c"][: draw(st.integers(2, 3))]
+    states = [f"s{i}" for i in range(draw(st.integers(1, 4)))]
+    edges = [(p, x, draw(st.sampled_from(states))) for p in states for x in symbols if draw(st.booleans())]
+    accepting = [q for q in states if draw(st.booleans())]
+    cost = st.floats(-2.0, 2.0)
+    entries = {(x, y): draw(cost) for x in symbols for y in symbols if draw(st.booleans())}
+    return aut(symbols, states, "s0", accepting, edges), PairCostFunction.create(entries, draw(cost))
+
+
+@given(dfas_with_pair_costs())
+def test_word_sums_and_implement_against_their_references(case):
+    # both run on langcost's step graph; word enumeration and
+    # verify_implements' breadth-first walk share no code with it
+    dfa, u = case
+    for n, s in word_partition_series(dfa, u, 6).values:
+        assert s == pytest.approx(enum_word_sum(dfa, u, n), rel=1e-12, abs=0.0)
+    assert verify_implements(implement_construction(dfa, u), dfa, u, 5).holds
 
 
 def test_bipartite_labels_split_into_their_parts():

@@ -21,8 +21,8 @@ documents (``MALFORMED``), one ``malformed/case digest`` line each, so the
 load path's error messages are compared too: rows that are not objects,
 missing or non-string names, costs that are not finite numbers, two bad
 rows, a state listed twice, a transition to an undeclared state, an int of
-5,000 digits, and two files that json cannot read: 200,000 open brackets
-and a name in Latin-1 bytes.
+5,000 digits, int names that no field declares, and two files that json
+cannot read: 200,000 open brackets and a name in Latin-1 bytes.
 Last, ``nondet --exact --state-cap 3`` runs on ``SUBSET_BLOWUP``, one
 ``cap/nondet-exact digest`` line, so a cap's exit-4 message is compared.
 """
@@ -73,6 +73,8 @@ MALFORMED = {
     "state-twice": [(("states",), '["p", "q", "p"]')],
     "undeclared-state": [(("transitions", 2, "to"), '"r"')],
     "cost-10**4999": [(("transitions", 1, "cost"), "1" + "0" * 4999)],
+    "int-names-undeclared": [(("alphabet",), "[]"), (("states",), "[]"), (("accepting",), "[]"), (("initial",), None),
+                             (("transitions",), '[{"from": 1, "symbol": 2, "to": 3}]')],
     # whole files, written as they are
     "nested-200000": b"[" * 200_000,
     "not-utf-8": json.dumps(BASE).replace('"to": "p"', '"to": "p\u00e9"', 1).encode("latin-1"),
