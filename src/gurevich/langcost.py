@@ -126,9 +126,9 @@ def implement_construction(dfa: CostAutomaton, u: PairCostFunction) -> CostAutom
         for p, y, q in zip(dfa.src.tolist(), dfa.sym.tolist(), dfa.dst.tolist())
     ]
     state, last = np.append(start, dfa.dst), np.append(len(symbols), dfa.sym)
-    first, then, costs, which = _step_graph(dfa, u, state, last, "implement construction")
+    first, then, costs = _step_graph(dfa, u, state, last, "implement construction")
     accepting, sym = dfa.accepting_mask[state], dfa.sym[then]
-    return automata._sorted_automaton(labels, symbols, accepting, first, sym, then + 1, costs[which])
+    return automata._sorted_automaton(labels, symbols, accepting, first, sym, then + 1, costs)
 
 
 def _step_graph(dfa: CostAutomaton, u: PairCostFunction, state: np.ndarray, last: np.ndarray, label: str):
@@ -136,10 +136,10 @@ def _step_graph(dfa: CostAutomaton, u: PairCostFunction, state: np.ndarray, last
     ``state[i]`` after reading ``last[i]`` (``len(dfa.symbols)``: nothing
     yet), steps along each transition t out of its state, in ``rows``
     order, at cost U(last[i], sym[t]), or 0 after nothing.  Returns each
-    edge's node and transition in node order, the costs of the distinct
-    (last, next) pairs, each costed once after one sort, and each edge's
-    index into them.  Past ``PRODUCT_TRANSITION_CAP`` edges it raises
-    StateCapExceeded, led by ``label``, before allocating them."""
+    edge's node, transition and cost in node order, the cost looked up by
+    symbol index; the costed pairs' symbols are checked against U's
+    alphabet once.  Past ``PRODUCT_TRANSITION_CAP`` edges it raises
+    StateCapExceeded, led by ``label``, before allocating."""
     order, indptr = automata.rows(len(dfa.state_names), dfa.src)
     fanout = indptr[state + 1] - indptr[state]
     count, cap = int(fanout.sum()), automata.PRODUCT_TRANSITION_CAP
@@ -148,20 +148,21 @@ def _step_graph(dfa: CostAutomaton, u: PairCostFunction, state: np.ndarray, last
             f"{label} on a trimmed {len(dfa.state_names)}-state, "
             f"{len(dfa.src)}-transition DFA needs {count} transitions, past its cap ({cap})"
         )
+    width = len(dfa.symbols) + 1
+    read = (fanout > 0) & (last < width - 1)  # the nodes whose edges are costed
+    after = np.bincount(state[read], minlength=len(dfa.state_names)) > 0  # and their states
+    for y in np.flatnonzero(np.bincount(np.append(last[read], dfa.sym[after[dfa.src]]), minlength=width)).tolist():
+        u._check(dfa.symbols[y])
+    # U as a step function of the pair key a * width + b: each listed pair's cost on
+    # [key, key + 1), the default between, and 0 on the keys after nothing read, which sort last
+    index = {y: i for i, y in enumerate(dfa.symbols)}
+    listed = sorted((index[a] * width + index[b], c) for (a, b), c in u.entries.items() if a in index and b in index)
+    bounds = [key + end for key, _ in listed for end in (0, 1)] + [(width - 1) * width]
+    values = np.array([u.default] + [x for _, c in listed for x in (c, u.default)] + [0.0])
     first = np.repeat(np.arange(len(state)), fanout)
     then = order[automata.spans(indptr[state], fanout)]
-    width = len(dfa.symbols) + 1
-    keys = last[first] * width + dfa.sym[then]
-    pairs = np.sort(keys)
-    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # keys are non-negative
-    which = np.searchsorted(pairs, keys)
-    del keys
-    read = int(np.searchsorted(pairs, (width - 1) * width))  # the pairs after nothing read sort last
-    names = np.array(dfa.symbols, dtype=object)
-    a, b = names[pairs[:read] // width], names[pairs[:read] % width]
-    costs = np.zeros(len(pairs))
-    costs[:read] = np.fromiter(map(u.cost, a, b), float, read)
-    return first, then, costs, which
+    step = np.searchsorted(bounds, np.repeat(last * width, fanout) + dfa.sym[then], side="right")
+    return first, then, values[step]
 
 
 def verify_implements(

@@ -9,12 +9,12 @@ only inside the test suite at micro scale.
 Both sums run on one sweep over edge arrays: int ``src``/``dst`` arrays
 and one weight array, with the weights from a single vectorised ``np.exp``,
 stepped by ``np.bincount``.  Run sums sweep the automaton's transitions;
-word sums sweep a graph over (state, last symbol) pairs with one edge per
-pair and outgoing transition, ``implement_construction``'s step graph.  No
-transfer matrix is ever formed, so memory grows with the edges, not with the
-square of the states.  Neither sum shares code with the spectral path; the
-word sums' independent references, ``enum_word_sum`` and
-``verify_implements``, are test-side.
+word sums sweep ``implement_construction``'s step graph over (state, last
+symbol) pairs, one edge per pair and outgoing transition, its cost looked
+up by symbol index, with nothing costed per pair by name.  No transfer
+matrix is formed, so memory grows with the edges, not the square of the
+states.  Neither sum shares code with the spectral path; the word sums'
+references, ``enum_word_sum`` and ``verify_implements``, are test-side.
 
 Counting (f, g for the nondeterminism rate) is a separate sweep over int
 edges in exact arbitrary-precision integers, since those feed a
@@ -185,11 +185,10 @@ def word_partition_series(
     pair_state, pair_sym = np.divmod(pair_keys, width)
 
     # edges: pair (p, a) times every transition out of p, weighing e^{U(a, b)}
-    edge_src, trans, costs, which = _step_graph(dfa, pair_cost, pair_state, pair_sym, "word partition sums")
-    edge_dst = pair_of[trans]
-    del trans  # edge-sized temporaries go before the sweep allocates its buffer
-    edge_weights = automata._weights(costs)[which]
-    del which
+    edge_src, edge_dst, costs = _step_graph(dfa, pair_cost, pair_state, pair_sym, "word partition sums")
+    np.take(pair_of, edge_dst, out=edge_dst, mode="clip")  # each transition's pair, in place
+    edge_weights = automata._weights(costs)
+    del costs  # edge-sized temporaries go before the sweep allocates its buffer
 
     accept = dfa.accepting_mask[pair_state].astype(float)
     v = np.zeros(len(pair_keys))

@@ -2,7 +2,9 @@
 
 The enumeration helpers here are deliberately naive (explicit path/word
 walks) so they are an independent check on the dynamic-programming and
-spectral routes; keep them free of any library DP code.
+spectral routes; keep them free of any library DP code.  So are the two
+references at the end: run sums in the log domain, and Karp's maximum
+cycle mean.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -502,3 +505,68 @@ def enum_count_f_g(a: CostAutomaton, max_n: int) -> tuple[list[int], list[int]]:
         f[n] += f[n - 1]
         g[n] += g[n - 1]
     return f, g
+
+
+# ---------------------------------------------------------------------------
+# log-domain and tropical references (edge-array sweeps; no library DP or
+# solver code)
+
+
+def log_run_sums(a: CostAutomaton, kind: str, max_n: int) -> list[float]:
+    """ln S_n for n = 1..max_n (-inf where S_n = 0), S_n being
+    ``run_partition_series``' run sum of that kind.  Each step takes a
+    logsumexp per state over the edges into it, so no sum leaves the double
+    range whatever the costs."""
+    n = len(a.state_names)
+    log_v = np.zeros(n) if kind == "runs_all" else np.full(n, -math.inf)
+    if kind == "runs_accepting" and a.start >= 0:
+        log_v[a.start] = 0.0
+    ends = np.ones(n, dtype=bool) if kind == "runs_all" else a.accepting_mask
+    out = []
+    with np.errstate(divide="ignore"):  # ln 0 = -inf is the empty sum
+        for _ in range(max_n):
+            flow = log_v[a.src] + a.cost
+            peak = np.full(n, -math.inf)
+            np.maximum.at(peak, a.dst, flow)
+            shift = np.where(np.isfinite(peak), peak, 0.0)
+            total = np.zeros(n)
+            np.add.at(total, a.dst, np.exp(flow - shift[a.dst]))
+            log_v = shift + np.log(total)
+            top = log_v[ends].max(initial=-math.inf)
+            out.append(top + math.log(np.exp(log_v[ends] - top).sum()) if top > -math.inf else -math.inf)
+    return out
+
+
+def max_cycle_mean(a: CostAutomaton, component) -> tuple[float, int]:
+    """Karp's maximum cycle mean over a's edges inside the strongly
+    connected state set ``component`` (names), and the largest out-degree
+    there, counting parallel edges.  D_k(v), the largest cost of a k-edge
+    walk from one fixed state to v, takes O(n m) for k = 0..n, and the mean
+    is max over v of min over k of (D_n(v) - D_k(v)) / (n - k) (R. M. Karp,
+    Discrete Math. 23, 1978)."""
+    edges = [(t.source, t.target, t.cost) for t in a.transitions if {t.source, t.target} <= component]
+    nodes = sorted(component)
+    walks = [dict.fromkeys(nodes, -math.inf) for _ in range(len(nodes) + 1)]
+    walks[0][nodes[0]] = 0.0
+    for before, after in zip(walks, walks[1:]):
+        for p, q, c in edges:
+            after[q] = max(after[q], before[p] + c)
+    n, last = len(nodes), walks[-1]
+    mean = max(
+        min((last[v] - walks[k][v]) / (n - k) for k in range(n) if walks[k][v] > -math.inf)
+        for v in nodes if last[v] > -math.inf
+    )
+    return mean, max(Counter(p for p, _, _ in edges).values())
+
+
+def cycle_mean_brackets(a: CostAutomaton, form: str) -> list[tuple[float, float, float]]:
+    """(mu_C, E_C, mu_C + ln d_C) for each cyclic component C that
+    ``free_energy(a, form)`` reports: its maximum cycle mean, its energy and
+    the top of the bracket that Perron-Frobenius theory puts E_C in."""
+    report = free_energy(a, form=form)
+    out = []
+    for (component, energy), solved in zip(report.per_component, report.solver):
+        if solved is not None:
+            mean, degree = max_cycle_mean(a, component)
+            out.append((mean, energy, mean + math.log(degree)))
+    return out

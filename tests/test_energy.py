@@ -38,9 +38,12 @@ from conftest import (
     aut,
     chord_cycle,
     chord_log_root,
+    colliding_dfa,
+    cycle_mean_brackets,
     many_components,
     random_automaton,
     random_strongly_connected,
+    wide_ring,
 )
 
 
@@ -541,3 +544,20 @@ class TestStructureOncePerGraph:
         assert main(["energy", path, "--branching-costs"]) == 0
         capsys.readouterr()
         assert counted() == (1, 1, 1, 1)
+
+
+class TestCycleMeanBracket:
+    # mu <= E <= mu + ln d on each cyclic component: its largest cycle mean
+    # bounds the radius from below, and d e^mu bounds the row sums of the
+    # matrix under a potential that makes every edge's reduced cost at most mu
+    FIXTURES = ["branchy_nfa", "dna_m1", "dna_m2", "single_cycle", "ab_star", "ab_cycle_machine"]
+
+    @pytest.mark.parametrize("form", ["compact", "bipartite"])
+    def test_fixtures(self, request, form):
+        machines = [request.getfixturevalue(name) for name in self.FIXTURES]
+        machines += [chord_cycle(40, 0.3), many_components(), colliding_dfa(), wide_ring(60, 7)]
+        machines += [random_automaton(seed, costs="mixed") for seed in range(20)]
+        machines += [random_strongly_connected(seed) for seed in range(10)]
+        for a in machines:
+            for mean, energy, top in cycle_mean_brackets(a, form):
+                assert mean - 1e-9 <= energy <= top + 1e-9

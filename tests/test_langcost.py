@@ -127,6 +127,57 @@ class TestImplementConstruction:
             assert automata.live_states(machine).all()
 
 
+class TestPairCostSymbols:
+    # the step graph checks the symbols of the pairs it costs against U's
+    # alphabet once: a pair's first symbol is one read before another, so a
+    # symbol read only as a word's last, or only on an edge that trim
+    # removes, is never checked.  The CLI binds U's alphabet to the
+    # automaton's, so only a library caller meets UnknownSymbol here.
+    STEP_GRAPHS = {
+        "implement": implement_construction,
+        "words": lambda dfa, u: word_partition_series(dfa, u, 4),
+    }
+
+    @pytest.fixture(params=sorted(STEP_GRAPHS))
+    def step_graph(self, request):
+        return self.STEP_GRAPHS[request.param]
+
+    def test_unknown_next_symbol(self, step_graph):
+        dfa = aut(["a", "b"], ["s0", "s1"], "s0", ["s1"], [("s0", "a", "s1"), ("s1", "b", "s1")])
+        with pytest.raises(UnknownSymbol, match="'b'"):
+            step_graph(dfa, PairCostFunction.create(alphabet=["a"]))
+
+    def test_unknown_last_symbol(self, step_graph):
+        dfa = aut(["a", "b"], ["s0", "s1", "s2"], "s0", ["s2"], [("s0", "a", "s1"), ("s1", "b", "s2")])
+        with pytest.raises(UnknownSymbol, match="'a'"):
+            step_graph(dfa, PairCostFunction.create({("b", "b"): 1.0}, alphabet=["b"]))
+
+    def test_two_unknown_symbols_name_one(self, step_graph):
+        dfa = aut(["a", "b", "c"], ["s0", "s1"], "s0", ["s1"], [("s0", "b", "s1"), ("s1", "c", "s1")])
+        with pytest.raises(UnknownSymbol, match="'b'|'c'"):
+            step_graph(dfa, PairCostFunction.create(alphabet=["a"]))
+
+    def test_symbol_read_only_alone(self):
+        # c is a whole word, so no pair has it
+        dfa = aut(
+            ["a", "c"], ["s0", "s1", "s2"], "s0", ["s1", "s2"],
+            [("s0", "c", "s1"), ("s0", "a", "s2"), ("s2", "a", "s2")],
+        )
+        u = PairCostFunction.create({("a", "a"): 1.0}, alphabet=["a"])
+        machine = implement_construction(dfa, u)
+        assert sorted(t.cost for t in machine.transitions) == [0.0, 0.0, 1.0, 1.0]
+        values = word_partition_series(dfa, u, 3).values
+        assert values == ((1, 2.0), (2, pytest.approx(math.e, rel=1e-15)), (3, pytest.approx(math.e**2, rel=1e-15)))
+
+    def test_symbol_only_on_a_trimmed_edge(self):
+        dfa = aut(["a", "c"], ["s0", "dead"], "s0", ["s0"], [("s0", "a", "s0"), ("s0", "c", "dead")])
+        u = PairCostFunction.create({("a", "a"): -1.0}, alphabet=["a"])
+        machine = implement_construction(dfa, u)
+        assert sorted(t.cost for t in machine.transitions) == [-1.0, 0.0]
+        values = word_partition_series(dfa, u, 3).values
+        assert values == ((1, 1.0), (2, pytest.approx(math.exp(-1), rel=1e-15)), (3, pytest.approx(math.exp(-2), rel=1e-15)))
+
+
 class TestVerifyImplements:
     def test_construction_output_holds(self, ab_star, u_ab):
         m = implement_construction(ab_star, u_ab)

@@ -32,6 +32,7 @@ from conftest import (
     enum_run_sum,
     edges_by_source,
     enum_word_sum,
+    log_run_sums,
     random_automaton,
 )
 
@@ -302,6 +303,23 @@ class TestAgainstLoopDp:
         values = [s for _, s in word_partition_series(dfa, u, 60).values]
         for s, ref in zip(values, pair_dp_word_sums(dfa, u, 60)):
             assert s == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+
+class TestLogDomainReference:
+    # the -1500 and +1500 edges alternate on the A-B-A cycle, so every run
+    # between A and A costs 0 and A's run counts are Fibonacci numbers; e^1500
+    # alone leaves the double range
+    @pytest.fixture
+    def golden(self):
+        edges = [("A", "a", "B", -1500.0), ("B", "b", "A", 1500.0), ("A", "b", "A", 0.0)]
+        return aut(["a", "b"], ["A", "B"], "A", ["A"], edges)
+
+    @pytest.mark.parametrize("kind", ["runs_all", "runs_accepting"])
+    def test_golden_ratio_past_the_double_range(self, golden, kind):
+        with pytest.raises(Overflow):
+            run_partition_series(golden, kind, 201)
+        logs = log_run_sums(golden, kind, 201)
+        assert logs[200] - logs[199] == pytest.approx(math.log((1 + math.sqrt(5)) / 2), abs=1e-9)
 
 
 class TestWordEnergyStructure:

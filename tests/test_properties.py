@@ -9,11 +9,15 @@ made of the characters that the product, subset, transition and block
 names escape, including names spelled like the constructions' own; every
 constructed name must be unique and split back into the names it joins.
 The CLI properties run the commands on small valid documents whose costs
-lie at and past the edges of the double range."""
+lie at and past the edges of the double range.  The reference properties
+draw small untrimmed automata at costs in [-5, 5] and check the run sums
+against a log-domain sweep and each component's energy against Karp's
+maximum cycle mean."""
 
 import contextlib
 import io
 import itertools
+import math
 import os
 import tempfile
 
@@ -35,6 +39,7 @@ from gurevich import (
     implement_construction,
     lambda_plus,
     product,
+    run_partition_series,
     similarity,
     trim,
     validate,
@@ -45,7 +50,7 @@ from gurevich import automaton_to_document, save_document
 from gurevich import energy as energy_mod
 from gurevich.cli import main
 
-from conftest import aut, enum_word_sum
+from conftest import aut, cycle_mean_brackets, enum_word_sum, log_run_sums
 
 
 @st.composite
@@ -309,6 +314,61 @@ def test_word_sums_and_implement_against_their_references(case):
     for n, s in word_partition_series(dfa, u, 6).values:
         assert s == pytest.approx(enum_word_sum(dfa, u, n), rel=1e-12, abs=0.0)
     assert verify_implements(implement_construction(dfa, u), dfa, u, 5).holds
+
+
+@st.composite
+def dfas_with_spread_pair_costs(draw):
+    """A DFA of 2 to 4 states over three symbols, and a pair cost that lists
+    at least one pair above its default and one below it."""
+    symbols = ["a", "b", "c"]
+    states = [f"s{i}" for i in range(draw(st.integers(2, 4)))]
+    edges = [(p, x, draw(st.sampled_from(states))) for p in states for x in symbols if draw(st.booleans())]
+    accepting = [q for q in states if draw(st.booleans())]
+    pairs = draw(st.lists(st.sampled_from(list(itertools.product(symbols, repeat=2))), min_size=2, unique=True))
+    default = draw(st.floats(-2.0, 2.0))
+    signs = [1.0, -1.0] + [draw(st.sampled_from([1.0, -1.0])) for _ in pairs[2:]]
+    entries = {pair: default + sign * draw(st.floats(0.01, 2.0)) for pair, sign in zip(pairs, signs)}
+    return aut(symbols, states, "s0", accepting, edges), PairCostFunction.create(entries, default)
+
+
+@given(dfas_with_spread_pair_costs())
+def test_step_graph_costs_no_pair_by_name(case):
+    # the step graph looks each edge's pair up by symbol index; the
+    # references cost every word by name, so they run after the patch
+    dfa, u = case
+
+    def by_name(*_):
+        raise AssertionError("a symbol pair was costed by name")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PairCostFunction, "cost", by_name)
+        machine = implement_construction(dfa, u)
+        series = word_partition_series(dfa, u, 6)
+    assert verify_implements(machine, dfa, u, 6).holds
+    for n, s in series.values:
+        assert s == pytest.approx(enum_word_sum(dfa, u, n), rel=1e-12, abs=0.0)
+
+
+@st.composite
+def costed_automata(draw):
+    """Up to 5 states over two symbols, any edges at costs in [-5, 5], and
+    any start and accepting states; nothing trimmed."""
+    states = [f"s{i}" for i in range(draw(st.integers(1, 5)))]
+    edges = [(p, x, q, draw(st.floats(-5.0, 5.0))) for p in states for x in "ab" for q in states if draw(st.booleans())]
+    accepting = [q for q in states if draw(st.booleans())]
+    return aut(["a", "b"], states, draw(st.sampled_from(states)), accepting, edges)
+
+
+@given(costed_automata(), st.sampled_from(["runs_all", "runs_accepting"]), st.integers(1, 40))
+def test_run_sums_against_the_log_domain_reference(a, kind, max_n):
+    for (_, s), log_s in zip(run_partition_series(a, kind, max_n).values, log_run_sums(a, kind, max_n)):
+        assert s == pytest.approx(math.exp(log_s), rel=1e-12, abs=0.0)
+
+
+@given(costed_automata(), st.sampled_from(["compact", "bipartite"]))
+def test_energy_lies_in_the_cycle_mean_bracket(a, form):
+    for mean, energy, top in cycle_mean_brackets(a, form):
+        assert mean - 1e-9 <= energy <= top + 1e-9
 
 
 def test_bipartite_labels_split_into_their_parts():

@@ -23,8 +23,14 @@ missing or non-string names, costs that are not finite numbers, two bad
 rows, a state listed twice, a transition to an undeclared state, an int of
 5,000 digits, int names that no field declares, and two files that json
 cannot read: 200,000 open brackets and a name in Latin-1 bytes.
-Last, ``nondet --exact --state-cap 3`` runs on ``SUBSET_BLOWUP``, one
+Then ``nondet --exact --state-cap 3`` runs on ``SUBSET_BLOWUP``, one
 ``cap/nondet-exact digest`` line, so a cap's exit-4 message is compared.
+Last, ``implement`` and ``oracle --kind words --pair-costs ... --json`` run
+on ``PAIRCOST_DFA``, a 3-state DFA over 4 symbols, with each pair cost
+document of ``PAIRCOST``, one ``paircost/case/command digest`` line each:
+listed costs above and below a non-zero default, a listed pair that the DFA
+never reads back to back, and two different listed costs past the double
+range (the word sums exit 3 naming one of them).
 """
 
 from __future__ import annotations
@@ -96,6 +102,35 @@ SUBSET_BLOWUP = {
 }
 
 
+# p -a-> q -c-> r -d-> p, with the loop q -a-> q, the chord r -b-> q and the
+# exit p -b-> r: c c and d d are never read back to back
+PAIRCOST_DFA = {
+    "alphabet": ["a", "b", "c", "d"],
+    "states": ["p", "q", "r"],
+    "initial": "p",
+    "accepting": ["q", "r"],
+    "transitions": [
+        {"from": "p", "symbol": "a", "to": "q"},
+        {"from": "p", "symbol": "b", "to": "r"},
+        {"from": "q", "symbol": "a", "to": "q"},
+        {"from": "q", "symbol": "c", "to": "r"},
+        {"from": "r", "symbol": "b", "to": "q"},
+        {"from": "r", "symbol": "d", "to": "p"},
+    ],
+}
+
+
+def _pairs(default, *listed):
+    return {"pairs": [{"first": a, "second": b, "cost": c} for a, b, c in listed], "default": default}
+
+
+PAIRCOST = {
+    "above-and-below-default": _pairs(0.5, ("a", "c", 1.25), ("c", "d", -2.0), ("d", "a", 0.75), ("a", "a", -0.5)),
+    "pair-never-read": _pairs(-0.25, ("d", "d", 3.0), ("b", "a", 0.5)),
+    "two-past-range": _pairs(0.0, ("a", "c", 800.0), ("d", "a", 900.0)),
+}
+
+
 def malformed_text(edits) -> str:
     """BASE's JSON text with ``edits`` made."""
     doc = json.loads(json.dumps(BASE))
@@ -162,6 +197,19 @@ def record(root: str, path: str) -> int:
         json.dump(SUBSET_BLOWUP, f)
     argv = ("nondet", document, "--exact", "--state-cap", "3")
     lines.append(f"cap/nondet-exact {digest(gurevich.cli.main, argv)}\n")
+    dfa = os.path.join(WORK, "paircost-dfa.json")
+    with open(dfa, "w", encoding="utf-8") as f:
+        json.dump(PAIRCOST_DFA, f)
+    for case, costs in PAIRCOST.items():
+        document = os.path.join(WORK, f"{case}.json")
+        with open(document, "w", encoding="utf-8") as f:
+            json.dump(costs, f)
+        commands = {
+            "implement": ("implement", dfa, document, os.path.join(WORK, f"{case}-implemented.json")),
+            "oracle-words": ("oracle", dfa, "--kind", "words", "--pair-costs", document, "--json"),
+        }
+        for command, argv in commands.items():
+            lines.append(f"paircost/{case}/{command} {digest(gurevich.cli.main, argv)}\n")
     shutil.rmtree(WORK, ignore_errors=True)
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(lines)
