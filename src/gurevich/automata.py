@@ -11,8 +11,10 @@ sorted tuples, and its transitions are the columns ``src``, ``sym``, ``dst``
 here runs on the columns, and a construction names its new states once, at
 the end.  Every walk over edges groups them with ``rows``; the graph
 kernels build their own rows and return arrays: ``_reach`` a bool mask over
-the nodes, ``tarjan`` a component label per node, in root-discovery order;
-its one caller, ``scc``, returns the int split every energy solves on.
+the nodes, ``tarjan`` a component label per node, in root-discovery order,
+computed once per automaton and cached on it.  ``trim`` reads liveness off
+their component graph, so ``tarjan`` is the only walk over all the edges,
+and ``scc`` splits on the same labels into the rows every energy solves on.
 Every lookup by (state, symbol) indexes only the pairs that occur
 (``successors``, ``product``'s cells), never a states x symbols table.
 The start state is an index, ``start``, and the accepting set a bool column
@@ -29,6 +31,7 @@ downstream is 0.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -210,6 +213,13 @@ class CostAutomaton:
         """At most one target per (source, symbol) pair."""
         return not _repeats(self.src * len(self.symbols) + self.sym)
 
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        """``tarjan``'s component labels, computed once per automaton: trim and scc read them."""
+        labels = tarjan(len(self.state_names), self.src, self.dst)
+        labels.flags.writeable = False
+        return labels
+
 
 def _index(declared: Iterable[str], *columns: Sequence[str]):
     """Sorted names over the declared ones and every name in ``columns``,
@@ -326,14 +336,12 @@ def rows(n: int, key: np.ndarray, *ties: np.ndarray) -> tuple[np.ndarray, np.nda
         order = key.argsort(kind="stable")
     else:
         size = key.size
-        widths = [int(t.max(initial=0)) + 1 for t in ties]
-        bound = n * size
-        for w in widths:
-            bound *= w
-        if bound < 2**62:
-            packed = key.astype(np.int64)
+        # argmax and one read cost less than a max reduction on short columns
+        widths = [int(t[t.argmax()]) + 1 if size else 1 for t in ties]
+        if n * size * math.prod(widths) < 2**62:
+            packed = key
             for t, w in zip(ties, widths):
-                packed *= w
+                packed = np.multiply(packed, w, dtype=np.int64)
                 packed += t
             packed *= size
             packed += np.arange(size)
@@ -385,10 +393,15 @@ def _reach(n: int, src: np.ndarray, dst: np.ndarray, starts: Iterable[int]) -> n
 
 def live_states(a: CostAutomaton) -> np.ndarray:
     """Mask over ``a.state_names`` of the states reachable from the initial
-    state and co-reachable to an accepting state."""
-    n = len(a.state_names)
-    forward = _reach(n, a.src, a.dst, [a.start] if a.start >= 0 else [])
-    return forward & _reach(n, a.dst, a.src, np.flatnonzero(a.accepting_mask).tolist())
+    state and co-reachable to an accepting state, read off the component
+    graph of ``a``'s cached Tarjan labels: both walks run over its k nodes."""
+    labels = a._labels
+    k = int(labels.max(initial=-1)) + 1
+    up, down = (labels[a.src], labels[a.dst]) if k > 1 else (labels[:0], labels[:0])  # else no cross edges
+    cross = up != down
+    up, down = up[cross], down[cross]
+    forward = _reach(k, up, down, [int(labels[a.start])] if a.start >= 0 else [])
+    return (forward & _reach(k, down, up, np.unique(labels[a.accepting_mask]).tolist()))[labels]
 
 
 def keep_states(a: CostAutomaton, keep: np.ndarray) -> CostAutomaton:
@@ -417,7 +430,8 @@ def trim(a: CostAutomaton) -> CostAutomaton:
     """Clean-up: keep states reachable from initial AND co-reachable to accepting.
 
     Returns the distinguished empty value when nothing survives (language
-    empty); the language is preserved in every case.
+    empty); the language is preserved in every case.  An uncut ``a`` is
+    returned itself, with the Tarjan labels that ``live_states`` cached.
     """
     if a.is_empty:
         return EMPTY
@@ -515,14 +529,15 @@ def tarjan(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 def scc(a: CostAutomaton) -> SccPartition:
     """Maximal strongly connected components of ``a`` (of the empty value
-    when no state is declared) and the edges inside each, from one Tarjan run.
+    when no state is declared) and the edges inside each, from ``a``'s
+    Tarjan labels, computed on first use and cached (trim computes them).
 
     Deterministic: the DFS visits states in sorted name order, and the
     components are numbered by the discovery index of each component's
     root, so renaming-stable fixtures give stable output.
     """
     a = EMPTY if a.is_empty else a
-    labels = tarjan(len(a.state_names), a.src, a.dst)
+    labels = a._labels
     k = int(labels.max(initial=-1)) + 1
     members, bounds = rows(k, labels)
     ends = labels[a.src]
@@ -548,18 +563,22 @@ def _sorted_automaton(
 ) -> CostAutomaton:
     """Automaton over states numbered by construction order (state 0 is
     initial, ``accepting`` a bool mask in that order), renumbered to the
-    sorted order of ``names``."""
+    sorted order of ``names``.  The callers hand their edge columns over:
+    ``src`` and ``dst`` are renumbered in place, so no second pair of
+    edge-sized arrays is held beside them."""
     order = sorted(range(len(names)), key=names.__getitem__)
     rank = np.empty(len(names), dtype=np.intp)
     rank[order] = np.arange(len(names))
+    for column in (src, dst):  # mode "raise" would buffer a copy; each index is read before its slot is written
+        np.take(rank, column, out=column, mode="clip")
     return CostAutomaton(
         tuple(names[i] for i in order),
         symbols,
         int(rank[0]),
         accepting[order],
-        rank[src],
+        src,
         sym,
-        rank[dst],
+        dst,
         cost,
     )
 

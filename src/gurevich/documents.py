@@ -11,19 +11,18 @@ document, and a ``DocumentError`` leaves the file empty.
 
 A list is written 2,048 items at a time, one write each.  A chunk of str,
 or of dicts with one sequence of str keys whose values are, key by key,
-all str or all float, is rendered column by column: each column's texts
-in one pass, each distinct double formatted once, and the pieces joined
-once.  Any other chunk is written item by item; both give the same bytes.
-``automaton_to_document`` orders the transitions by one packed
-(from, symbol, to) key.
+all str, all float, all int, all bool or all lists of str, is rendered
+column by column: each column's texts in one pass, each distinct double
+formatted once, and the pieces joined once.  Any other chunk is written
+item by item; both give the same bytes.  ``automaton_to_document`` orders
+the transitions by one packed (from, symbol, to) key.
 
-An automaton's transition rows are read by column: one pass each takes the
-from, symbol and to names, one the costs, and whole-column checks (the set
-of the types in a column, ``np.isfinite`` over the costs) find that the
-rows are plain.  The names are looked up in the declared ones, and their
-types are checked only when a lookup fails.  Only a document that fails a
-column check is walked row by row, and that walk names the first
-offending row.  A name listed twice in ``states``, ``alphabet`` or
+An automaton's transition rows are read in two tiers.  First by column,
+straight to indices into the declared names: one pass each for the from,
+symbol and to names, one for the costs, with whole-column cost checks.  A
+failed lookup (a row not an object, a missing, undeclared or non-str name)
+or cost check sends the document to a walk row by row, which names the
+first offending row.  A name listed twice in ``states``, ``alphabet`` or
 ``accepting`` is an error, and so is a file that json cannot read.
 """
 
@@ -33,6 +32,7 @@ import json
 import math
 import sys
 from collections import Counter
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from typing import Any, Iterator
@@ -82,10 +82,28 @@ def _float_texts(column: list) -> Iterator[str] | None:
     return map(texts.__getitem__, bits)
 
 
+def _name_lists(column: list) -> Iterator[str] | None:
+    """The texts of a column of lists of str; None when an item is not a str."""
+    if not set(map(type, chain.from_iterable(column))) <= {str}:
+        return None
+    return ("[" + ", ".join(map(_quote, names)) + "]" for names in column)
+
+
+# the renderer of a column whose values are all of one type, by that type
+# (read by ``type``, so True is never written as 1); None is a column it cannot write
+_COLUMN_TEXTS = {
+    str: lambda column: map(_quote, column),
+    float: _float_texts,
+    int: lambda column: map(int.__repr__, column),
+    bool: lambda column: map({True: "true", False: "false"}.__getitem__, column),
+    list: _name_lists,
+}
+
+
 def _chunk_text(chunk: list | tuple) -> str | None:
     """The text of ``chunk``'s items, rendered column by column, when they
     are all str, or all dicts with one sequence of str keys whose values
-    are, key by key, all str or all float; None otherwise."""
+    are, key by key, all of one type in ``_COLUMN_TEXTS``; None otherwise."""
     kinds = set(map(type, chunk))
     if kinds == {str}:
         return ", ".join(map(_quote, chunk))
@@ -105,8 +123,9 @@ def _chunk_text(chunk: list | tuple) -> str | None:
     pieces = [""] * (n * stride)
     for i, key in enumerate(keys):
         column = list(map(itemgetter(key), chunk))
-        kind = set(map(type, column))
-        texts = map(_quote, column) if kind == {str} else _float_texts(column) if kind == {float} else None
+        kinds = set(map(type, column))
+        render = _COLUMN_TEXTS.get(kinds.pop()) if len(kinds) == 1 else None
+        texts = None if render is None else render(column)
         if texts is None:
             return None
         pieces[2 * i :: stride] = [("{" if i == 0 else ", ") + _quote(key) + ": "] * n
@@ -200,9 +219,9 @@ def _require(doc: dict, key: str, kind: type, where: str) -> Any:
 
 
 def _transition_row(t: Any, where: str, i: int) -> tuple[str, str, str, float]:
-    """One transition row by the general checks, for the documents whose
-    columns automaton_from_document's column checks do not pass; raises
-    DocumentError naming the first offending field."""
+    """One transition row by the general checks, for the documents that
+    ``_indexed_automaton`` does not read; raises DocumentError naming the
+    first offending field."""
     if not isinstance(t, dict):
         raise DocumentError(f"{where}: transition {i} must be an object")
     at = f"{where} transition {i}"
@@ -210,21 +229,30 @@ def _transition_row(t: Any, where: str, i: int) -> tuple[str, str, str, float]:
     return src, sym, dst, _finite(t.get("cost", 0.0), "cost", at)
 
 
-_FROM, _SYMBOL, _TO = (itemgetter(key) for key in ("from", "symbol", "to"))
+_NAME_COLUMNS = tuple(itemgetter(key) for key in ("from", "symbol", "to"))
 
 
-def _plain_columns(rows: list) -> tuple[list, list, list, np.ndarray] | None:
-    """The from/symbol/to columns and the cost column of ``rows``, each read
-    in one pass, when every row is a dict with the three names and a
-    finite float or int cost; None when some row is not, so that the rows
-    are walked one by one.  The names' types are left to ``_plain_automaton``."""
-    if not set(map(type, rows)) <= {dict}:
+def _indexed_automaton(alphabet, states, initial, accepting, rows: list) -> CostAutomaton | None:
+    """The automaton of ``rows``, each name column read in one pass straight
+    to indices into the declared names; None when some row is not an object
+    with three declared names and a finite float or int cost, or the initial
+    or an accepting name is not declared, so that the rows are walked."""
+    names, symbols = tuple(sorted(set(states))), tuple(sorted(set(alphabet)))
+    at = dict(zip(names, range(len(names))))
+    indices = (at, dict(zip(symbols, range(len(symbols)))), at)
+    try:
+        src, sym, dst = (
+            np.fromiter(map(index.__getitem__, map(column, rows)), np.intp, len(rows))
+            for column, index in zip(_NAME_COLUMNS, indices)
+        )
+        start = -1 if initial is None else at[initial]
+        accepting = [at[name] for name in accepting]
+    except (KeyError, TypeError):  # a row not an object, a name missing, not declared or not a str
         return None
     try:
-        names = list(map(_FROM, rows)), list(map(_SYMBOL, rows)), list(map(_TO, rows))
+        cost = list(map(itemgetter("cost"), rows))
     except KeyError:
-        return None
-    cost = [t.get("cost", 0.0) for t in rows]
+        cost = [t.get("cost", 0.0) for t in rows]
     kinds = set(map(type, cost))
     if not kinds <= {float, int}:
         return None
@@ -232,34 +260,19 @@ def _plain_columns(rows: list) -> tuple[list, list, list, np.ndarray] | None:
         values = np.array(cost, dtype=float)
     except OverflowError:  # an int past the double range
         return None
-    if not np.isfinite(values).all():
-        return None
     # an int just past the double range converts to the largest double
-    if int in kinds and np.abs(values).max() == _LARGEST:
+    if not np.isfinite(values).all() or (int in kinds and np.abs(values).max() == _LARGEST):
         return None
-    return (*names, values)
-
-
-def _plain_automaton(alphabet, states, initial, accepting, columns) -> CostAutomaton | None:
-    """The automaton of ``_plain_columns``' columns, or None when one of
-    their names is not a str.  ``from_columns`` looks the names up in the
-    declared ones, which are str, so the names' types are checked only when
-    some name is not declared."""
-    try:
-        a = CostAutomaton.from_columns(alphabet, states, initial, accepting, *columns)
-    except TypeError:  # an unhashable name, or names of types that do not sort together
-        return None
-    if any(a.undeclared) and not all(set(map(type, column)) <= {str} for column in columns[:3]):
-        return None
-    return a
+    mask = np.zeros(len(names), dtype=bool)
+    mask[accepting] = True
+    return CostAutomaton(names, symbols, start, mask, src, sym, dst, values)
 
 
 def automaton_from_document(doc: Any, where: str = "automaton") -> CostAutomaton:
     """Parse and validate; raises DocumentError naming the first offender.
 
-    The rows are read by ``_plain_columns`` and ``_plain_automaton``, or
-    walked by ``_transition_row`` when a column check fails; the automaton
-    interns the names."""
+    The rows are read by ``_indexed_automaton``, or walked by
+    ``_transition_row`` when one of its checks fails."""
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected a JSON object")
     alphabet = _require(doc, "alphabet", list, where)
@@ -275,8 +288,7 @@ def automaton_from_document(doc: Any, where: str = "automaton") -> CostAutomaton
     if states and initial is None:
         raise DocumentError(f"{where}: missing field 'initial'")
 
-    columns = _plain_columns(rows)
-    a = None if columns is None else _plain_automaton(alphabet, states, initial, accepting, columns)
+    a = _indexed_automaton(alphabet, states, initial, accepting, rows)
     if a is None:
         parsed = [_transition_row(t, where, i) for i, t in enumerate(rows)]
         columns = tuple(zip(*parsed)) or ((), (), (), ())

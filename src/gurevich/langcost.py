@@ -128,7 +128,8 @@ def implement_construction(dfa: CostAutomaton, u: PairCostFunction) -> CostAutom
     state, last = np.append(start, dfa.dst), np.append(len(symbols), dfa.sym)
     first, then, costs = _step_graph(dfa, u, state, last, "implement construction")
     accepting, sym = dfa.accepting_mask[state], dfa.sym[then]
-    return automata._sorted_automaton(labels, symbols, accepting, first, sym, then + 1, costs)
+    then += 1  # in place: the edge-sized columns are handed over, not copied
+    return automata._sorted_automaton(labels, symbols, accepting, first, sym, then, costs)
 
 
 def _step_graph(dfa: CostAutomaton, u: PairCostFunction, state: np.ndarray, last: np.ndarray, label: str):
@@ -161,7 +162,9 @@ def _step_graph(dfa: CostAutomaton, u: PairCostFunction, state: np.ndarray, last
     values = np.array([u.default] + [x for _, c in listed for x in (c, u.default)] + [0.0])
     first = np.repeat(np.arange(len(state)), fanout)
     then = order[automata.spans(indptr[state], fanout)]
-    step = np.searchsorted(bounds, np.repeat(last * width, fanout) + dfa.sym[then], side="right")
+    step = np.repeat(last * width, fanout)
+    step += dfa.sym[then]
+    step = np.searchsorted(bounds, step, side="right")  # rebound, so one edge-sized temporary at a time
     return first, then, values[step]
 
 

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import settings
 
 from gurevich import (
+    EMPTY,
     CostAutomaton,
     PairCostFunction,
     Transition,
@@ -28,6 +29,7 @@ from gurevich import (
     trim,
     word_cost,
 )
+from gurevich import automata
 
 # ---------------------------------------------------------------------------
 # property tests: the same examples on every run, no example database, and a
@@ -391,6 +393,19 @@ def wide_ring(n: int = 2000, k: int = 1000) -> CostAutomaton:
     symbols = [f"s{y}" for y in range(k)]
     steps = [(q, symbols[i % k], names[(i + 1) % n]) for i, q in enumerate(names)]
     return aut(symbols, names, "q0", names, steps)
+
+
+def reference_trim(a: CostAutomaton) -> CostAutomaton:
+    """trim by two walks over every state and edge: forward from the
+    initial state and backward from the accepting states."""
+    if a.is_empty:
+        return EMPTY
+    n = len(a.state_names)
+    forward = automata._reach(n, a.src, a.dst, [a.start] if a.start >= 0 else [])
+    live = forward & automata._reach(n, a.dst, a.src, np.flatnonzero(a.accepting_mask).tolist())
+    if live.all():
+        return a
+    return automata.keep_states(a, live) if live.any() else EMPTY
 
 
 def all_accepting(a: CostAutomaton) -> CostAutomaton:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -31,6 +32,7 @@ from conftest import (
     edges_by_source,
     enum_accepting_runs,
     random_automaton,
+    reference_trim,
 )
 
 
@@ -347,6 +349,78 @@ class TestScc:
                     if indeg[j] == 0:
                         queue.append(j)
             assert seen == len(parts.components)
+
+
+@st.composite
+def trimmable(draw):
+    """An automaton of 0-7 states over two symbols with any edges, so that
+    states can be unreachable, dead ends or isolated, and components can
+    be any of these."""
+    n = draw(st.integers(0, 7))
+    states = [f"s{i}" for i in range(n)]
+    if not n:
+        return aut([], [], None, [], [])
+    edges = draw(st.lists(st.tuples(st.sampled_from(states), st.sampled_from("ab"), st.sampled_from(states)),
+                          unique=True, max_size=3 * n))
+    accepting = draw(st.lists(st.sampled_from(states), unique=True, max_size=n))
+    return aut(["a", "b"], states, draw(st.sampled_from(states)), accepting,
+               [(p, y, q, float(i)) for i, (p, y, q) in enumerate(edges)])
+
+
+class TestOneTarjanWalk:
+    """trim reads liveness off the automaton's cached Tarjan labels, so
+    scc(trim(a)) walks every edge once when trim cuts nothing."""
+
+    @given(trimmable())
+    def test_trim_matches_two_full_walks(self, a):
+        want = reference_trim(a)
+        got = trim(a)
+        assert got == want
+        assert (got is a) == (want is a)
+
+    @given(trimmable())
+    def test_labels_match_a_fresh_copy(self, a):
+        t = trim(a)
+        fresh = dataclasses.replace(t)  # a new object, without the cached labels
+        assert scc(t).labels.tolist() == automata.tarjan(len(fresh.state_names), fresh.src, fresh.dst).tolist()
+
+    @staticmethod
+    def walks(a):
+        """scc(trim(a)) and the node counts of its tarjan and _reach calls."""
+        calls = {"tarjan": [], "_reach": []}
+
+        def counted(name):
+            original = getattr(automata, name)
+            return lambda n, *args: calls[name].append(n) or original(n, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in calls:
+                patch.setattr(automata, name, counted(name))
+            p = scc(trim(a))
+        return p, calls
+
+    @given(trimmable())
+    def test_walk_counts(self, a):
+        p, calls = self.walks(a)
+        if p.automaton is a:  # uncut: one walk over the states, the rest over the components
+            assert calls["tarjan"] == [len(a.state_names)]
+            assert calls["_reach"] and set(calls["_reach"]) == {len(p.components)}
+        elif not p.automaton.is_empty:  # cut: the trimmed automaton is walked afresh
+            assert calls["tarjan"] == [len(a.state_names), len(p.automaton.state_names)]
+
+    def test_walk_counts_on_fixed_machines(self):
+        # A <-> B -> C -> D (a loop), D accepting: three live components
+        edges = [("A", "a", "B"), ("B", "a", "A"), ("B", "b", "C"), ("C", "a", "D"), ("D", "a", "D")]
+        whole = aut(["a", "b"], ["A", "B", "C", "D"], "A", ["D"], edges)
+        p, calls = self.walks(whole)
+        assert p.automaton is whole
+        assert calls == {"tarjan": [4], "_reach": [3, 3]}
+        # plus the unreachable X -> A and the dead end C -> E
+        cut = aut(["a", "b"], ["A", "B", "C", "D", "E", "X"], "A", ["D"], edges + [("X", "a", "A"), ("C", "b", "E")])
+        p, calls = self.walks(cut)
+        assert p.automaton.states == whole.states
+        assert calls["tarjan"] == [6, 4]
+        assert p.components == scc(whole).components == (frozenset("AB"), frozenset("C"), frozenset("D"))
 
 
 class TestDeterminize:

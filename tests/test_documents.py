@@ -40,6 +40,7 @@ from gurevich import (
     verify_implements,
     word_partition_series,
 )
+from gurevich import documents
 from gurevich.cli import main
 from gurevich.documents import _CHUNK
 
@@ -286,8 +287,8 @@ class TestLoadErrorContract:
         assert automaton_from_document(doc) == automaton_from_document(plain)
 
     def test_undeclared_names_that_are_not_str(self, tmp_path, capsys):
-        # the columns build an automaton over the int names, which is then
-        # refused so that the row walk names the first one
+        # the int names are not in the declared ones' index, so the row
+        # walk reads the document and names the first of them
         doc = {"alphabet": [], "states": [], "accepting": [],
                "transitions": [{"from": 1, "symbol": 2, "to": 3}]}
         with pytest.raises(DocumentError) as e:
@@ -310,6 +311,90 @@ class TestLoadErrorContract:
         save_document(path, doc)
         assert main(["energy", path]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+_LARGEST_INT = int(sys.float_info.max)
+READER_FAULTS = [
+    ("row", ["q", "b", "p"]),
+    *(("name", value) for value in ("x", 3, "missing")),  # x is never declared
+    *(("cost", value) for value in (True, "1.5", None, math.inf, 2**1024, _LARGEST_INT, -_LARGEST_INT - 1)),
+    ("initial", "x"),
+    ("accepting", "x"),
+    ("states", ["p", "q", "r", "q"]),
+    ("states", []),
+]
+
+
+@st.composite
+def reader_documents(draw):
+    """A plain automaton document, its rows with float or int costs or
+    none, with up to two faults: a row that is a list, a name that is
+    missing, undeclared or an int, a cost that is a bool, a str, None,
+    not finite or an int at or past the double range, an undeclared
+    initial or accepting name, a state listed twice or no states."""
+    states = ["p", "q", "r"]
+    row = st.fixed_dictionaries(
+        {"from": st.sampled_from(states), "symbol": st.sampled_from(["a", "b"]), "to": st.sampled_from(states)},
+        optional={"cost": st.floats(-4.0, 4.0) | st.integers(-3, 3)},
+    )
+    doc = {
+        "alphabet": ["a", "b"],
+        "states": states,
+        "initial": draw(st.sampled_from(states)),
+        "accepting": draw(st.lists(st.sampled_from(states), unique=True, max_size=2)),
+        "transitions": draw(st.lists(row, max_size=5)),
+    }
+    rows = doc["transitions"]
+    for fault, value in draw(st.lists(st.sampled_from(READER_FAULTS), max_size=2)):
+        if fault in ("initial", "states"):
+            doc[fault] = value
+        elif fault == "accepting":
+            doc[fault] = doc[fault] + [value]
+        elif rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            if fault == "row":
+                rows[i] = value
+            elif isinstance(rows[i], dict):
+                key = "cost" if fault == "cost" else draw(st.sampled_from(["from", "symbol", "to"]))
+                if value == "missing":
+                    del rows[i][key]
+                else:
+                    rows[i][key] = value
+    return doc
+
+
+class TestTwoTierReader:
+    @given(reader_documents())
+    def test_same_automaton_or_message_as_the_row_walk(self, doc):
+        """Reading the rows straight to indices gives what the row walk
+        (``_transition_row``, then ``from_columns``) gives: the same
+        automaton or the same DocumentError message."""
+
+        def read():
+            try:
+                return automaton_from_document(doc)
+            except DocumentError as e:
+                return str(e)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(documents, "_indexed_automaton", lambda *args: None)
+            walked = read()
+        got = read()
+        assert type(got) is type(walked)
+        assert got == walked
+
+    def test_plain_rows_take_the_first_tier(self):
+        doc = branchy_doc()
+        doc["transitions"][0]["cost"] = 2
+        del doc["transitions"][1]["cost"]
+        rows = doc["transitions"]
+        a = documents._indexed_automaton(doc["alphabet"], doc["states"], doc["initial"], doc["accepting"], rows)
+        want = CostAutomaton.from_columns(
+            doc["alphabet"], doc["states"], doc["initial"], doc["accepting"],
+            *zip(*(documents._transition_row(t, "automaton", i) for i, t in enumerate(rows))),
+        )
+        assert a == want
+        assert a.cost[:2].tolist() == [2.0, 0.0]
 
 
 class TestPairCostDocuments:
@@ -511,14 +596,25 @@ NAMES = st.sampled_from(['q"1', "q\\2", "\x00", "\n\t", "\x7f", "%s", "100%", "\
 FLOATS = st.sampled_from([0.0, -0.0, 1e16, -1.2e16, 5e-324, -5e-324, 0.1, 1.0]) | st.floats(allow_nan=False, allow_infinity=False)
 LEAVES = NAMES | FLOATS | st.integers(-(2**70), 2**70) | st.booleans() | st.none()
 VALUES = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3), max_leaves=6)
-BREAKS = ["order", "missing", "extra", "int", "value", "item", "inf", "nan"]
+BREAKS = ["order", "missing", "extra", "int", "bool", "none", "value", "item", "null item", "inf", "nan"]
+# the values one column of a table draws from
+COLUMN_POOLS = [
+    st.lists(NAMES, min_size=1, max_size=6),
+    st.tuples(st.lists(FLOATS, min_size=1, max_size=6), st.sampled_from([[], [0.0, -0.0]])).map(lambda t: t[0] + t[1]),
+    st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=6),
+    st.lists(st.booleans(), min_size=1, max_size=2),
+    st.lists(st.lists(NAMES, max_size=3), min_size=1, max_size=4),
+    st.lists(st.lists(NAMES | st.integers(0, 3) | st.none(), min_size=1, max_size=3), min_size=1, max_size=4),
+    st.lists(st.none() | st.booleans() | st.integers(0, 1), min_size=1, max_size=4),
+]
 
 
 @st.composite
 def long_lists(draw):
     """A list of names, or a table of rows over one key sequence whose
-    values are, key by key, str or float, up to two chunks and more long;
-    one item may break the shape, in any chunk."""
+    values are, key by key, str, float, int, bool, lists of str or a mix
+    of ints, bools and None, up to two chunks and more long; one item may
+    break the shape, in any chunk, or be None."""
     length = draw(st.sampled_from([1, 2, 9, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     if draw(st.booleans()):
@@ -526,18 +622,15 @@ def long_lists(draw):
         items = [rng.choice(pool) for _ in range(length)]
     else:
         keys = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
-        pools = [
-            draw(st.lists(NAMES, min_size=1, max_size=6))
-            if draw(st.booleans())
-            else draw(st.lists(FLOATS, min_size=1, max_size=6)) + draw(st.sampled_from([[], [0.0, -0.0]]))
-            for _ in keys
-        ]
+        pools = [draw(st.one_of(COLUMN_POOLS)) for _ in keys]
         items = [{key: rng.choice(pool) for key, pool in zip(keys, pools)} for _ in range(length)]
     broken = draw(st.sampled_from([None] + BREAKS))
     if broken is not None:
         at = draw(st.sampled_from([0, length - 1, min(_CHUNK, length - 1)]) | st.integers(0, length - 1))
         item = items[at]
-        if broken == "item" or not isinstance(item, dict):
+        if broken == "null item":
+            items[at] = None
+        elif broken == "item" or not isinstance(item, dict):
             items[at] = draw(VALUES)
         elif broken == "order":
             items[at] = dict(reversed(item.items()))
@@ -545,7 +638,8 @@ def long_lists(draw):
             del item[next(iter(item))]
         else:
             key = next(iter(item)) if broken != "extra" else draw(NAMES)
-            item[key] = {"int": 1, "inf": math.inf, "nan": math.nan}.get(broken) or draw(VALUES)
+            replaced = {"int": 1, "bool": True, "none": None, "inf": math.inf, "nan": math.nan}
+            item[key] = replaced[broken] if broken in replaced else draw(VALUES)
     return items
 
 
@@ -572,6 +666,22 @@ class TestWriter:
             save_document(path, doc)
             with open(path, encoding="utf-8", newline="") as f:
                 same_text(f.read(), want + "\n")
+
+    @pytest.mark.parametrize("edit", [
+        None,  # every column renders by column
+        lambda rows: rows[3]["states"].append(7),  # a list holding an int
+        lambda rows: rows[3].update(converged=1),  # 1 beside True
+        lambda rows: rows[3].update(iterations=True),  # True beside ints
+        lambda rows: rows.insert(3, None),  # None beside the rows
+    ])
+    def test_report_rows(self, edit):
+        rows = [
+            {"states": [f"q{i}", "p"][: i % 3], "energy": i / 4, "iterations": i - 2, "converged": i % 2 == 0}
+            for i in range(9)
+        ]
+        if edit is not None:
+            edit(rows)
+        same_text(dump_json(rows), "".join(ref(rows)))
 
     def test_zeros_of_both_signs_in_one_column(self):
         rows = [{"cost": x} for x in (0.0, -0.0, 1.5, -0.0, 0.0)] * 700

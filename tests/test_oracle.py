@@ -397,6 +397,17 @@ class TestMemoryGrowsWithTransitions:
             assert s == pytest.approx(20_000, rel=1e-9)
         assert peak < 50 * 2**20
 
+    def test_implement_construction(self, big):
+        # the machine holds 50.5 MiB: 1.28 million edges and 160,000 names;
+        # the construction peaks at 70.4 MiB, and at 97.2 MiB when its edge
+        # columns were renumbered into copies beside the originals
+        u = PairCostFunction.create(
+            {(f"x{i}", f"x{j}"): -math.log(8) + 0.05 * (i - j) for i in range(8) for j in range(8)}
+        )
+        machine, peak = traced_peak(lambda: implement_construction(big, u))
+        assert machine.src.size == 1_279_624
+        assert peak < 80 * 2**20
+
     def test_word_series(self, big):
         u = PairCostFunction.create(
             {(f"x{i}", f"x{j}"): -math.log(8) + 0.05 * (i - j) for i in range(8) for j in range(8)}

@@ -23,6 +23,9 @@ missing or non-string names, costs that are not finite numbers, two bad
 rows, a state listed twice, a transition to an undeclared state, an int of
 5,000 digits, int names that no field declares, and two files that json
 cannot read: 200,000 open brackets and a name in Latin-1 bytes.
+Then ``energy --json`` and ``nondet --json`` run on ``TRIM_CUT``, a
+document that trim cuts, one ``cut/command digest`` line each, so the order
+of the components after a cut is compared.
 Then ``nondet --exact --state-cap 3`` runs on ``SUBSET_BLOWUP``, one
 ``cap/nondet-exact digest`` line, so a cap's exit-4 message is compared.
 Last, ``implement`` and ``oracle --kind words --pair-costs ... --json`` run
@@ -84,6 +87,28 @@ MALFORMED = {
     # whole files, written as they are
     "nested-200000": b"[" * 200_000,
     "not-utf-8": json.dumps(BASE).replace('"to": "p"', '"to": "p\u00e9"', 1).encode("latin-1"),
+}
+
+
+# live components {p1, p2} -> {q1, q2, q3} -> {r} from the initial p1 to the
+# accepting r; the unreachable {a1, a2} leads into p1 and q2, and its names
+# sort first, so a walk over all the states would meet it first; q1 leads
+# into the dead-end {x1, x2}, which reads on into the dead end y
+TRIM_CUT = {
+    "alphabet": ["a", "b"],
+    "states": ["a1", "a2", "p1", "p2", "q1", "q2", "q3", "r", "x1", "x2", "y"],
+    "initial": "p1",
+    "accepting": ["r"],
+    "transitions": [
+        {"from": f, "symbol": y, "to": t, "cost": c}
+        for f, y, t, c in (
+            ("a1", "a", "a2", 2.0), ("a2", "a", "a1", 1.0), ("a1", "b", "p1", 0.5), ("a2", "b", "q2", 0.0),
+            ("p1", "a", "p2", 0.25), ("p2", "a", "p1", -0.5), ("p2", "b", "q1", 0.0),
+            ("q1", "a", "q2", 0.75), ("q2", "a", "q3", -0.25), ("q3", "a", "q1", 0.5), ("q3", "b", "q1", 0.125),
+            ("q3", "b", "r", 0.0), ("r", "a", "r", 0.375), ("q1", "b", "x1", 0.0),
+            ("x1", "a", "x2", 3.0), ("x2", "a", "x1", 3.0), ("x2", "b", "y", 0.0),
+        )
+    ],
 }
 
 
@@ -192,6 +217,11 @@ def record(root: str, path: str) -> int:
         with open(document, "wb") as f:
             f.write(edits if isinstance(edits, bytes) else malformed_text(edits).encode("utf-8"))
         lines.append(f"malformed/{case} {digest(gurevich.cli.main, ('energy', document))}\n")
+    document = os.path.join(WORK, "trim-cut.json")
+    with open(document, "w", encoding="utf-8") as f:
+        json.dump(TRIM_CUT, f)
+    for command in ("energy", "nondet"):
+        lines.append(f"cut/{command} {digest(gurevich.cli.main, (command, document, '--json'))}\n")
     document = os.path.join(WORK, "subset-blowup.json")
     with open(document, "w", encoding="utf-8") as f:
         json.dump(SUBSET_BLOWUP, f)
