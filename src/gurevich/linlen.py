@@ -153,14 +153,18 @@ def linear_set_member(d: LinearSet, v: Sequence[int]) -> bool:
 def _last_lengths(d: LinearSet, head: tuple[int, ...], limit: int) -> frozenset[int]:
     """Every x in 0..limit with head + (x,) in D, for a valid ``d`` and
     ``head`` of k - 1 lengths: the last coordinates the search over the
-    head periods reaches, then one sieve pass over 0..limit per tail period
-    (zero on every head coordinate)."""
+    head periods reaches, then, when D has tail periods (zero on every head
+    coordinate), one sieve pass over 0..limit per tail period."""
     h = d.k - 1
     residual = tuple(a - b for a, b in zip(head, d.offset))
+    reached = _search([p for p in d.periods if any(p[:h])], residual, d.offset[h], limit)
+    tails = [p[h] for p in d.periods if not any(p[:h])]
+    if not tails:
+        return frozenset(reached)
     reach = [False] * (limit + 1)
-    for x in _search([p for p in d.periods if any(p[:h])], residual, d.offset[h], limit):
+    for x in reached:
         reach[x] = True
-    for t in (p[h] for p in d.periods if not any(p[:h])):
+    for t in tails:
         for x in range(t, limit + 1):
             reach[x] = reach[x] or reach[x - t]
     return frozenset(x for x, hit in enumerate(reach) if hit)
@@ -419,12 +423,13 @@ def linlen_word_oracle(
     found once per head by a search over the period coefficients.  A word
     of length n has a split when a last-part configuration accepts and
     n - start is admissible.  The cost is carried as prefix cost +
-    U(last, symbol), so no word is rescanned; a sum past the double range
-    raises Overflow naming n.  Practical only on small instances (narrow
-    base language, short max_n, at most ``DEFAULT_MAX_N_CAP``);
-    ``word_cap`` bounds the enumerated prefixes: they are counted first,
-    by an exact sweep over the base DFA, and past the cap it raises
-    StateCapExceeded before enumerating any.
+    U(last, symbol), so no word is rescanned; each (last, symbol) pair that
+    a walked word reads back to back is costed by name once, then read by
+    symbol index.  A sum past the double range raises Overflow naming n.
+    Practical only on small instances (narrow base language, short max_n,
+    at most ``DEFAULT_MAX_N_CAP``); ``word_cap`` bounds the enumerated
+    prefixes: they are counted first, by an exact sweep over the base DFA,
+    and past the cap it raises StateCapExceeded before enumerating any.
     """
     _check_max_n(max_n)
     trimmed = _trimmed(spec)
@@ -448,7 +453,9 @@ def linlen_word_oracle(
     accepting = [p.accepting_mask.tolist() for p in parts]
     initials = [p.start for p in parts]
     base_accepting = base.accepting_mask.tolist()
-    pair_cost = functools.cache(lambda x, y: u.cost(base.symbols[x], base.symbols[y]))
+    last_accepting = accepting[k - 1]
+    # last * width + symbol -> U(last, symbol), costed by name on first use
+    pair_costs: dict[int, float] = {}
     # each base state's (target, symbol) edges, by symbol then target index
     order, indptr = automata.rows(n_base, base.src, base.sym, base.dst)
     indptr = indptr.tolist()
@@ -471,32 +478,38 @@ def linlen_word_oracle(
                 configs.append((part + 1, initials[part + 1], pos, opened))
         return configs
 
-    def has_split(configs: list[tuple], n: int) -> bool:
-        return any(
-            part == k - 1 and accepting[part][state] and n - start in allowed
-            for part, state, start, allowed in configs
-        )
-
     root = close([(0, initials[0], 0, admissible(()) if k == 1 else ())], 0)
     # (base state, prefix length, last symbol, prefix cost, configurations)
     stack: list[tuple[int, int, int, float, list[tuple]]] = [(base.start, 0, -1, 0.0, root)]
+    pop, push = stack.pop, stack.append
     while stack:
-        state, n, last, cost, configs = stack.pop()
-        if n and base_accepting[state] and has_split(configs, n):
-            try:
-                sums[n] += math.exp(cost)
-            except OverflowError:
-                sums[n] = math.inf
-            if sums[n] == math.inf:
-                message = f"words partition sum left the double range at n={n}; rescale costs"
-                raise Overflow(message, n=n)
+        state, n, last, cost, configs = pop()
+        if n and base_accepting[state]:
+            # the word has a split when one last-part configuration ends here
+            for part, part_state, start, allowed in configs:
+                if part == k - 1 and last_accepting[part_state] and n - start in allowed:
+                    try:
+                        sums[n] += math.exp(cost)
+                    except OverflowError:
+                        sums[n] = math.inf
+                    if sums[n] == math.inf:
+                        message = f"words partition sum left the double range at n={n}; rescale costs"
+                        raise Overflow(message, n=n)
+                    break
         if n < max_n:
+            row = last * width
             for target, sym in children[state]:
                 stepped = []
                 for part, part_state, start, lens in configs:
                     nxt = steps[part].get(part_state * width + sym, -1)
                     if nxt >= 0:
                         stepped.append((part, nxt, start, lens))
-                step_cost = cost + pair_cost(last, sym) if n else 0.0
-                stack.append((target, n + 1, sym, step_cost, close(stepped, n + 1)))
+                if n:
+                    pair = pair_costs.get(row + sym)
+                    if pair is None:
+                        pair = pair_costs[row + sym] = u.cost(base.symbols[last], base.symbols[sym])
+                    step_cost = cost + pair
+                else:
+                    step_cost = 0.0
+                push((target, n + 1, sym, step_cost, close(stepped, n + 1)))
     return _series("words", sums[1:])

@@ -21,11 +21,13 @@ from hypothesis import settings
 from gurevich import (
     EMPTY,
     CostAutomaton,
+    LinearLengthSpec,
     PairCostFunction,
     Transition,
     accepts,
     determinize,
     free_energy,
+    linear_set_member,
     trim,
     word_cost,
 )
@@ -384,6 +386,51 @@ def edges_by_source(a: CostAutomaton) -> dict[str, list[Transition]]:
 def dfa_successors(dfa: CostAutomaton) -> dict[tuple[str, str], str]:
     """(state, symbol) -> target of a deterministic automaton, in input order."""
     return {(t.source, t.symbol): t.target for t in dfa.transitions}
+
+
+def split_search_oracle(spec: LinearLengthSpec, max_n: int) -> list[float]:
+    """Reference for linlen_word_oracle: the same depth-first walk of the
+    base language, but every accepted word is searched afresh for a split
+    and costed with word_cost.  Returns S_1..S_max_n."""
+    base = trim(spec.base)
+    parts = [trim(p) for p in spec.parts]
+    k = spec.lengths.k
+    sums = [0.0] * (max_n + 1)
+    if base.is_empty or any(p.is_empty for p in parts):
+        return sums[1:]
+    steps = [dfa_successors(p) for p in parts]
+    edges = edges_by_source(base)
+
+    def has_split(w):
+        n = len(w)
+
+        def search(part_idx, pos, lens):
+            if part_idx == k:
+                return pos == n and linear_set_member(spec.lengths, lens)
+            p = parts[part_idx]
+            step = steps[part_idx]
+            state = p.initial
+            end = pos
+            while True:
+                if state is not None and state in p.accepting:
+                    if search(part_idx + 1, end, lens + (end - pos,)):
+                        return True
+                if end == n or state is None:
+                    return False
+                state = step.get((state, w[end]))
+                end += 1
+
+        return search(0, 0, ())
+
+    stack = [(base.initial, ())]
+    while stack:
+        state, word = stack.pop()
+        if state in base.accepting and word and has_split(word):
+            sums[len(word)] += math.exp(word_cost(spec.pair_cost, word))
+        if len(word) < max_n:
+            for t in sorted(edges.get(state, ())):
+                stack.append((t.target, word + (t.symbol,)))
+    return sums[1:]
 
 
 def wide_ring(n: int = 2000, k: int = 1000) -> CostAutomaton:

@@ -24,15 +24,13 @@ from gurevich import (
     linlen_union_energy,
     linlen_word_oracle,
     run_partition_series,
-    trim,
     validate,
     validate_spec,
-    word_cost,
 )
 
 from gurevich.linlen import _last_lengths
 
-from conftest import aut, dfa_successors, edges_by_source, wide_ring
+from conftest import aut, split_search_oracle, wide_ring
 
 ZERO_U = PairCostFunction.create()
 DIAG_U = PairCostFunction.create({("a", "a"): 1.0, ("b", "b"): 1.0})
@@ -475,6 +473,30 @@ class TestOracle:
         assert series.values == ((1, 1.0), (2, 1.0), (3, 1.0))
         assert peak < 4 << 20
 
+    def test_pairs_costed_by_name_once(self, monkeypatch):
+        # only the pairs a walked word reads back to back, each once; a
+        # width**2 table would cost all 90,000 pairs of the 300 symbols
+        symbols = [f"x{i}" for i in range(300)]
+        chain = aut(symbols, ["s0", "s1", "s2", "s3"], "s0", ["s3"],
+                    [("s0", "x0", "s1"), ("s1", "x1", "s2"), ("s2", "x2", "s3")])
+        loop = aut(symbols, ["p", "q"], "p", ["p"], [("p", "x0", "q"), ("q", "x1", "p")])
+        u = PairCostFunction.create({("x0", "x1"): 0.5, ("x1", "x0"): -0.25})
+        calls = []
+        cost = PairCostFunction.cost
+
+        def spy(self, first, second):
+            calls.append((first, second))
+            return cost(self, first, second)
+
+        monkeypatch.setattr(PairCostFunction, "cost", spy)
+        series = linlen_word_oracle(LinearLengthSpec(chain, (chain,), LinearSet.create((3,)), u), 5)
+        assert calls == [("x0", "x1"), ("x1", "x2")]
+        assert series.values == ((1, 0.0), (2, 0.0), (3, math.exp(0.5)), (4, 0.0), (5, 0.0))
+        calls.clear()
+        series = linlen_word_oracle(LinearLengthSpec(loop, (loop,), LinearSet.create((2,), [(2,)]), u), 12)
+        assert calls == [("x0", "x1"), ("x1", "x0")]
+        assert dict(series.values)[12] == math.exp(6 * 0.5 + 5 * -0.25)
+
     def test_word_weight_overflow(self):
         # a^2 b^4 a^6 costs 900, past e^709.78
         hot = PairCostFunction.create({("a", "a"): 100.0, ("b", "b"): 100.0})
@@ -534,51 +556,6 @@ class TestAgainstOracle:
         spec = sigma_star_spec(u)
         direct = language_energy(spec.base, u).energy
         assert abs(linlen_energy(spec).energy - direct) <= 1e-6
-
-
-def split_search_oracle(spec, max_n):
-    """Reference for linlen_word_oracle: the same depth-first walk of the
-    base language, but every accepted word is searched afresh for a split
-    and costed with word_cost.  Returns S_1..S_max_n."""
-    base = trim(spec.base)
-    parts = [trim(p) for p in spec.parts]
-    k = spec.lengths.k
-    sums = [0.0] * (max_n + 1)
-    if base.is_empty or any(p.is_empty for p in parts):
-        return sums[1:]
-    steps = [dfa_successors(p) for p in parts]
-    edges = edges_by_source(base)
-
-    def has_split(w):
-        n = len(w)
-
-        def search(part_idx, pos, lens):
-            if part_idx == k:
-                return pos == n and linear_set_member(spec.lengths, lens)
-            p = parts[part_idx]
-            step = steps[part_idx]
-            state = p.initial
-            end = pos
-            while True:
-                if state is not None and state in p.accepting:
-                    if search(part_idx + 1, end, lens + (end - pos,)):
-                        return True
-                if end == n or state is None:
-                    return False
-                state = step.get((state, w[end]))
-                end += 1
-
-        return search(0, 0, ())
-
-    stack = [(base.initial, ())]
-    while stack:
-        state, word = stack.pop()
-        if state in base.accepting and word and has_split(word):
-            sums[len(word)] += math.exp(word_cost(spec.pair_cost, word))
-        if len(word) < max_n:
-            for t in sorted(edges.get(state, ())):
-                stack.append((t.target, word + (t.symbol,)))
-    return sums[1:]
 
 
 # dyadic costs: every prefix sum is exact, however the reference adds them

@@ -38,6 +38,7 @@ from gurevich import (
     gurevich_matrix_bipartite,
     implement_construction,
     lambda_plus,
+    linlen_word_oracle,
     product,
     run_partition_series,
     similarity,
@@ -50,7 +51,7 @@ from gurevich import automaton_to_document, save_document
 from gurevich import energy as energy_mod
 from gurevich.cli import main
 
-from conftest import aut, cycle_mean_brackets, enum_word_sum, log_run_sums
+from conftest import aut, cycle_mean_brackets, enum_word_sum, log_run_sums, split_search_oracle
 
 
 @st.composite
@@ -221,6 +222,14 @@ def test_block_automaton_is_well_formed(spec):
     a = block_automaton(spec)
     well_formed(a)
     assert len(set(a.symbols)) == len(a.symbols)
+
+
+@given(linlen_specs(), st.integers(1, 8))
+def test_word_oracle_against_split_search(spec, horizon):
+    # integer pair costs: every prefix cost is exact, so the bits of each
+    # S_n pin the order in which the two walks add the word weights
+    values = [v for _, v in linlen_word_oracle(spec, horizon).values]
+    assert values == split_search_oracle(spec, horizon)
 
 
 def split(name, separators):

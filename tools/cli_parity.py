@@ -34,6 +34,13 @@ document of ``PAIRCOST``, one ``paircost/case/command digest`` line each:
 listed costs above and below a non-zero default, a listed pair that the DFA
 never reads back to back, and two different listed costs past the double
 range (the word sums exit 3 naming one of them).
+Then ``linlen --oracle-check N --json`` runs on each linear-length spec of
+``LINLEN``, one ``linlen/case digest`` line each, so the split oracle's
+values and messages are compared on specs the benchmark never draws: arity
+1, two parts with a head and a tail period, a last part that must end in
+an accepting state, a symbol no part reads, a horizon past the oracle's
+1,000,000-prefix cap (exit 4) and a word weight past the double range
+(exit 3).
 """
 
 from __future__ import annotations
@@ -156,6 +163,56 @@ PAIRCOST = {
 }
 
 
+def _dfa(alphabet, states, accepting, moves):
+    """An automaton document whose initial state is the first of ``states``."""
+    return {
+        "alphabet": alphabet, "states": states, "initial": states[0], "accepting": accepting,
+        "transitions": [{"from": f, "symbol": y, "to": t} for f, y, t in moves],
+    }
+
+
+def _linlen(base, parts, offset, periods, pair_cost):
+    return {"base": base, "parts": parts, "lengths": {"offset": offset, "periods": periods}, "pair_cost": pair_cost}
+
+
+AB = ["a", "b"]
+ABC = ["a", "b", "c"]
+SIGMA = _dfa(AB, ["S"], ["S"], [("S", "a", "S"), ("S", "b", "S")])
+A_STAR = _dfa(AB, ["A"], ["A"], [("A", "a", "A")])
+B_STAR = _dfa(AB, ["B"], ["B"], [("B", "b", "B")])
+MIXED = _pairs(0.125, ("a", "a", 0.5), ("a", "b", -0.25), ("b", "a", 0.75))
+
+# case -> (spec document, oracle horizon)
+LINLEN = {
+    # words ending in a, whose one part has an even number of b's
+    "arity-1": (_linlen(
+        _dfa(AB, ["p", "q"], ["q"], [("p", "a", "q"), ("p", "b", "p"), ("q", "a", "q"), ("q", "b", "p")]),
+        [_dfa(AB, ["e", "o"], ["e"], [("e", "a", "e"), ("e", "b", "o"), ("o", "a", "o"), ("o", "b", "e")])],
+        [2], [[3]], MIXED), 12),
+    # (1,2) moves both lengths, (0,3) the last one only; the last part starts with b
+    "head-and-tail-periods": (_linlen(
+        SIGMA, [SIGMA, _dfa(AB, ["s", "t"], ["t"], [("s", "b", "t"), ("t", "a", "t"), ("t", "b", "t")])],
+        [1, 1], [[1, 2], [0, 3]], MIXED), 11),
+    # b* then (aa)*: D admits odd last lengths, the last part's DFA does not
+    "last-part-ends-accepting": (_linlen(
+        _dfa(AB, ["B", "A"], ["B", "A"], [("B", "b", "B"), ("B", "a", "A"), ("A", "a", "A")]),
+        [B_STAR, _dfa(AB, ["e", "o"], ["e"], [("e", "a", "o"), ("o", "a", "e")])],
+        [1, 2], [[1, 0], [0, 1]], MIXED), 16),
+    # no part reads c, so no word with a c splits
+    "unread-symbol": (_linlen(
+        _dfa(ABC, ["S"], ["S"], [("S", y, "S") for y in ABC]),
+        [_dfa(ABC, ["A"], ["A"], [("A", "a", "A")]), _dfa(ABC, ["B"], ["B"], [("B", "b", "B")])],
+        [1, 1], [[1, 0], [0, 1]], _pairs(-0.5, ("a", "c", 2.0), ("c", "b", 1.5), ("a", "b", 0.25))), 8),
+    # {a, b}* has 2**21 - 1 prefixes of length <= 20
+    "word-cap": (_linlen(SIGMA, [SIGMA], [1], [[1]], MIXED), 20),
+    # a^2 b^4 a^6 costs 900, past e^709.78
+    "overflow": (_linlen(
+        _dfa(AB, ["s0", "s1", "s2"], ["s0", "s1", "s2"],
+             [("s0", "a", "s0"), ("s0", "b", "s1"), ("s1", "b", "s1"), ("s1", "a", "s2"), ("s2", "a", "s2")]),
+        [A_STAR, B_STAR, A_STAR], [1, 2, 3], [[1, 2, 3]], _pairs(0.0, ("a", "a", 100.0), ("b", "b", 100.0))), 12),
+}
+
+
 def malformed_text(edits) -> str:
     """BASE's JSON text with ``edits`` made."""
     doc = json.loads(json.dumps(BASE))
@@ -240,6 +297,12 @@ def record(root: str, path: str) -> int:
         }
         for command, argv in commands.items():
             lines.append(f"paircost/{case}/{command} {digest(gurevich.cli.main, argv)}\n")
+    for case, (spec, horizon) in LINLEN.items():
+        document = os.path.join(WORK, f"linlen-{case}.json")
+        with open(document, "w", encoding="utf-8") as f:
+            json.dump(spec, f)
+        argv = ("linlen", document, "--oracle-check", str(horizon), "--json")
+        lines.append(f"linlen/{case} {digest(gurevich.cli.main, argv)}\n")
     shutil.rmtree(WORK, ignore_errors=True)
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(lines)
