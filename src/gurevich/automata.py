@@ -117,7 +117,9 @@ class CostAutomaton:
         accepting: Iterable[str],
         transitions: Iterable[Transition | tuple],
     ) -> "CostAutomaton":
-        """Build from names; transition 4-tuples (cost optional) are accepted too."""
+        """The one constructor from names: transitions are ``Transition``
+        objects or (source, symbol, target[, cost]) tuples.  Names used but
+        not declared are indexed too and listed in ``undeclared``."""
         src, sym, dst, cost = [], [], [], []
         for t in transitions:
             if isinstance(t, Transition):
@@ -126,20 +128,6 @@ class CostAutomaton:
             sym.append(t[1])
             dst.append(t[2])
             cost.append(float(t[3]) if len(t) > 3 else 0.0)
-        return CostAutomaton.from_columns(alphabet, states, initial, accepting, src, sym, dst, cost)
-
-    @staticmethod
-    def from_columns(
-        alphabet: Iterable[str],
-        states: Iterable[str],
-        initial: str | None,
-        accepting: Iterable[str],
-        src: Sequence[str],
-        sym: Sequence[str],
-        dst: Sequence[str],
-        cost: Sequence[float],
-    ) -> "CostAutomaton":
-        """Build from per-transition columns of names (src, sym, dst) and costs."""
         named = [] if initial is None else [initial]
         state_names, undeclared_states, (src, dst, named, accepting) = _index(
             states, src, dst, named, set(accepting)
@@ -221,30 +209,43 @@ class CostAutomaton:
         return labels
 
 
+def _numbering(names: Iterable[str]) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The distinct ``names`` in sorted order, and each one's index there:
+    the one rule by which names become indices."""
+    ordered = tuple(sorted(set(names)))
+    return ordered, dict(zip(ordered, range(len(ordered))))
+
+
 def _index(declared: Iterable[str], *columns: Sequence[str]):
     """Sorted names over the declared ones and every name in ``columns``,
     the names only the columns use, and each column as indices into the
-    names.  The columns are looked up in the declared names' index; only
-    when one uses a name that is not declared is the union taken."""
+    names."""
     declared = set(declared)
-    names = tuple(sorted(declared))
-    try:
-        return names, frozenset(), _columns(names, columns)
-    except KeyError:
-        used = set().union(*columns)
-        names = tuple(sorted(declared | used))
-        return names, frozenset(used - declared), _columns(names, columns)
-
-
-def _columns(names: tuple[str, ...], columns: Sequence[Sequence[str]]) -> list[np.ndarray]:
-    index = dict(zip(names, range(len(names))))
-    return [np.fromiter(map(index.__getitem__, c), dtype=np.intp, count=len(c)) for c in columns]
+    used = set().union(*columns)
+    names, at = _numbering(declared | used)
+    indexed = [np.fromiter(map(at.__getitem__, c), dtype=np.intp, count=len(c)) for c in columns]
+    return names, frozenset(used - declared), indexed
 
 
 def _repeats(keys: np.ndarray) -> bool:
     """Whether some key occurs twice (one sort; np.unique hashes, slower here)."""
     ordered = np.sort(keys)
     return bool((ordered[1:] == ordered[:-1]).any())
+
+
+def canonical_order(a: CostAutomaton) -> np.ndarray:
+    """Positions of ``a``'s transitions in the one canonical order, by
+    (source, symbol, target, cost) and then by position: one packed
+    (source, symbol, target) key, or ``np.lexsort`` when a triple repeats
+    (validate() reports those) or the key would pass the int64 range."""
+    n, width = len(a.state_names), len(a.symbols)
+    if n * width * n < 2**63:
+        key = (a.src * width + a.sym) * n + a.dst
+        order = key.argsort()
+        ordered = key[order]
+        if not (ordered[1:] == ordered[:-1]).any():
+            return order
+    return np.lexsort((a.cost, a.dst, a.sym, a.src))
 
 
 _NO_EDGES = np.empty(0, dtype=np.intp)
@@ -666,9 +667,8 @@ def product(a1: CostAutomaton, a2: CostAutomaton) -> CostAutomaton:
     """
     if a1.is_empty or a2.is_empty or a1.start < 0 or a2.start < 0:
         return EMPTY
-    symbols = tuple(sorted(set(a1.symbols) | set(a2.symbols)))
+    symbols, index = _numbering(a1.symbols + a2.symbols)
     width = len(symbols)
-    index = {s: i for i, s in enumerate(symbols)}
     sym1 = np.array([index[s] for s in a1.symbols], dtype=np.intp)[a1.sym]
     sym2 = np.array([index[s] for s in a2.symbols], dtype=np.intp)[a2.sym]
     # a1's edges grouped by source in input order; a2's by the (source, symbol)

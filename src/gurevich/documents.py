@@ -15,15 +15,16 @@ all str, all float, all int, all bool or all lists of str, is rendered
 column by column: each column's texts in one pass, each distinct double
 formatted once, and the pieces joined once.  Any other chunk is written
 item by item; both give the same bytes.  ``automaton_to_document`` orders
-the transitions by one packed (from, symbol, to) key.
+the transitions by ``automata.canonical_order``.
 
 An automaton's transition rows are read in two tiers.  First by column,
 straight to indices into the declared names: one pass each for the from,
 symbol and to names, one for the costs, with whole-column cost checks.  A
 failed lookup (a row not an object, a missing, undeclared or non-str name)
 or cost check sends the document to a walk row by row, which names the
-first offending row.  A name listed twice in ``states``, ``alphabet`` or
-``accepting`` is an error, and so is a file that json cannot read.
+first offending row and hands the rows to ``CostAutomaton.create``.  A
+name listed twice in ``states``, ``alphabet`` or ``accepting`` is an
+error, and so is a file that json cannot read.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .automata import CostAutomaton, validate
+from .automata import CostAutomaton, _numbering, canonical_order, validate
 from .errors import DocumentError
 from .langcost import PairCostFunction
 from .linlen import LinearLengthSpec, LinearSet
@@ -152,12 +153,7 @@ def _encode(o: Any, emit) -> None:
             emit(comma)
             emit(_quote(str(key)))
             emit(": ")
-            if type(value) is str:  # the common leaves, without a call
-                emit(_quote(value))
-            elif type(value) is float:
-                emit(_fmt_float(value))
-            else:
-                _encode(value, emit)
+            _encode(value, emit)
             comma = ", "
         emit("}")
     elif isinstance(o, (list, tuple)):
@@ -237,9 +233,8 @@ def _indexed_automaton(alphabet, states, initial, accepting, rows: list) -> Cost
     to indices into the declared names; None when some row is not an object
     with three declared names and a finite float or int cost, or the initial
     or an accepting name is not declared, so that the rows are walked."""
-    names, symbols = tuple(sorted(set(states))), tuple(sorted(set(alphabet)))
-    at = dict(zip(names, range(len(names))))
-    indices = (at, dict(zip(symbols, range(len(symbols)))), at)
+    (names, at), (symbols, symbol_at) = _numbering(states), _numbering(alphabet)
+    indices = (at, symbol_at, at)
     try:
         src, sym, dst = (
             np.fromiter(map(index.__getitem__, map(column, rows)), np.intp, len(rows))
@@ -291,8 +286,7 @@ def automaton_from_document(doc: Any, where: str = "automaton") -> CostAutomaton
     a = _indexed_automaton(alphabet, states, initial, accepting, rows)
     if a is None:
         parsed = [_transition_row(t, where, i) for i, t in enumerate(rows)]
-        columns = tuple(zip(*parsed)) or ((), (), (), ())
-        a = CostAutomaton.from_columns(alphabet, states, initial, accepting, *columns)
+        a = CostAutomaton.create(alphabet, states, initial, accepting, parsed)
     problems = validate(a)
     if problems:
         raise DocumentError(f"{where}: " + "; ".join(problems))
@@ -303,24 +297,10 @@ def automaton_from_document(doc: Any, where: str = "automaton") -> CostAutomaton
     return a
 
 
-def _triple_order(a: CostAutomaton) -> np.ndarray:
-    """Positions of ``a``'s transitions by one packed (from, symbol, to)
-    key; by (from, symbol, to, cost) when a triple repeats (validate()
-    reports those) or the key would pass the int64 range."""
-    n, width = len(a.state_names), len(a.symbols)
-    if n * width * n < 2**63:
-        key = (a.src * width + a.sym) * n + a.dst
-        order = key.argsort()
-        ordered = key[order]
-        if not (ordered[1:] == ordered[:-1]).any():
-            return order
-    return np.lexsort((a.cost, a.dst, a.sym, a.src))
-
-
 def automaton_to_document(a: CostAutomaton) -> dict:
     """Canonical document: names sorted, transitions by (from, symbol, to, cost)."""
     names, symbols = a.state_names, a.symbols
-    order = _triple_order(a)
+    order = canonical_order(a)
     return {
         "alphabet": sorted(a.alphabet),
         "states": sorted(a.states) if a.undeclared[0] else list(names),

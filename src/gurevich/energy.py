@@ -138,8 +138,8 @@ def _layout(
 def _public_matrix(a: CostAutomaton, form: str) -> NonnegativeMatrix:
     _check_component(a)
     names, src, dst, cost = list(a.state_names), a.src, a.dst, a.cost
-    if form == "bipartite":  # transition nodes in (source, symbol, target) order
-        order = np.lexsort((cost, dst, a.sym, src))
+    if form == "bipartite":  # transition nodes in the canonical order
+        order = automata.canonical_order(a)
         src, sym, dst, cost = src[order], a.sym[order], dst[order], cost[order]
         names = [automata._escape(name, "->") for name in names]  # the naming rule
         symbols = [automata._escape(name, "->") for name in a.symbols]

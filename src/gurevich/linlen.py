@@ -361,13 +361,13 @@ def block_automaton(spec: LinearLengthSpec, state_cap: int = DEFAULT_LINLEN_STAT
         return [automata._escape(name, ",+;~") for name in names]
 
     names = (esc(base.state_names), [esc(p.state_names) for p in parts], esc(sigma))
-    symbols = [_label(key, names) for key in symbol_ids]
-    order = sorted(range(len(symbols)), key=symbols.__getitem__)
-    rank = np.argsort(order)  # symbol id -> position in sorted order
+    labels = [_label(key, names) for key in symbol_ids]
+    symbols, at = automata._numbering(labels)
+    rank = np.array([at[label] for label in labels], dtype=np.intp)  # symbol id -> sorted position
     src, sym, dst, cost = zip(*edges)
     result = automata._sorted_automaton(
         [_label(key, names) for key in ids],
-        tuple(symbols[y] for y in order),
+        symbols,
         np.isin(np.arange(len(ids)), accepting),
         np.array(src, dtype=np.intp),
         rank[list(sym)],

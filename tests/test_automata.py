@@ -716,3 +716,35 @@ class TestRows:
             want = sorted(range(size), key=lambda i: (key[i], first[i], second[i], i))
             assert order.tolist() == want
             assert indptr.tolist() == np.searchsorted(key[order], np.arange(7)).tolist()
+
+
+@st.composite
+def named_columns(draw):
+    """``create``'s arguments: declared names drawn from larger pools, so
+    that transitions, the initial and the accepting names may use names
+    that are not declared, and transitions whose triples may repeat with
+    distinct costs."""
+    pool, symbols = ["p", "q", "r", "s"], ["a", "b", "c"]
+    states = draw(st.lists(st.sampled_from(pool), unique=True))
+    alphabet = draw(st.lists(st.sampled_from(symbols), unique=True))
+    triples = draw(st.lists(st.tuples(*map(st.sampled_from, (pool, symbols, pool))), max_size=8))
+    triples += draw(st.lists(st.sampled_from(triples), max_size=3)) if triples else []
+    costs = [c - 4.5 for c in draw(st.permutations(range(len(triples))))]
+    initial = draw(st.none() | st.sampled_from(pool))
+    accepting = draw(st.lists(st.sampled_from(pool), unique=True, max_size=2))
+    return alphabet, states, initial, accepting, [t + (c,) for t, c in zip(triples, costs)]
+
+
+class TestCreate:
+    @given(named_columns())
+    def test_one_numbering_and_one_canonical_order(self, case):
+        alphabet, states, initial, accepting, transitions = case
+        a = CostAutomaton.create(*case)
+        used = {t[0] for t in transitions} | {t[2] for t in transitions} | set(accepting)
+        used |= set() if initial is None else {initial}
+        used_symbols = {t[1] for t in transitions}
+        assert a.state_names == tuple(sorted(set(states) | used))
+        assert a.symbols == tuple(sorted(set(alphabet) | used_symbols))
+        assert a.undeclared == (used - set(states), used_symbols - set(alphabet))
+        want = np.lexsort((a.cost, a.dst, a.sym, a.src))
+        assert automata.canonical_order(a).tolist() == want.tolist()

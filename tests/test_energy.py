@@ -100,6 +100,19 @@ class TestBipartiteMatrix:
         with pytest.raises(NotStronglyConnected):
             gurevich_matrix_bipartite(ab_cycle_machine)
 
+    def test_transition_nodes_follow_the_document_rows(self, branchy_nfa):
+        # one canonical order: each cyclic component's transition nodes
+        # come in the row order of its canonical document
+        for a in [branchy_nfa] + [random_automaton(seed, max_states=10, costs="mixed") for seed in range(30)]:
+            parts = scc(a)
+            for states, loop_free in zip(parts.components, parts.is_singleton_without_loop):
+                if loop_free:
+                    continue
+                sub = induced(a, states)
+                rows = automaton_to_document(sub)["transitions"]
+                nodes = gurevich_matrix_bipartite(sub).labels[len(sub.state_names) :]
+                assert nodes == tuple(f"{t['from']}-{t['symbol']}->{t['to']}" for t in rows)
+
 
 class TestCompactMatrix:
     def test_two_cycle(self, two_cycle):

@@ -8,11 +8,12 @@ shifted.  Those of the construction properties have state and symbol names
 made of the characters that the product, subset, transition and block
 names escape, including names spelled like the constructions' own; every
 constructed name must be unique and split back into the names it joins.
-The CLI properties run the commands on small valid documents whose costs
-lie at and past the edges of the double range.  The reference properties
-draw small untrimmed automata at costs in [-5, 5] and check the run sums
-against a log-domain sweep and each component's energy against Karp's
-maximum cycle mean."""
+Three Cauchy-Schwarz bounds relate the self- and cross-products of
+random automata.  The CLI properties run the commands on small valid
+documents whose costs lie at and past the edges of the double range.  The
+reference properties draw small untrimmed automata at costs in [-5, 5] and
+check the run sums against a log-domain sweep and each component's energy
+against Karp's maximum cycle mean."""
 
 import contextlib
 import io
@@ -23,7 +24,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gurevich import (
@@ -37,6 +38,7 @@ from gurevich import (
     free_energy,
     gurevich_matrix_bipartite,
     implement_construction,
+    lambda_exact,
     lambda_plus,
     linlen_word_oracle,
     product,
@@ -51,7 +53,14 @@ from gurevich import automaton_to_document, save_document
 from gurevich import energy as energy_mod
 from gurevich.cli import main
 
-from conftest import aut, cycle_mean_brackets, enum_word_sum, log_run_sums, split_search_oracle
+from conftest import (
+    aut,
+    cycle_mean_brackets,
+    enum_word_sum,
+    log_run_sums,
+    random_automaton,
+    split_search_oracle,
+)
 
 
 @st.composite
@@ -122,6 +131,42 @@ def test_similarity_batch_equals_separate_solves(a1, a2):
     live1, live2 = trim(a1), trim(a2)
     assert reports == [free_energy(product(live1, live2)), free_energy(live1), free_energy(live2)]
     assert (report.delta, report.energy_1, report.energy_2) == tuple(r.energy for r in reports)
+
+
+# Delta(M1, M2) is the growth rate of the inner product sum_w f1(w) f2(w),
+# f(w) the sum of e^V over a machine's accepting runs on w, so Cauchy-Schwarz
+# ties product, similarity, determinize and lambda_exact together with no
+# reference code; the automata are conftest's, drawn by seed
+seeds = st.integers(0, 10**6)
+SLACK = 1e-9
+
+
+def delta(a1, a2):
+    return free_energy(product(a1, a2))
+
+
+@given(seeds, seeds, st.sampled_from(["nonneg", "mixed"]))
+def test_cross_similarity_below_the_mean_self_similarity(seed1, seed2, costs):
+    a1, a2 = random_automaton(seed1, 5, costs), random_automaton(seed2, 5, costs)
+    cross = delta(a1, a2)
+    # a finite intersection has Delta = 0 by convention, not -inf
+    assume(any(solved is not None for solved in cross.solver))
+    assert cross.energy <= (delta(a1, a1).energy + delta(a2, a2).energy) / 2 + SLACK
+
+
+@given(seeds)
+def test_lambda_exact_below_the_self_product_bound(seed):
+    # at zero cost f(w) counts the runs N(w), and sum N <= sqrt(W_n sum N^2)
+    a = random_automaton(seed, 6, "zero")
+    self_similar = similarity(a, a)
+    assert lambda_exact(a).lambda_exact <= self_similar.delta - self_similar.energy_1 + SLACK
+
+
+@given(seeds)
+def test_self_similarity_above_the_doubled_costs(seed):
+    # the diagonal pairs of runs alone weigh e^{2V}
+    a = random_automaton(seed, 5, "mixed")
+    assert similarity(a, a).delta >= free_energy(a.with_costs(2 * a.cost)).energy - SLACK
 
 
 # the separators and escapes of product (``|``), subset (``{,}``) and

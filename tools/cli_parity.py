@@ -20,9 +20,13 @@ Then ``energy`` runs on each of a fixed list of malformed automaton
 documents (``MALFORMED``), one ``malformed/case digest`` line each, so the
 load path's error messages are compared too: rows that are not objects,
 missing or non-string names, costs that are not finite numbers, two bad
-rows, a state listed twice, a transition to an undeclared state, an int of
-5,000 digits, int names that no field declares, and two files that json
-cannot read: 200,000 open brackets and a name in Latin-1 bytes.
+rows, a state listed twice, a transition to an undeclared state, a symbol
+not in the alphabet, an undeclared initial, an undeclared accepting name,
+one document with both an undeclared state and a state name with
+whitespace (two violations joined by ``; ``), an int of 5,000 digits, int
+names that no field declares, and two files that json cannot read:
+200,000 open brackets and a name in Latin-1 bytes.  The undeclared names
+reach ``CostAutomaton.create``'s indexing of the declared and used names.
 Then ``energy --json`` and ``nondet --json`` run on ``TRIM_CUT``, a
 document that trim cuts, one ``cut/command digest`` line each, so the order
 of the components after a cut is compared.
@@ -88,6 +92,11 @@ MALFORMED = {
     "two-bad-rows": [(("transitions", 2, "to"), "7"), (("transitions", 1, "cost"), '"x"')],
     "state-twice": [(("states",), '["p", "q", "p"]')],
     "undeclared-state": [(("transitions", 2, "to"), '"r"')],
+    "undeclared-symbol": [(("transitions", 1, "symbol"), '"c"')],
+    "undeclared-initial": [(("initial",), '"r"')],
+    "undeclared-accepting": [(("accepting",), '["q", "r"]')],
+    # two violations, joined by "; " in one message
+    "undeclared-and-spaced-state": [(("states",), '["p", "q", "p q"]'), (("transitions", 2, "to"), '"r"')],
     "cost-10**4999": [(("transitions", 1, "cost"), "1" + "0" * 4999)],
     "int-names-undeclared": [(("alphabet",), "[]"), (("states",), "[]"), (("accepting",), "[]"), (("initial",), None),
                              (("transitions",), '[{"from": 1, "symbol": 2, "to": 3}]')],
